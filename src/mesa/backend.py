@@ -8,6 +8,10 @@ so whole benchmark runs are pure functions of committed fixtures. The cache
 wrapper records any live backend into the same deterministic shape and can
 replay with no inner backend at all. The remote backend speaks a minimal
 chat-completions style HTTP protocol with retry, clamping, and redaction.
+
+A backend may also offer gather(calls), which runs independent zero-argument
+queries (possibly concurrently) and returns their results in list order. The
+router uses it when present; only the remote backend has one.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import re
 import threading
 import time
 import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
@@ -28,6 +31,8 @@ from mesa.context import TaskContext
 from mesa.errors import CoverageError, MissingSignalError, RemoteBackendError, ReplayMissError
 
 if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
     from mesa.bench import BenchmarkItem
 
 log = logging.getLogger("mesa.backend")
@@ -64,16 +69,14 @@ class BehaviorScript:
     rows: dict[tuple[str, str, str], ScriptValue] = field(default_factory=dict)
 
     def lookup(self, item_id: str, condition: str, key: str) -> ScriptValue:
-        try:
-            return self.rows[(item_id, condition, key)]
-        except KeyError:
-            pass
-        try:
-            return self.rows[(item_id, "*", key)]
-        except KeyError:
-            raise MissingSignalError(
-                f"script has no value for {item_id}/{condition}: {key}"
-            ) from None
+        # Most rows are "*" defaults, so the condition-specific miss is the
+        # common case; get() avoids raising a KeyError for it.
+        value = self.rows.get((item_id, condition, key))
+        if value is None:
+            value = self.rows.get((item_id, "*", key))
+        if value is None:
+            raise MissingSignalError(f"script has no value for {item_id}/{condition}: {key}")
+        return value
 
     def covers(self, item_id: str, condition: str, key: str) -> bool:
         return (item_id, condition, key) in self.rows or (item_id, "*", key) in self.rows
@@ -338,15 +341,29 @@ Transport = Callable[[str, dict[str, str], bytes, float], str]
 _BACKOFF_BASE_S = 1.0
 _BACKOFF_FACTOR = 2.0
 
+# Client errors a retry can cure: request timeout and too many requests.
+_RETRYABLE_4XX = (408, 429)
+
 _CONFIDENCE_RE = re.compile(r"confidence\s*[:=]\s*(-?[0-9]+(?:\.[0-9]+)?)", re.IGNORECASE)
 _TAGS_RE = re.compile(r"tags\s*[:=]\s*(.{0,200})", re.IGNORECASE)
 _ANSWER_RE = re.compile(r"answer\s*[:=]\s*(.*)", re.IGNORECASE | re.DOTALL)
 
 
 def _default_transport(url: str, headers: dict[str, str], body: bytes, timeout_s: float) -> str:
+    import urllib.request  # about 30 ms of imports that only remote use needs
+
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     with urllib.request.urlopen(request, timeout=timeout_s) as response:
         return response.read().decode("utf-8")
+
+
+def _is_permanent(exc: Exception) -> bool:
+    """An HTTP 4xx answer that repeating the same request cannot change."""
+    return (
+        isinstance(exc, urllib.error.HTTPError)
+        and 400 <= exc.code < 500
+        and exc.code not in _RETRYABLE_4XX
+    )
 
 
 def _redact(headers: dict[str, str]) -> dict[str, str]:
@@ -364,13 +381,44 @@ class RemoteBackend:
     with `confidence: <number>` (or `tags:` / `answer:` lines). Responses
     that fail to parse count as attempt failures and are retried with
     exponential backoff before surfacing as a missing signal; transport
-    failures surface as a remote backend error instead.
+    failures surface as a remote backend error instead. A 4xx status other
+    than 408 and 429 is permanent and fails at once, without retry.
+
+    gather sends independent queries concurrently; at most max_concurrent
+    requests are in flight at any time.
     """
 
     def __init__(self, config: RemoteConfig, transport: Transport | None = None) -> None:
         self._config = config
         self._transport = transport or _default_transport
         self._semaphore = threading.BoundedSemaphore(config.max_concurrent)
+        self._pool_lock = threading.Lock()
+        self._pool: ThreadPoolExecutor | None = None
+
+    def gather(self, calls: Sequence[Callable[[], object]]) -> list:
+        """Run independent queries concurrently; results come back in list order.
+
+        Every call finishes before any failure is raised, and the failure
+        raised is the first in list order, so a wave's diagnostic does not
+        depend on which request failed first. A single call runs inline.
+        The calls must not call gather themselves.
+        """
+        if len(calls) < 2:
+            return [call() for call in calls]
+        with self._pool_lock:
+            if self._pool is None:
+                from concurrent.futures import ThreadPoolExecutor
+
+                # Idle workers end with the backend or at interpreter exit.
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self._config.max_concurrent,
+                    thread_name_prefix="mesa-remote",
+                )
+            pool = self._pool
+        futures = [pool.submit(call) for call in calls]
+        for future in futures:
+            future.exception()  # waits for the call without raising its failure
+        return [future.result() for future in futures]
 
     def _auth_token(self) -> str:
         token = os.environ.get(self._config.auth_env)
@@ -414,6 +462,10 @@ class RemoteBackend:
                 log.debug("attempt %d/%d unparseable: %s", attempt + 1, attempts, exc)
             except (OSError, urllib.error.URLError, json.JSONDecodeError, KeyError,
                     IndexError, TypeError) as exc:
+                if _is_permanent(exc):
+                    raise RemoteBackendError(
+                        f"endpoint refused the request after {attempt + 1} attempt(s): {exc}"
+                    ) from exc
                 last_error = exc
                 log.debug("attempt %d/%d failed: %s", attempt + 1, attempts, exc)
         if isinstance(last_error, _ParseFailure):

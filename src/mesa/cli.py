@@ -45,13 +45,7 @@ from mesa.errors import (
     MesaError,
     StaleTrustError,
 )
-from mesa.router import (
-    RoutingConfig,
-    _relevance_map,
-    build_candidates,
-    score_baseline,
-    select_action,
-)
+from mesa.router import RoutingConfig, decide
 
 log = logging.getLogger(__name__)
 
@@ -262,26 +256,8 @@ def _cmd_route(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                 break
     backend = _build_backend(args, suite_items, parser)
 
-    candidates, cv, traces = build_candidates(
-        ctx, registry, backend, cfg, condition.probe_enabled, allowed
-    )
-    if condition.scorer in ("baseline", "reflection"):
-        relevance = _relevance_map(ctx, candidates, backend, "relevance")
-        if condition.scorer == "reflection":
-            relevance = _relevance_map(
-                ctx, candidates, backend, "relevance2", fallback=relevance
-            )
-        decision = score_baseline(candidates, relevance)
-    else:
-        decision = select_action(
-            ctx,
-            candidates,
-            cv,
-            cfg,
-            registry,
-            vigilance_enabled=condition.vigilance_enabled,
-            dualconf_enabled=condition.dualconf_enabled,
-        )
+    decisions, _ = decide(ctx, registry, backend, cfg, condition, allowed)
+    decision = decisions[-1]
 
     color = _use_color(args.color, sys.stdout)
     chosen = decision.chosen.variant.value
@@ -291,7 +267,7 @@ def _cmd_route(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     for key in sorted(decision.scores):
         print(f"score {key}: {decision.scores[key]:.6f}")
     print(f"gated: {' '.join(decision.gated_cards)}")
-    for trace in traces:
+    for trace in decisions[0].probe_traces:
         log.info(
             "probe %s: stage=%s passed=%s cost=%.2f",
             trace.card_id,

@@ -13,16 +13,23 @@ removes every LoadSkill candidate whose effective trust sits below the
 configured gate; if that empties the candidate set the controller falls back
 to Direct/Stop.
 
-run_trajectory wires one benchmark item end to end: signal collection, probe
-escalation, candidate assembly, selection, offload execution with confidence
+decide turns one task context into decisions: signal collection, probe
+escalation, candidate assembly and selection. run_trajectory wires one
+benchmark item end to end on top of it: offload execution with confidence
 decontamination, and outcome grading against the item's gold label.
+
+Backend queries that do not depend on each other go out together in waves
+(see _gather): self-confidence, tags, every matched card's probe and the
+tool source; then the verify and loaded-card sources; then the relevance
+passes; then the post-offload confidence with the answer. Concatenated, the
+waves list the queries in the order a sequential controller would ask them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from mesa.cards import CardRegistry, SkillCard, effective_trust
 from mesa.confidence import (
@@ -417,6 +424,27 @@ def context_for_item(item: "BenchmarkItem") -> TaskContext:
     )
 
 
+def _gather(backend: "ModelBackend", calls: Sequence[Callable[[], object]]) -> list:
+    """Run independent backend queries; results come back in list order.
+
+    A backend with a gather method may run the calls concurrently; it raises
+    the first failure in list order. Any other backend runs them one after
+    another in this thread, stopping at the first failure, so its call
+    sequence is exactly the program order.
+    """
+    gather = getattr(backend, "gather", None)
+    if gather is None:
+        return [call() for call in calls]
+    return gather(calls)
+
+
+def _missing_as_none(query: Callable[..., float], *args: object) -> float | None:
+    try:
+        return query(*args)
+    except MissingSignalError:
+        return None
+
+
 def build_candidates(
     ctx: TaskContext,
     registry: CardRegistry,
@@ -432,28 +460,36 @@ def build_candidates(
     reads the card body exactly once. allowed_card_ids restricts which
     registry cards are active (the harness passes the item's injected ids);
     None means the whole registry is active.
-    """
-    p_self = backend.self_confidence(ctx)
-    tags = backend.self_report_tags(ctx)
 
+    The backend sees two waves: self-confidence, tags, the probe of every
+    matched card and the tool source; then the verify source (when the trap
+    tag asks for it) and the source of every loaded card.
+    """
     if allowed_card_ids is None:
         active = list(registry)
     else:
         active = [registry.get(card_id) for card_id in allowed_card_ids]
     matching = [card for card in active if eval_predicate(card.apply_when, ctx)]
 
+    wave = [lambda: backend.self_confidence(ctx), lambda: backend.self_report_tags(ctx)]
+    if probe_enabled:
+        for card in matching:
+            wave.append(lambda card=card: run_probe(begin(card), card, ctx, backend, cfg))
+    wave.append(lambda: backend.source_confidence(ctx, TOOL_CHANNEL))
+    p_self, tags, *probed, tool_source = _gather(backend, wave)
+
+    # Wave 2 asks the verify source (when the trap tag calls for it) and
+    # the source of every loaded card.
+    channels = [VERIFY_CHANNEL] if "trap" in tags and cfg.trap_verify else []
     traces: list[ProbeState] = []
     loaded = []
-    for card in matching:
-        state = begin(card)
-        if probe_enabled:
-            state = resolve(run_probe(state, card, ctx, backend, cfg))
-        else:
-            state = bypass(state)
+    for index, card in enumerate(matching):
+        state = resolve(probed[index]) if probe_enabled else bypass(begin(card))
         traces.append(state)
         if state.stage is ProbeStage.LOADED:
             registry.read_body(card.id)
             loaded.append(card)
+            channels.append(card.id)
 
     stop_utility = 1.0 if "trivial" in tags else 0.0
     table = cfg.cost_table
@@ -476,35 +512,89 @@ def build_candidates(
         for card in loaded
     )
 
-    sources: dict[str, float] = {TOOL_CHANNEL: backend.source_confidence(ctx, TOOL_CHANNEL)}
-    if "trap" in tags and cfg.trap_verify:
-        sources[VERIFY_CHANNEL] = backend.source_confidence(ctx, VERIFY_CHANNEL)
-    else:
-        sources[VERIFY_CHANNEL] = VERIFY_BASELINE
-    for card in loaded:
-        sources[card.id] = backend.source_confidence(ctx, card.id)
+    sources: dict[str, float] = {TOOL_CHANNEL: tool_source, VERIFY_CHANNEL: VERIFY_BASELINE}
+    if channels:
+        values = _gather(
+            backend, [lambda ch=channel: backend.source_confidence(ctx, ch) for channel in channels]
+        )
+        sources.update(zip(channels, values))
 
     cv = ConfidenceVector(p_self=p_self, source_confidences=sources)
     return candidates, cv, tuple(traces)
 
 
-def _relevance_map(
+def _score_relevance(
     ctx: TaskContext,
     candidates: Sequence[Action],
     backend: "ModelBackend",
-    channel_prefix: str,
-    fallback: Mapping[str, float] | None = None,
-) -> dict[str, float]:
-    relevance: dict[str, float] = {}
-    for action in candidates:
-        key = score_key(action)
-        try:
-            relevance[key] = backend.source_confidence(ctx, f"{channel_prefix}:{key}")
-        except MissingSignalError:
-            if fallback is None:
-                raise
-            relevance[key] = fallback[key]
-    return relevance
+    reflect: bool,
+) -> list[Decision]:
+    """Baseline decisions from relevance queries, sent as one wave.
+
+    Reflection adds a second pass whose missing values fall back, key by
+    key, to the first pass.
+    """
+    keys = [score_key(action) for action in candidates]
+    query = backend.source_confidence
+    calls = [lambda key=key: query(ctx, f"relevance:{key}") for key in keys]
+    if reflect:
+        calls.extend(
+            lambda key=key: _missing_as_none(query, ctx, f"relevance2:{key}") for key in keys
+        )
+    values = _gather(backend, calls)
+    relevance = dict(zip(keys, values))
+    decisions = [score_baseline(candidates, relevance)]
+    if reflect:
+        second_pass = {
+            key: relevance[key] if value is None else value
+            for key, value in zip(keys, values[len(keys):])
+        }
+        decisions.append(score_baseline(candidates, second_pass))
+    return decisions
+
+
+def decide(
+    ctx: TaskContext,
+    registry: CardRegistry,
+    backend: "ModelBackend",
+    cfg: RoutingConfig,
+    condition: "Condition",
+    allowed_card_ids: Sequence[str] | None = None,
+) -> tuple[tuple[Decision, ...], ConfidenceVector]:
+    """Build the candidates for one context and score them under a condition.
+
+    Returns the scorer's decisions, the last of which is final (reflection
+    makes two; the first carries the probe traces), and the confidence
+    vector they were scored from.
+    """
+    candidates, cv, traces = build_candidates(
+        ctx, registry, backend, cfg, condition.probe_enabled, allowed_card_ids
+    )
+    if condition.scorer in ("baseline", "reflection"):
+        decisions = _score_relevance(
+            ctx, candidates, backend, reflect=condition.scorer == "reflection"
+        )
+    else:
+        decisions = [
+            select_action(
+                ctx,
+                candidates,
+                cv,
+                cfg,
+                registry,
+                vigilance_enabled=condition.vigilance_enabled,
+                dualconf_enabled=condition.dualconf_enabled,
+            )
+        ]
+    first = decisions[0]
+    # Built directly: dataclasses.replace re-reads the field list on every call.
+    decisions[0] = Decision(
+        chosen=first.chosen,
+        scores=first.scores,
+        gated_cards=first.gated_cards,
+        probe_traces=traces,
+    )
+    return tuple(decisions), cv
 
 
 def run_trajectory(
@@ -547,36 +637,7 @@ def _run_trajectory(
     dc_cfg: DecontaminationConfig,
 ) -> TrajectoryRecord:
     ctx = context_for_item(item)
-    candidates, cv, traces = build_candidates(
-        ctx,
-        registry,
-        backend,
-        cfg,
-        probe_enabled=condition.probe_enabled,
-        allowed_card_ids=item.injected_card_ids,
-    )
-
-    decisions: list[Decision]
-    if condition.scorer in ("baseline", "reflection"):
-        relevance = _relevance_map(ctx, candidates, backend, "relevance")
-        first = replace(score_baseline(candidates, relevance), probe_traces=traces)
-        decisions = [first]
-        if condition.scorer == "reflection":
-            second_pass = _relevance_map(
-                ctx, candidates, backend, "relevance2", fallback=relevance
-            )
-            decisions.append(score_baseline(candidates, second_pass))
-    else:
-        decision = select_action(
-            ctx,
-            candidates,
-            cv,
-            cfg,
-            registry,
-            vigilance_enabled=condition.vigilance_enabled,
-            dualconf_enabled=condition.dualconf_enabled,
-        )
-        decisions = [replace(decision, probe_traces=traces)]
+    decisions, cv = decide(ctx, registry, backend, cfg, condition, item.injected_card_ids)
 
     chosen = decisions[-1].chosen
     p_self = cv.p_self
@@ -591,24 +652,29 @@ def _run_trajectory(
         terminal = p_self
     else:
         post_ctx = replace(ctx, pre_offload_p_self=p_self)
-        post = backend.self_confidence(post_ctx)
-        if chosen.variant is ActionVariant.CALL_TOOL:
-            source_trust, verified, final = 1.0, False, FinalAnswerClass.TOOL_CALL
-        elif chosen.variant is ActionVariant.VERIFY:
-            source_trust, verified, final = 1.0, True, FinalAnswerClass.VERIFIED
-        else:
+        if chosen.variant is ActionVariant.LOAD_SKILL:
             assert chosen.card_id is not None
             source_trust = registry.get(chosen.card_id).source_trust
             verified, final = False, FinalAnswerClass.SKILL_LOADED
+            post = backend.self_confidence(post_ctx)
+        else:
+            if chosen.variant is ActionVariant.CALL_TOOL:
+                mode, verified, final = "tool", False, FinalAnswerClass.TOOL_CALL
+            else:
+                mode, verified, final = "verify", True, FinalAnswerClass.VERIFIED
+            source_trust = 1.0
+            # The tool and verify answers do not depend on the post-offload
+            # confidence, so both queries go out in one wave.
+            post, answer = _gather(
+                backend,
+                [lambda: backend.self_confidence(post_ctx), lambda: backend.answer(ctx, mode)],
+            )
         if condition.decontam_enabled:
             terminal = decontaminate(p_self, post, source_trust, verified, dc_cfg)
         else:
             terminal = post
-        if chosen.variant is ActionVariant.CALL_TOOL:
-            answer = backend.answer(ctx, "tool")
-        elif chosen.variant is ActionVariant.VERIFY:
-            answer = backend.answer(ctx, "verify")
-        else:
+        if chosen.variant is ActionVariant.LOAD_SKILL:
+            # The skill answer's mode depends on the decontaminated confidence.
             mode = "commit" if terminal >= CLAIM_THRESHOLD else "hedge"
             answer = backend.answer(ctx, f"skill:{chosen.card_id}:{mode}")
 
@@ -616,7 +682,7 @@ def _run_trajectory(
     return TrajectoryRecord(
         item_id=item.id,
         condition=condition.name.value,
-        decisions=tuple(decisions),
+        decisions=decisions,
         p_self_pre=p_self,
         p_self_post_decontaminated=terminal,
         final_answer_class=final,

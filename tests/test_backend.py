@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import logging
+import subprocess
+import sys
+import threading
+import urllib.error
 
 import pytest
 
@@ -17,16 +21,17 @@ from mesa.backend import (
     remote_backend,
     required_keys,
 )
-from mesa.bench import BenchmarkItem, SliceName
+from mesa.bench import BenchmarkItem, SliceName, condition_by_name
+from mesa.cards import CardRegistry
 from mesa.errors import (
     CoverageError,
     MissingSignalError,
     RemoteBackendError,
     ReplayMissError,
 )
-from mesa.router import GoldAction
+from mesa.router import GoldAction, RoutingConfig, run_trajectory
 
-from conftest import DictBackend, make_ctx
+from conftest import DictBackend, make_card, make_ctx
 
 
 def make_item(item_id="i1", prompt="prompt one", injected=()):
@@ -354,13 +359,14 @@ def test_cache_file_is_jsonl(tmp_path):
 # RemoteBackend (fake transport, patched sleep)
 
 
-def _remote(transport, max_retries=2, monkeypatch=None, sleeps=None):
+def _remote(transport, max_retries=2, max_concurrent=4):
     config = RemoteConfig(
         endpoint="https://example.test/v1/chat",
         auth_env="MESA_TEST_TOKEN",
         model="test-model",
         timeout_s=5.0,
         max_retries=max_retries,
+        max_concurrent=max_concurrent,
     )
     return remote_backend(config, transport)
 
@@ -431,6 +437,36 @@ def test_remote_unparseable_becomes_missing_signal(auth_env, no_sleep):
     assert len(calls) == 2  # parse misses are retried too
 
 
+@pytest.mark.parametrize("status", [400, 401, 403, 404])
+def test_remote_permanent_http_error_fails_fast(auth_env, no_sleep, status):
+    attempts = []
+
+    def transport(url, headers, body, timeout):
+        attempts.append(1)
+        raise urllib.error.HTTPError(url, status, "refused", {}, None)
+
+    backend = _remote(transport, max_retries=2)
+    with pytest.raises(RemoteBackendError, match=rf"after 1 attempt\(s\): HTTP Error {status}"):
+        backend.self_confidence(make_ctx())
+    assert len(attempts) == 1
+    assert no_sleep == []
+
+
+@pytest.mark.parametrize("status", [408, 429, 500, 503])
+def test_remote_transient_http_error_backs_off(auth_env, no_sleep, status):
+    attempts = []
+
+    def transport(url, headers, body, timeout):
+        attempts.append(1)
+        raise urllib.error.HTTPError(url, status, "busy", {}, None)
+
+    backend = _remote(transport, max_retries=2)
+    with pytest.raises(RemoteBackendError, match=r"after 3 attempt\(s\)"):
+        backend.self_confidence(make_ctx())
+    assert len(attempts) == 3
+    assert no_sleep == [1.0, 2.0]
+
+
 def test_remote_requires_auth_env(monkeypatch):
     monkeypatch.delenv("MESA_TEST_TOKEN", raising=False)
     backend = _remote(lambda *a: _ok_response("confidence: 0.5"))
@@ -485,3 +521,150 @@ def test_remote_config_validation():
         RemoteConfig("https://x", "TOKEN", "m", max_retries=-1)
     with pytest.raises(ValueError):
         RemoteConfig("https://x", "TOKEN", "m", max_concurrent=0)
+
+
+# ---------------------------------------------------------------------------
+# RemoteBackend query waves
+
+
+def _prompt(body: bytes) -> str:
+    return json.loads(body)["messages"][0]["content"]
+
+
+def _reply(prompt: str) -> str:
+    if "List applicable tags" in prompt:
+        return _ok_response("tags: none")
+    if "Respond in mode" in prompt:
+        return _ok_response("answer: ok")
+    return _ok_response("confidence: 0.3")
+
+
+class InFlightTransport:
+    """Answers every query and records the peak number of requests in flight.
+
+    The first requests are held until `hold` of them are in flight at once,
+    or `wait_s` passes, so the overlap does not depend on thread scheduling.
+    """
+
+    def __init__(self, hold: int, wait_s: float) -> None:
+        self._cond = threading.Condition()
+        self._hold = hold
+        self._wait_s = wait_s
+        self._holding = True
+        self.in_flight = 0
+        self.peak = 0
+        self.prompts: list[str] = []
+
+    def __call__(self, url, headers, body, timeout):
+        with self._cond:
+            self.prompts.append(_prompt(body))
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self._cond.notify_all()
+            if self._holding:
+                self._cond.wait_for(lambda: self.peak >= self._hold, self._wait_s)
+                self._holding = False
+            self.in_flight -= 1
+        return _reply(_prompt(body))
+
+
+class InOrder:
+    """The five queries of a backend, without its gather."""
+
+    def __init__(self, inner) -> None:
+        for op in ("self_confidence", "source_confidence", "probe_signal", "answer",
+                   "self_report_tags"):
+            setattr(self, op, getattr(inner, op))
+
+
+def _one_card_item():
+    item = BenchmarkItem(
+        id="w1",
+        slice=SliceName.A,
+        prompt="please do the task",
+        kind_tags=frozenset({"doc"}),
+        attachments=(),
+        injected_card_ids=("helper",),
+        gold_action=GoldAction.DIRECT,
+        gold_answer="ok",
+    )
+    return item, CardRegistry(cards=(make_card("helper"),))
+
+
+def test_first_full_wave_reaches_four_requests(auth_env):
+    item, registry = _one_card_item()
+    transport = InFlightTransport(hold=4, wait_s=10.0)
+    backend = _remote(transport, max_concurrent=4)
+    record = run_trajectory(item, registry, backend, RoutingConfig(), condition_by_name("full"))
+    assert record.diagnostic is None
+    # Only wave 1 has four queries: self-confidence, tags, the probe and the tool source.
+    assert transport.peak == 4
+
+
+@pytest.mark.parametrize("condition", ["full", "reflection"])
+def test_requests_in_flight_never_exceed_max_concurrent(auth_env, condition):
+    item, registry = _one_card_item()
+    transport = InFlightTransport(hold=3, wait_s=0.3)
+    backend = _remote(transport, max_concurrent=2)
+    record = run_trajectory(item, registry, backend, RoutingConfig(), condition_by_name(condition))
+    assert transport.peak == 2
+
+    sequential = InFlightTransport(hold=1, wait_s=0.0)
+    again = run_trajectory(
+        item, registry, InOrder(_remote(sequential)), RoutingConfig(), condition_by_name(condition)
+    )
+    assert again == record
+    assert sorted(transport.prompts) == sorted(sequential.prompts)
+
+
+def test_gather_waits_for_every_call_and_raises_the_first_failure(auth_env):
+    backend = _remote(lambda *a: _ok_response("confidence: 0.5"))
+    second_failed = threading.Event()
+    finished: list[str] = []
+
+    def first():
+        second_failed.wait(5.0)
+        finished.append("first")
+        raise MissingSignalError("first")
+
+    def second():
+        finished.append("second")
+        second_failed.set()
+        raise MissingSignalError("second")
+
+    def third():
+        second_failed.wait(5.0)
+        threading.Event().wait(0.2)  # still running when the first call fails
+        finished.append("third")
+        return 3
+
+    with pytest.raises(MissingSignalError, match="first"):
+        backend.gather([first, second, third])
+    assert sorted(finished) == ["first", "second", "third"]
+    assert backend.gather([lambda: 1, lambda: 2]) == [1, 2]
+
+
+def test_two_failures_in_a_wave_give_the_in_order_diagnostic(auth_env, no_sleep):
+    def transport(url, headers, body, timeout):
+        prompt = _prompt(body)
+        if "before using any external source" in prompt or "'__tool__'" in prompt:
+            return _ok_response("no number here")
+        return _reply(prompt)
+
+    item, registry = _one_card_item()
+    full = condition_by_name("full")
+    in_order = run_trajectory(item, registry, InOrder(_remote(transport)), RoutingConfig(), full)
+    waves = run_trajectory(item, registry, _remote(transport), RoutingConfig(), full)
+    assert "self_confidence" in in_order.diagnostic
+    assert waves.diagnostic == in_order.diagnostic
+
+
+def test_cli_import_leaves_out_remote_only_modules():
+    code = (
+        "import sys, mesa.cli; "
+        "print(sorted(m for m in ('urllib.request', 'concurrent.futures') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out.strip() == "[]"

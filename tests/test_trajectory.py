@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from mesa.bench import BenchmarkItem, SliceName, condition_by_name
+import mesa.bench
+from mesa.backend import ScriptedBackend
+from mesa.bench import BenchmarkItem, SliceName, condition_by_name, emit_report, run_matrix
 from mesa.cards import CardRegistry
+from mesa.errors import MesaError
 from mesa.probe import ProbeStage
 from mesa.router import (
     CLAIM_THRESHOLD,
@@ -357,6 +360,88 @@ def test_missing_probe_signal_fails_closed():
     record = run_trajectory(item, _registry(card), backend, CFG, FULL)
     assert record.outcome is Outcome.INCORRECT
     assert "c" in record.diagnostic
+
+
+# ---------------------------------------------------------------------------
+# Query waves
+
+
+class ReversedGather:
+    """A backend whose gather runs each wave's calls last-first.
+
+    Like a concurrent gather it runs every call, returns results in list
+    order and raises the first failure in list order.
+    """
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.waves: list[int] = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def gather(self, calls):
+        self.waves.append(len(calls))
+        outcomes: list = [None] * len(calls)
+        for index in reversed(range(len(calls))):
+            try:
+                outcomes[index] = (calls[index](), None)
+            except MesaError as exc:
+                outcomes[index] = (None, exc)
+        for _, exc in outcomes:
+            if exc is not None:
+                raise exc
+        return [value for value, _ in outcomes]
+
+
+def test_wave_order_does_not_change_the_report(
+    shipped_suite, shipped_registry, shipped_script, monkeypatch
+):
+    in_order = run_matrix(shipped_suite, shipped_registry, shipped_script)
+    backends: list[ReversedGather] = []
+
+    def reversed_scripted(*args):
+        backends.append(ReversedGather(ScriptedBackend(*args)))
+        return backends[-1]
+
+    monkeypatch.setattr(mesa.bench, "ScriptedBackend", reversed_scripted)
+    reordered = run_matrix(shipped_suite, shipped_registry, shipped_script)
+    assert len(backends) == 7
+    assert any(size > 1 for backend in backends for size in backend.waves)
+    assert emit_report(reordered, "machine") == emit_report(in_order, "machine")
+
+
+def test_wave_failure_diagnostic_is_the_in_order_one():
+    # Wave 1 holds the probe of "c" and then the tool source; both are missing.
+    card = make_card("c", source_trust=0.95)
+    item = make_item(injected=("c",))
+    in_order = run_trajectory(item, _registry(card), DictBackend(), CFG, FULL)
+    reordered = run_trajectory(
+        item, _registry(card), ReversedGather(DictBackend()), CFG, FULL
+    )
+    assert in_order.diagnostic == "no probe for c"
+    assert reordered.diagnostic == in_order.diagnostic
+
+
+@pytest.mark.parametrize("condition", ["full", "reflection"])
+def test_waves_ask_the_in_order_queries(condition):
+    def setup():
+        card, backend, item = _skill_setup(source_trust=0.95)
+        backend.sources.update(
+            {f"relevance:{key}": 0.5 for key in ("DIRECT", "STOP", "CALL_TOOL", "VERIFY")}
+        )
+        backend.sources["relevance:LOAD_SKILL:c"] = 0.9
+        return card, backend, item
+
+    card, backend, item = setup()
+    wave_backend = ReversedGather(setup()[1])
+    in_order = run_trajectory(item, _registry(card), backend, CFG, condition_by_name(condition))
+    reordered = run_trajectory(
+        item, _registry(card), wave_backend, CFG, condition_by_name(condition)
+    )
+    assert in_order.diagnostic is None
+    assert reordered == in_order
+    assert sorted(wave_backend.calls, key=repr) == sorted(backend.calls, key=repr)
 
 
 # ---------------------------------------------------------------------------

@@ -83,18 +83,49 @@ def _entry_from_dict(raw: dict) -> BankEntry:
     )
 
 
+_TAIL_WINDOW = 4096  # bytes read from the journal's end; doubled for a longer record
+
+
+def _next_sequence(fd: int) -> int:
+    """One past the last complete record's sequence number; 0 for an empty journal.
+
+    Only the end of the journal is read, so an append costs the same at any
+    bank size. A last record without a readable sequence number (a torn tail
+    that a later append was glued onto) falls back to counting every line.
+    """
+    size = os.fstat(fd).st_size
+    window = _TAIL_WINDOW
+    while True:
+        start = max(0, size - window)
+        tail = os.pread(fd, size - start, start)
+        end = tail.rfind(b"\n")
+        begin = tail.rfind(b"\n", 0, max(end, 0))
+        if start == 0 or begin != -1:
+            break
+        window *= 2
+    if end == -1:
+        return 0
+    try:
+        seq = json.loads(tail[begin + 1:end])["recorded_at"]
+    except (ValueError, KeyError, TypeError):
+        seq = None
+    if type(seq) is not int:
+        return os.pread(fd, size, 0).count(b"\n")
+    return seq + 1
+
+
 def record(entry: BankEntry, bank_path: str | Path) -> int:
     """Append one entry; returns its assigned sequence number.
 
     Sequence numbers count complete existing records, so the first append
-    gets 0. The entry's own recorded_at field is ignored and restamped.
+    gets 0; they are read from the journal's last record, not recounted.
+    The entry's own recorded_at field is ignored and restamped.
     """
     path = Path(bank_path)
     fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
-        existing = os.pread(fd, os.fstat(fd).st_size, 0)
-        seq = existing.count(b"\n")
+        seq = _next_sequence(fd)
         line = _entry_to_line(entry, seq).encode("utf-8")
         os.write(fd, line)
         os.fsync(fd)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -112,6 +113,33 @@ def test_append_after_torn_tail_overwrites_nothing(bank_path):
     # reading before repairing sees only the intact record.
     assert [e.trajectory.item_id for e in read_bank(bank_path)] == ["a"]
 
+
+
+def test_sequence_after_glued_torn_tail_counts_lines(bank_path):
+    record(make_entry(item_id="a"), bank_path)
+    bank_path.write_bytes(bank_path.read_bytes() + b'{"half": ')
+    assert record(make_entry(item_id="b"), bank_path) == 1
+    # The last line is now the torn bytes glued to b; it has no readable
+    # sequence number, so the next append counts lines instead.
+    assert record(make_entry(item_id="c"), bank_path) == 2
+
+
+def test_sequence_continues_past_a_long_record(bank_path):
+    record(make_entry(item_id="a"), bank_path)
+    record(make_entry(item_id="b" * 20_000), bank_path)
+    assert record(make_entry(item_id="c"), bank_path) == 2
+    assert [e.recorded_at for e in read_bank(bank_path)] == [0, 1, 2]
+
+
+def test_append_reads_only_the_journal_tail(bank_path, monkeypatch):
+    for i in range(40):
+        record(make_entry(item_id=f"t{i}"), bank_path)
+    size = bank_path.stat().st_size
+    reads = []
+    real_pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, offset: reads.append(n) or real_pread(fd, n, offset))
+    assert record(make_entry(item_id="last"), bank_path) == 40
+    assert reads and max(reads) < size // 2
 
 def test_mid_file_damage_is_corruption(bank_path):
     for i in range(3):

@@ -310,11 +310,6 @@ class CachedBackend:
         return frozenset(str(tag) for tag in value)  # type: ignore[union-attr]
 
 
-def record_cache(inner: ModelBackend | None, cache_path: str | Path) -> CachedBackend:
-    """Wrap a backend with a persistent memo; pass inner=None for strict replay."""
-    return CachedBackend(inner, cache_path)
-
-
 # ---------------------------------------------------------------------------
 # Remote backend
 
@@ -559,8 +554,3 @@ class RemoteBackend:
             "tags",
         )
         return frozenset(value)  # type: ignore[arg-type]
-
-
-def remote_backend(config: RemoteConfig, transport: Transport | None = None) -> RemoteBackend:
-    """Construct an HTTP backend; transport is injectable for tests."""
-    return RemoteBackend(config, transport)

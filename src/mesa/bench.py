@@ -138,9 +138,10 @@ def _parse_item(raw: object, index: int) -> BenchmarkItem:
         gold = GoldAction(raw["gold_action"])
     except ValueError:
         raise SuiteFormatError(f"{where}: bad gold_action {raw['gold_action']!r}") from None
+    for name in ("kind_tags", "attachments", "injected_card_ids"):
+        if not isinstance(raw[name], list):
+            raise SuiteFormatError(f"{where}: {name} must be a list")
     attachments = raw["attachments"]
-    if not isinstance(attachments, list):
-        raise SuiteFormatError(f"{where}: attachments must be a list")
     try:
         parsed_attachments = tuple(
             Attachment(mime_tag=str(att["mime_tag"]), bytes_len=int(att["bytes_len"]))

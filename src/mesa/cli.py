@@ -21,10 +21,10 @@ from pathlib import Path
 from mesa.backend import (
     CachedBackend,
     ModelBackend,
+    RemoteBackend,
     RemoteConfig,
     ScriptedBackend,
     load_script,
-    remote_backend,
 )
 from mesa.bank import BankConfig, apply_updates, hypercorrection_updates, read_bank
 from mesa.bench import (
@@ -196,7 +196,7 @@ def _build_backend(
         return CachedBackend(None, args.cache)
     if not (args.endpoint and args.model and args.auth_env):
         parser.error("--backend remote requires --endpoint, --model, and --auth-env")
-    return remote_backend(
+    return RemoteBackend(
         RemoteConfig(
             endpoint=args.endpoint,
             auth_env=args.auth_env,
@@ -230,9 +230,14 @@ def _cmd_route(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     attachments = []
     for spec_str in args.attach:
         mime, sep, size = spec_str.partition(":")
-        attachments.append(
-            Attachment(mime_tag=mime, bytes_len=int(size) if sep else 0)
-        )
+        try:
+            attachments.append(
+                Attachment(mime_tag=mime, bytes_len=int(size) if sep else 0)
+            )
+        except ValueError as exc:
+            parser.error(f"--attach {spec_str!r} is not MIME[:BYTES]: {exc}")
+    if not args.prompt:
+        parser.error("--prompt must be non-empty")
     ctx = TaskContext(
         prompt=args.prompt,
         kind_tags=frozenset(args.kind_tag),

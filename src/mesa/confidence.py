@@ -32,22 +32,11 @@ class ConfidenceVector:
 
     p_self: float
     source_confidences: Mapping[str, float] = field(default_factory=dict)
-    verified: bool = False
 
     def __post_init__(self) -> None:
         _check_unit("p_self", self.p_self)
         for channel, value in self.source_confidences.items():
             _check_unit(f"source_confidences[{channel!r}]", value)
-
-
-def conflict_differential(cv: ConfidenceVector) -> float:
-    """Delta between self-confidence and the strongest source confidence.
-
-    Defined as p_self - max(source confidences); an empty source map
-    contributes 0, so the differential degenerates to p_self.
-    """
-    strongest = max(cv.source_confidences.values(), default=0.0)
-    return cv.p_self - strongest
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ if TYPE_CHECKING:
     from mesa.backend import ModelBackend
     from mesa.router import RoutingConfig
 
-# One probe costs a tenth of a skill load (cost_table default 0.5).
+# One probe costs a tenth of a skill load (router.COST_TABLE: 0.5).
 PROBE_COST = 0.05
 
 # The probe escalates slightly earlier than the direct-answer threshold.

@@ -27,7 +27,7 @@ waves list the queries in the order a sequential controller would ask them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -66,7 +66,7 @@ TIE_BREAK_ORDER: tuple[ActionVariant, ...] = (
     ActionVariant.LOAD_SKILL,
 )
 
-DEFAULT_COST_TABLE: Mapping[ActionVariant, float] = {
+COST_TABLE: Mapping[ActionVariant, float] = {
     ActionVariant.DIRECT: 0.0,
     ActionVariant.STOP: 0.0,
     ActionVariant.VERIFY: 0.3,
@@ -123,10 +123,6 @@ class RoutingConfig:
     trust_gate: float = 0.7
     self_low: float = 0.45
     trap_verify: bool = True
-    cost_table: Mapping[ActionVariant, float] = field(
-        default_factory=lambda: dict(DEFAULT_COST_TABLE)
-    )
-    tie_break_order: tuple[ActionVariant, ...] = TIE_BREAK_ORDER
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -135,14 +131,6 @@ class RoutingConfig:
             raise ValueError("trust_gate must be in [0, 1]")
         if self.cost_lambda < 0.0:
             raise ValueError("cost_lambda must be >= 0")
-        if set(self.cost_table) != set(ActionVariant):
-            raise ValueError("cost_table must cover every action variant")
-        if any(cost < 0.0 for cost in self.cost_table.values()):
-            raise ValueError("cost_table entries must be >= 0")
-        if sorted(self.tie_break_order, key=lambda v: v.value) != sorted(
-            ActionVariant, key=lambda v: v.value
-        ):
-            raise ValueError("tie_break_order must be a permutation of the variants")
 
 
 @dataclass(frozen=True)
@@ -153,24 +141,6 @@ class Decision:
     scores: Mapping[str, float]
     gated_cards: tuple[str, ...] = ()
     probe_traces: tuple[ProbeState, ...] = ()
-
-
-class OffloadClass(Enum):
-    PROCEDURAL_OFFLOAD = "procedural_offload"
-    EPISTEMIC_OFFLOAD = "epistemic_offload"
-    EVALUATIVE_OFFLOAD = "evaluative_offload"
-    NOT_OFFLOAD = "not_offload"
-
-
-def triage_offload(action: Action) -> OffloadClass:
-    """Classify an action into the three offload families or NotOffload."""
-    if action.variant is ActionVariant.LOAD_SKILL:
-        return OffloadClass.PROCEDURAL_OFFLOAD
-    if action.variant is ActionVariant.CALL_TOOL:
-        return OffloadClass.EPISTEMIC_OFFLOAD
-    if action.variant is ActionVariant.VERIFY:
-        return OffloadClass.EVALUATIVE_OFFLOAD
-    return OffloadClass.NOT_OFFLOAD
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +161,17 @@ def _source_confidence_for(action: Action, cv: ConfidenceVector) -> float:
         ) from None
 
 
+def _dual_score(
+    action: Action, cv: ConfidenceVector, alpha: float, cost_lambda: float, vigilance: float
+) -> float:
+    if action.variant in (ActionVariant.DIRECT, ActionVariant.STOP):
+        base = alpha * cv.p_self * action.utility_direct
+    else:
+        p_source = _source_confidence_for(action, cv)
+        base = (1.0 - alpha) * vigilance * p_source * action.utility_offload
+    return base - cost_lambda * action.cost
+
+
 def score_action(
     action: Action,
     cv: ConfidenceVector,
@@ -198,25 +179,19 @@ def score_action(
     card: SkillCard | None = None,
 ) -> float:
     """Dual-confidence utility score for one action."""
-    if action.variant in (ActionVariant.DIRECT, ActionVariant.STOP):
-        base = cfg.alpha * cv.p_self * action.utility_direct
-    else:
-        if action.variant is ActionVariant.LOAD_SKILL:
-            if card is None:
-                raise ValueError("score_action on LoadSkill requires the card")
-            vigilance = effective_trust(card)
-        else:
-            vigilance = 1.0
-        p_source = _source_confidence_for(action, cv)
-        base = (1.0 - cfg.alpha) * vigilance * p_source * action.utility_offload
-    return base - cfg.cost_lambda * action.cost
+    vigilance = 1.0
+    if action.variant is ActionVariant.LOAD_SKILL:
+        if card is None:
+            raise ValueError("score_action on LoadSkill requires the card")
+        vigilance = effective_trust(card)
+    return _dual_score(action, cv, cfg.alpha, cfg.cost_lambda, vigilance)
 
 
-def _tie_key(action: Action, order: Sequence[ActionVariant]) -> tuple:
+def _tie_key(action: Action) -> tuple:
     # Total deterministic order over actions: variant rank, then card id,
     # then the remaining value fields. Keeps selection permutation-invariant.
     return (
-        order.index(action.variant),
+        TIE_BREAK_ORDER.index(action.variant),
         action.card_id or "",
         action.utility_direct,
         action.utility_offload,
@@ -224,13 +199,11 @@ def _tie_key(action: Action, order: Sequence[ActionVariant]) -> tuple:
     )
 
 
-def _argmax(
-    scored: Sequence[tuple[Action, float]], order: Sequence[ActionVariant]
-) -> Action:
+def _argmax(scored: Sequence[tuple[Action, float]]) -> Action:
     best_action, best_score = scored[0]
     for action, score in scored[1:]:
         if score > best_score or (
-            score == best_score and _tie_key(action, order) < _tie_key(best_action, order)
+            score == best_score and _tie_key(action) < _tie_key(best_action)
         ):
             best_action, best_score = action, score
     return best_action
@@ -257,7 +230,7 @@ def score_baseline(
         value = rel * action.utility_direct
         scored.append((action, value))
         scores[key] = value
-    chosen = _argmax(scored, TIE_BREAK_ORDER)
+    chosen = _argmax(scored)
     return Decision(chosen=chosen, scores=scores)
 
 
@@ -275,13 +248,13 @@ def select_action(
 
     vigilance_enabled=False is the ablation switch: the gate is skipped and
     LoadSkill is scored with a neutral vigilance weight of 1.0.
-    dualconf_enabled=False re-scores with alpha pinned to 0.5, removing the
+    dualconf_enabled=False scores with alpha pinned to 0.5, removing the
     asymmetric self-vs-source weighting.
     """
     del ctx  # part of the signature contract; scoring needs only cv/cfg
     if not candidates:
         raise ValueError("empty candidate list")
-    eff_cfg = cfg if dualconf_enabled else replace(cfg, alpha=0.5)
+    alpha = cfg.alpha if dualconf_enabled else 0.5
 
     gated: list[str] = []
     survivors: list[Action] = []
@@ -300,33 +273,27 @@ def select_action(
             Action(
                 ActionVariant.DIRECT,
                 utility_direct=1.0,
-                cost=cfg.cost_table[ActionVariant.DIRECT],
+                cost=COST_TABLE[ActionVariant.DIRECT],
             ),
             Action(
                 ActionVariant.STOP,
                 utility_direct=0.0,
-                cost=cfg.cost_table[ActionVariant.STOP],
+                cost=COST_TABLE[ActionVariant.STOP],
             ),
         ]
 
     scored: list[tuple[Action, float]] = []
     scores: dict[str, float] = {}
     for action in survivors:
-        if action.variant is ActionVariant.LOAD_SKILL and not vigilance_enabled:
-            p_source = _source_confidence_for(action, cv)
-            value = (
-                (1.0 - eff_cfg.alpha) * 1.0 * p_source * action.utility_offload
-                - eff_cfg.cost_lambda * action.cost
-            )
-        elif action.variant is ActionVariant.LOAD_SKILL:
+        vigilance = 1.0
+        if action.variant is ActionVariant.LOAD_SKILL and vigilance_enabled:
             assert action.card_id is not None
-            value = score_action(action, cv, eff_cfg, registry.get(action.card_id))
-        else:
-            value = score_action(action, cv, eff_cfg)
+            vigilance = effective_trust(registry.get(action.card_id))
+        value = _dual_score(action, cv, alpha, cfg.cost_lambda, vigilance)
         scored.append((action, value))
         scores[score_key(action)] = value
 
-    chosen = _argmax(scored, cfg.tie_break_order)
+    chosen = _argmax(scored)
     return Decision(chosen=chosen, scores=scores, gated_cards=tuple(sorted(gated)))
 
 
@@ -492,22 +459,21 @@ def build_candidates(
             channels.append(card.id)
 
     stop_utility = 1.0 if "trivial" in tags else 0.0
-    table = cfg.cost_table
     candidates = [
-        Action(ActionVariant.DIRECT, cost=table[ActionVariant.DIRECT]),
+        Action(ActionVariant.DIRECT, cost=COST_TABLE[ActionVariant.DIRECT]),
         Action(
             ActionVariant.STOP,
             utility_direct=stop_utility,
-            cost=table[ActionVariant.STOP],
+            cost=COST_TABLE[ActionVariant.STOP],
         ),
-        Action(ActionVariant.CALL_TOOL, cost=table[ActionVariant.CALL_TOOL]),
-        Action(ActionVariant.VERIFY, cost=table[ActionVariant.VERIFY]),
+        Action(ActionVariant.CALL_TOOL, cost=COST_TABLE[ActionVariant.CALL_TOOL]),
+        Action(ActionVariant.VERIFY, cost=COST_TABLE[ActionVariant.VERIFY]),
     ]
     candidates.extend(
         Action(
             ActionVariant.LOAD_SKILL,
             card_id=card.id,
-            cost=table[ActionVariant.LOAD_SKILL],
+            cost=COST_TABLE[ActionVariant.LOAD_SKILL],
         )
         for card in loaded
     )

@@ -14,11 +14,10 @@ import pytest
 from mesa.backend import (
     BehaviorScript,
     CachedBackend,
+    RemoteBackend,
     RemoteConfig,
     ScriptedBackend,
     load_script,
-    record_cache,
-    remote_backend,
     required_keys,
 )
 from mesa.bench import BenchmarkItem, SliceName, condition_by_name
@@ -276,7 +275,7 @@ def test_scripted_backend_probe_and_answer_keys(tmp_path):
 
 def test_cache_memoizes_inner_calls(tmp_path):
     inner = DictBackend(p_self=0.7, sources={"__tool__": 0.4})
-    cache = record_cache(inner, tmp_path / "cache.jsonl")
+    cache = CachedBackend(inner, tmp_path / "cache.jsonl")
     ctx = make_ctx()
     assert cache.self_confidence(ctx) == 0.7
     assert cache.self_confidence(ctx) == 0.7
@@ -296,7 +295,7 @@ def test_cache_replays_without_inner(tmp_path):
         answers={"direct": "d"},
         tags=frozenset({"trap"}),
     )
-    recorder = record_cache(inner, path)
+    recorder = CachedBackend(inner, path)
     ctx = make_ctx()
     post_ctx = make_ctx(pre_offload_p_self=0.7)
     recorded = (
@@ -323,7 +322,7 @@ def test_cache_replays_without_inner(tmp_path):
 
 def test_cache_distinguishes_pre_and_post_offload(tmp_path):
     inner = DictBackend(p_self=0.3, p_self_post=0.9)
-    cache = record_cache(inner, tmp_path / "cache.jsonl")
+    cache = CachedBackend(inner, tmp_path / "cache.jsonl")
     assert cache.self_confidence(make_ctx()) == 0.3
     assert cache.self_confidence(make_ctx(pre_offload_p_self=0.3)) == 0.9
 
@@ -346,7 +345,7 @@ def test_damaged_cache_line_rejected(tmp_path):
 
 def test_cache_file_is_jsonl(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = record_cache(DictBackend(p_self=0.7), path)
+    cache = CachedBackend(DictBackend(p_self=0.7), path)
     cache.self_confidence(make_ctx())
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 1
@@ -368,7 +367,7 @@ def _remote(transport, max_retries=2, max_concurrent=4):
         max_retries=max_retries,
         max_concurrent=max_concurrent,
     )
-    return remote_backend(config, transport)
+    return RemoteBackend(config, transport)
 
 
 def _ok_response(content: str) -> str:

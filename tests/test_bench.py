@@ -115,6 +115,10 @@ def test_load_suite_dangling_card(tmp_path):
         ({"attachments": "nope"}, r"attachments must be a list"),
         ({"attachments": [{"mime_tag": "html"}]}, r"bad attachment"),
         ({"prompt": ""}, r"prompt must be non-empty"),
+        ({"kind_tags": None}, r"item 'a00': kind_tags must be a list"),
+        ({"kind_tags": 5}, r"kind_tags must be a list"),
+        ({"injected_card_ids": None}, r"injected_card_ids must be a list"),
+        ({"injected_card_ids": 5}, r"item 'a00': injected_card_ids must be a list"),
     ],
 )
 def test_load_suite_field_validation(tmp_path, mutation, message):

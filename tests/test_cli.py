@@ -252,6 +252,31 @@ def test_route_remote_backend_requires_endpoint(capsys):
     assert "--endpoint" in err
 
 
+@pytest.mark.parametrize(
+    "bad_args, message",
+    [
+        (["--prompt", "anything", "--attach", "pdf:abc"], "--attach 'pdf:abc'"),
+        (["--prompt", "anything", "--attach", "pdf:-5"], "--attach 'pdf:-5'"),
+        (["--prompt", "anything", "--attach", ":5"], "--attach ':5'"),
+        (["--prompt", ""], "--prompt must be non-empty"),
+    ],
+)
+def test_route_bad_context_input_is_usage_error(bad_args, message, capsys):
+    code, out, err = run_cli(
+        "route",
+        "--cards", CARDS,
+        "--backend", "scripted",
+        "--script", SCRIPT,
+        "--suite", SUITE,
+        *bad_args,
+        capsys=capsys,
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"mesa: error: {message}" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # eval and report
 

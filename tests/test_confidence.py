@@ -1,4 +1,4 @@
-"""Dual-confidence vector, conflict differential, decontamination."""
+"""Dual-confidence vector and decontamination."""
 
 from __future__ import annotations
 
@@ -6,18 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mesa.confidence import (
-    ConfidenceVector,
-    DecontaminationConfig,
-    conflict_differential,
-    decontaminate,
-)
+from mesa.confidence import ConfidenceVector, DecontaminationConfig, decontaminate
 
 _unit = st.floats(min_value=0.0, max_value=1.0)
 
 
 # ---------------------------------------------------------------------------
-# ConfidenceVector and conflict differential
+# ConfidenceVector
 
 
 def test_vector_validates_ranges():
@@ -25,44 +20,6 @@ def test_vector_validates_ranges():
         ConfidenceVector(p_self=1.2, source_confidences={})
     with pytest.raises(ValueError):
         ConfidenceVector(p_self=0.5, source_confidences={"a": -0.1})
-
-
-def test_conflict_differential_empty_map():
-    cv = ConfidenceVector(p_self=0.9, source_confidences={})
-    assert conflict_differential(cv) == 0.9
-
-
-def test_conflict_differential_symmetry_zero():
-    cv = ConfidenceVector(p_self=0.5, source_confidences={"a": 0.5})
-    assert conflict_differential(cv) == 0.0
-
-
-def test_conflict_differential_max_over_sources():
-    cv = ConfidenceVector(p_self=0.3, source_confidences={"a": 0.2, "b": 0.8})
-    assert conflict_differential(cv) == pytest.approx(-0.5)
-
-
-@given(_unit, st.dictionaries(st.text(min_size=1, max_size=4), _unit, max_size=5))
-def test_conflict_differential_arithmetic_oracle(p_self, sources):
-    cv = ConfidenceVector(p_self=p_self, source_confidences=sources)
-    expected = p_self - (max(sources.values()) if sources else 0.0)
-    assert conflict_differential(cv) == pytest.approx(expected)
-
-
-@given(_unit, _unit, _unit)
-def test_conflict_differential_monotone_in_p_self(low, high, src):
-    lo, hi = sorted((low, high))
-    d_lo = conflict_differential(ConfidenceVector(lo, {"a": src}))
-    d_hi = conflict_differential(ConfidenceVector(hi, {"a": src}))
-    assert d_lo <= d_hi
-
-
-@given(_unit, _unit, _unit)
-def test_conflict_differential_antitone_in_sources(p_self, low, high):
-    lo, hi = sorted((low, high))
-    d_lo = conflict_differential(ConfidenceVector(p_self, {"a": lo}))
-    d_hi = conflict_differential(ConfidenceVector(p_self, {"a": hi}))
-    assert d_hi <= d_lo
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Scorers, vigilance gate, tie-breaking, and offload triage."""
+"""Scorers, vigilance gate, and tie-breaking."""
 
 from __future__ import annotations
 
@@ -12,15 +12,15 @@ from mesa.cards import CardRegistry, Provenance, effective_trust
 from mesa.confidence import TOOL_CHANNEL, VERIFY_CHANNEL, ConfidenceVector
 from mesa.errors import MissingSignalError
 from mesa.router import (
+    COST_TABLE,
+    TIE_BREAK_ORDER,
     Action,
     ActionVariant,
-    OffloadClass,
     RoutingConfig,
     score_action,
     score_baseline,
     score_key,
     select_action,
-    triage_offload,
 )
 
 from conftest import make_card, make_ctx
@@ -32,13 +32,14 @@ def _cv(p_self=0.5, **sources) -> ConfidenceVector:
     return ConfidenceVector(p_self=p_self, source_confidences=named)
 
 
-def _basic_candidates(cfg: RoutingConfig, stop_utility=0.0) -> list[Action]:
-    table = cfg.cost_table
+def _basic_candidates(stop_utility=0.0) -> list[Action]:
     return [
-        Action(ActionVariant.DIRECT, cost=table[ActionVariant.DIRECT]),
-        Action(ActionVariant.STOP, utility_direct=stop_utility, cost=table[ActionVariant.STOP]),
-        Action(ActionVariant.CALL_TOOL, cost=table[ActionVariant.CALL_TOOL]),
-        Action(ActionVariant.VERIFY, cost=table[ActionVariant.VERIFY]),
+        Action(ActionVariant.DIRECT, cost=COST_TABLE[ActionVariant.DIRECT]),
+        Action(
+            ActionVariant.STOP, utility_direct=stop_utility, cost=COST_TABLE[ActionVariant.STOP]
+        ),
+        Action(ActionVariant.CALL_TOOL, cost=COST_TABLE[ActionVariant.CALL_TOOL]),
+        Action(ActionVariant.VERIFY, cost=COST_TABLE[ActionVariant.VERIFY]),
     ]
 
 
@@ -62,9 +63,9 @@ def test_config_defaults_and_validation():
     assert cfg.trust_gate == 0.7
     assert cfg.self_low == 0.45
     assert cfg.trap_verify is True
-    assert cfg.cost_table[ActionVariant.VERIFY] == 0.3
-    assert cfg.cost_table[ActionVariant.LOAD_SKILL] == 0.5
-    assert [v for v in cfg.tie_break_order] == [
+    assert COST_TABLE[ActionVariant.VERIFY] == 0.3
+    assert COST_TABLE[ActionVariant.LOAD_SKILL] == 0.5
+    assert [v for v in TIE_BREAK_ORDER] == [
         ActionVariant.STOP,
         ActionVariant.DIRECT,
         ActionVariant.VERIFY,
@@ -117,13 +118,13 @@ def test_score_missing_source_confidence():
         score_action(action, cv, RoutingConfig())
 
 
-def _oracle_score(action, cv, cfg, card):
+def _oracle_score(action, cv, cfg, card, vigilance_enabled=True):
     # Independent re-statement of the scoring formula.
     if action.variant in (ActionVariant.DIRECT, ActionVariant.STOP):
         value = cfg.alpha * cv.p_self * action.utility_direct
     else:
         if action.variant is ActionVariant.LOAD_SKILL:
-            vig = effective_trust(card)
+            vig = effective_trust(card) if vigilance_enabled else 1.0
             p_src = cv.source_confidences[action.card_id]
         else:
             vig = 1.0
@@ -219,7 +220,7 @@ def test_gate_excludes_low_trust_and_records_it():
     load = Action(ActionVariant.LOAD_SKILL, card_id="evil", cost=0.5)
     decision = select_action(
         make_ctx(),
-        _basic_candidates(cfg) + [load],
+        _basic_candidates() + [load],
         _cv(p_self=0.3, tool=0.8, evil=0.99),
         cfg,
         _registry(card),
@@ -235,7 +236,7 @@ def test_gate_disabled_loads_with_neutral_vigilance():
     load = Action(ActionVariant.LOAD_SKILL, card_id="evil", cost=0.5)
     decision = select_action(
         make_ctx(),
-        _basic_candidates(cfg) + [load],
+        _basic_candidates() + [load],
         _cv(p_self=0.3, tool=0.8, evil=0.99),
         cfg,
         _registry(card),
@@ -253,7 +254,7 @@ def test_gate_boundary_is_inclusive():
     load = Action(ActionVariant.LOAD_SKILL, card_id="ok", cost=0.5)
     decision = select_action(
         make_ctx(),
-        _basic_candidates(cfg) + [load],
+        _basic_candidates() + [load],
         _cv(p_self=0.1, tool=0.2, ok=0.99),
         cfg,
         _registry(at_gate),
@@ -278,7 +279,7 @@ def test_dualconf_disabled_pins_alpha_half():
     cfg = RoutingConfig(alpha=0.9)
     decision = select_action(
         make_ctx(),
-        _basic_candidates(cfg),
+        _basic_candidates(),
         _cv(p_self=0.5, tool=0.9),
         cfg,
         _registry(),
@@ -297,7 +298,7 @@ def test_empty_candidates_rejected():
 
 def test_tie_prefers_stop_over_direct():
     cfg = RoutingConfig()
-    candidates = _basic_candidates(cfg, stop_utility=1.0)
+    candidates = _basic_candidates(stop_utility=1.0)
     decision = select_action(
         make_ctx(), candidates, _cv(p_self=0.9, tool=0.1, verify=0.1), cfg, _registry()
     )
@@ -308,7 +309,7 @@ def test_tie_prefers_stop_over_direct():
 def test_permutation_invariance():
     cfg = RoutingConfig()
     cards = [make_card(f"c{i}", source_trust=0.8) for i in range(3)]
-    candidates = _basic_candidates(cfg) + [
+    candidates = _basic_candidates() + [
         Action(ActionVariant.LOAD_SKILL, card_id=f"c{i}", cost=0.5) for i in range(3)
     ]
     cv = _cv(p_self=0.4, tool=0.62, c0=0.775, c1=0.775, c2=0.5)
@@ -330,7 +331,7 @@ def test_argmax_scale_invariance():
     cfg = RoutingConfig(alpha=0.6, cost_lambda=0.1)
     for scale in (0.5, 2.0, 10.0):
         scaled_cfg = RoutingConfig(alpha=0.6, cost_lambda=0.1 * scale)
-        base = _basic_candidates(cfg)
+        base = _basic_candidates()
         scaled = [
             Action(
                 a.variant,
@@ -361,7 +362,7 @@ def test_cost_monotonicity():
     for lam in (0.0, 0.1, 0.3, 0.6, 1.0, 2.0):
         cfg = RoutingConfig(cost_lambda=lam)
         decision = select_action(
-            make_ctx(), _basic_candidates(cfg), cv, cfg, _registry()
+            make_ctx(), _basic_candidates(), cv, cfg, _registry()
         )
         chosen_cost = cost_of[decision.chosen.variant]
         if previous_cost is not None:
@@ -384,7 +385,7 @@ def test_select_action_equals_brute_force(data):
     )
     n_cards = data.draw(st.integers(min_value=0, max_value=3))
     cards = []
-    candidates = _basic_candidates(cfg)
+    candidates = _basic_candidates()
     sources = {
         "tool": data.draw(unit),
         "verify": data.draw(unit),
@@ -397,50 +398,49 @@ def test_select_action_equals_brute_force(data):
         sources[f"c{i}"] = data.draw(unit)
     cv = _cv(p_self=data.draw(unit), **sources)
     registry = _registry(*cards)
+    vigilance_enabled = data.draw(st.booleans())
+    dualconf_enabled = data.draw(st.booleans())
 
-    decision = select_action(make_ctx(), candidates, cv, cfg, registry)
+    decision = select_action(
+        make_ctx(),
+        candidates,
+        cv,
+        cfg,
+        registry,
+        vigilance_enabled=vigilance_enabled,
+        dualconf_enabled=dualconf_enabled,
+    )
 
+    # The ablations: no gate and a vigilance weight of 1.0, or alpha 0.5.
+    oracle_cfg = cfg if dualconf_enabled else RoutingConfig(alpha=0.5, cost_lambda=cfg.cost_lambda)
     survivors = [
         a
         for a in candidates
         if a.variant is not ActionVariant.LOAD_SKILL
+        or not vigilance_enabled
         or effective_trust(registry.get(a.card_id)) >= cfg.trust_gate
     ]
     assert all(
         effective_trust(registry.get(g)) < cfg.trust_gate for g in decision.gated_cards
     )
+    if not vigilance_enabled:
+        assert decision.gated_cards == ()
     if survivors:
-        best = max(
-            _oracle_score(
+        expected = {
+            score_key(a): _oracle_score(
                 a,
                 cv,
-                cfg,
+                oracle_cfg,
                 registry.get(a.card_id) if a.card_id else None,
+                vigilance_enabled,
             )
             for a in survivors
-        )
+        }
+        assert decision.scores == pytest.approx(expected)
         chosen_score = decision.scores[score_key(decision.chosen)]
-        assert chosen_score == pytest.approx(best)
+        assert chosen_score == pytest.approx(max(expected.values()))
     else:
         assert decision.chosen.variant in (ActionVariant.DIRECT, ActionVariant.STOP)
-
-
-# ---------------------------------------------------------------------------
-# Offload triage
-
-
-@pytest.mark.parametrize(
-    "variant, card_id, expected",
-    [
-        (ActionVariant.LOAD_SKILL, "c", OffloadClass.PROCEDURAL_OFFLOAD),
-        (ActionVariant.CALL_TOOL, None, OffloadClass.EPISTEMIC_OFFLOAD),
-        (ActionVariant.VERIFY, None, OffloadClass.EVALUATIVE_OFFLOAD),
-        (ActionVariant.DIRECT, None, OffloadClass.NOT_OFFLOAD),
-        (ActionVariant.STOP, None, OffloadClass.NOT_OFFLOAD),
-    ],
-)
-def test_triage_offload(variant, card_id, expected):
-    assert triage_offload(Action(variant, card_id=card_id)) is expected
 
 
 def test_score_key_formats():

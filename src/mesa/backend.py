@@ -393,10 +393,12 @@ class RemoteBackend:
     def gather(self, calls: Sequence[Callable[[], object]]) -> list:
         """Run independent queries concurrently; results come back in list order.
 
-        Every call finishes before any failure is raised, and the failure
-        raised is the first in list order, so a wave's diagnostic does not
-        depend on which request failed first. A single call runs inline.
-        The calls must not call gather themselves.
+        The failure raised is the first in list order, so a wave's
+        diagnostic does not depend on which request failed first. Once a
+        call has failed, the calls after it that have not started are
+        skipped; every call that started finishes before gather returns or
+        raises. A single call runs inline. The calls must not call gather
+        themselves.
         """
         if len(calls) < 2:
             return [call() for call in calls]
@@ -410,7 +412,20 @@ class RemoteBackend:
                     thread_name_prefix="mesa-remote",
                 )
             pool = self._pool
-        futures = [pool.submit(call) for call in calls]
+        failed_at = [len(calls)]  # lowest index of a failed call so far
+        lock = threading.Lock()
+
+        def run(index: int, call: Callable[[], object]) -> object:
+            if failed_at[0] < index:
+                return None  # never read: the earlier failure is raised
+            try:
+                return call()
+            except BaseException:
+                with lock:
+                    failed_at[0] = min(failed_at[0], index)
+                raise
+
+        futures = [pool.submit(run, index, call) for index, call in enumerate(calls)]
         for future in futures:
             future.exception()  # waits for the call without raising its failure
         return [future.result() for future in futures]

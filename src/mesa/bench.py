@@ -118,6 +118,21 @@ _ITEM_FIELDS = {
 }
 
 
+def _parse_attachment(raw: object, where: str) -> Attachment:
+    try:
+        mime_tag, bytes_len = raw["mime_tag"], raw["bytes_len"]  # type: ignore[index]
+    except (KeyError, TypeError) as exc:
+        raise SuiteFormatError(f"{where}: bad attachment: {exc}") from exc
+    if not isinstance(mime_tag, str):
+        raise SuiteFormatError(f"{where}: bad attachment: mime_tag must be a string")
+    if not isinstance(bytes_len, int) or isinstance(bytes_len, bool):
+        raise SuiteFormatError(f"{where}: bad attachment: bytes_len must be an integer")
+    try:
+        return Attachment(mime_tag=mime_tag, bytes_len=bytes_len)
+    except ValueError as exc:
+        raise SuiteFormatError(f"{where}: bad attachment: {exc}") from exc
+
+
 def _parse_item(raw: object, index: int) -> BenchmarkItem:
     where = f"item #{index}"
     if not isinstance(raw, dict):
@@ -141,14 +156,10 @@ def _parse_item(raw: object, index: int) -> BenchmarkItem:
     for name in ("kind_tags", "attachments", "injected_card_ids"):
         if not isinstance(raw[name], list):
             raise SuiteFormatError(f"{where}: {name} must be a list")
-    attachments = raw["attachments"]
-    try:
-        parsed_attachments = tuple(
-            Attachment(mime_tag=str(att["mime_tag"]), bytes_len=int(att["bytes_len"]))
-            for att in attachments
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SuiteFormatError(f"{where}: bad attachment: {exc}") from exc
+    for name in ("kind_tags", "injected_card_ids"):
+        if not all(isinstance(value, str) for value in raw[name]):
+            raise SuiteFormatError(f"{where}: {name} must hold only strings")
+    parsed_attachments = tuple(_parse_attachment(att, where) for att in raw["attachments"])
     gold_answer = raw["gold_answer"]
     if gold_answer is not None and not isinstance(gold_answer, str):
         raise SuiteFormatError(f"{where}: gold_answer must be a string or null")
@@ -157,9 +168,9 @@ def _parse_item(raw: object, index: int) -> BenchmarkItem:
             id=str(raw["id"]),
             slice=slice_,
             prompt=str(raw["prompt"]),
-            kind_tags=frozenset(str(t) for t in raw["kind_tags"]),
+            kind_tags=frozenset(raw["kind_tags"]),
             attachments=parsed_attachments,
-            injected_card_ids=tuple(str(c) for c in raw["injected_card_ids"]),
+            injected_card_ids=tuple(raw["injected_card_ids"]),
             gold_action=gold,
             gold_answer=gold_answer,
         )

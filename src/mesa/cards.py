@@ -5,6 +5,8 @@ delayed escalation check), an offloading class, and a trust provenance pair
 that feeds the vigilance gate. Registries are immutable after load; card
 bodies stay behind an opaque body_ref and are only fetched through
 CardRegistry.read_body, which makes load laziness observable in tests.
+CardRegistry.candidates prefilters the whole registry for one context
+through an atom index over the apply_when predicates.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
-from mesa.dsl import PredicateExpr, is_vacuous, parse_predicate
+from mesa.context import TaskContext
+from mesa.dsl import PredicateExpr, PredicateIndex, is_vacuous, parse_predicate
 from mesa.errors import CardFileError, PredicateSyntaxError, RegistryLookupError
 
 
@@ -88,6 +91,9 @@ class CardRegistry:
     cards: tuple[SkillCard, ...]
     body_loader: BodyLoader = _default_body_loader
     _by_id: dict[str, SkillCard] = field(init=False, repr=False)
+    # One slot for the apply_when index, built on the first candidates call
+    # and shared with every with_body_loader copy.
+    _index: list[PredicateIndex | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_id: dict[str, SkillCard] = {}
@@ -96,6 +102,7 @@ class CardRegistry:
                 raise CardFileError(f"duplicate card id {card.id!r}")
             by_id[card.id] = card
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_index", [None])
 
     def __iter__(self) -> Iterator[SkillCard]:
         return iter(self.cards)
@@ -116,9 +123,24 @@ class CardRegistry:
         """Fetch a skill body. The only sanctioned path to body content."""
         return self.body_loader(self.get(card_id))
 
+    def candidates(self, ctx: TaskContext) -> list[SkillCard]:
+        """Cards whose apply_when may hold for ctx, in registry order.
+
+        Every card whose apply_when holds is included, so filtering the
+        result with eval_predicate gives exactly the matching cards.
+        """
+        index = self._index[0]
+        if index is None:
+            index = PredicateIndex(card.apply_when for card in self.cards)
+            self._index[0] = index
+        cards = self.cards
+        return [cards[position] for position in index.candidates(ctx)]
+
     def with_body_loader(self, loader: BodyLoader) -> "CardRegistry":
-        """Same cards, different body loader (used by counting test doubles)."""
-        return CardRegistry(cards=self.cards, body_loader=loader)
+        """Same cards and index, different body loader (used by counting test doubles)."""
+        clone = CardRegistry(cards=self.cards, body_loader=loader)
+        object.__setattr__(clone, "_index", self._index)
+        return clone
 
 
 _CARD_FIELDS = {

@@ -3,7 +3,7 @@
 A TaskContext is everything the engine may inspect before committing to an
 action: the prompt text, caller-supplied kind tags, attachment metadata, and
 (once an offload has begun) the pre-offload self-confidence. It is immutable;
-trajectory stages derive new contexts with dataclasses.replace.
+a trajectory stage that needs another view constructs a new context.
 """
 
 from __future__ import annotations

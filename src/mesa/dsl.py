@@ -18,6 +18,10 @@ The lexer works on the UTF-8 byte encoding so every syntax error carries a
 Evaluation semantics: `contains` is a case-insensitive substring test on the
 prompt, `matches` is a regex search on the prompt, `kind`/`mime` are exact tag
 membership tests on the context's kind tags and attachment mime tags.
+
+PredicateIndex prefilters many predicates at once: from each predicate's
+triggers it finds, per context, a superset of the predicates that hold,
+without walking their trees.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Iterable, Union
 
 from mesa.context import TaskContext
 from mesa.errors import PredicateSyntaxError
@@ -353,3 +357,88 @@ def eval_predicate(expr: PredicateExpr, ctx: TaskContext) -> bool:
     if isinstance(expr, Or):
         return eval_predicate(expr.left, ctx) or eval_predicate(expr.right, ctx)
     raise TypeError(f"not a predicate node: {expr!r}")
+
+
+# ---------------------------------------------------------------------------
+# Prefilter index
+
+
+def _trigger_rank(atoms: frozenset[PredicateExpr]) -> tuple[bool, int]:
+    return any(isinstance(atom, (Kind, Mime)) for atom in atoms), len(atoms)
+
+
+def triggers(expr: PredicateExpr) -> frozenset[PredicateExpr]:
+    """Atoms at least one of which holds whenever expr holds.
+
+    The empty set promises nothing: expr may hold while every atom in it is
+    false (NOT, or an OR with such a side). An AND needs one side's atoms
+    only; it takes a side without kind/mime atoms when it can, since a tag
+    is shared by many contexts, then the smaller set.
+    """
+    if isinstance(expr, And):
+        left, right = triggers(expr.left), triggers(expr.right)
+        if left and right:
+            return min(left, right, key=_trigger_rank)
+        return left or right
+    if isinstance(expr, Or):
+        left, right = triggers(expr.left), triggers(expr.right)
+        return left | right if left and right else frozenset()
+    if isinstance(expr, Not):
+        return frozenset()
+    if isinstance(expr, _ATOM_TYPES):
+        return frozenset((expr,))
+    raise TypeError(f"not a predicate node: {expr!r}")
+
+
+class PredicateIndex:
+    """Which of many predicates may hold for a context, found by atom.
+
+    Each distinct trigger atom maps to the positions of the predicates it
+    triggers; predicates with no trigger set are always candidates. Per
+    context the prompt is lowered once, each distinct `contains` needle and
+    `matches` pattern is tested once, with eval_predicate's own tests, and
+    `kind`/`mime` are looked up by the context's own tags. The result holds
+    every position whose predicate holds, and usually few others.
+    """
+
+    def __init__(self, exprs: Iterable[PredicateExpr]) -> None:
+        needles: dict[str, set[int]] = {}
+        patterns: dict[str, set[int]] = {}
+        kinds: dict[str, set[int]] = {}
+        mimes: dict[str, set[int]] = {}
+        always: list[int] = []
+        for position, expr in enumerate(exprs):
+            atoms = triggers(expr)
+            if not atoms:
+                always.append(position)
+            for atom in atoms:
+                if isinstance(atom, Contains):
+                    needles.setdefault(atom.text.lower(), set()).add(position)
+                elif isinstance(atom, Matches):
+                    patterns.setdefault(atom.pattern, set()).add(position)
+                elif isinstance(atom, Kind):
+                    kinds.setdefault(atom.tag, set()).add(position)
+                else:
+                    mimes.setdefault(atom.tag, set()).add(position)
+        self._always = always
+        self._needles = list(needles.items())
+        self._patterns = [(re.compile(pattern), hits) for pattern, hits in patterns.items()]
+        self._kinds = kinds
+        self._mimes = mimes
+
+    def candidates(self, ctx: TaskContext) -> list[int]:
+        """Positions, ascending, of every predicate that may hold for ctx."""
+        found = set(self._always)
+        prompt = ctx.prompt
+        lowered = prompt.lower()
+        for needle, hits in self._needles:
+            if needle in lowered:
+                found |= hits
+        for pattern, hits in self._patterns:
+            if pattern.search(prompt) is not None:
+                found |= hits
+        for tag in ctx.kind_tags:
+            found |= self._kinds.get(tag, frozenset())
+        for att in ctx.attachments:
+            found |= self._mimes.get(att.mime_tag, frozenset())
+        return sorted(found)

@@ -27,7 +27,7 @@ waves list the queries in the order a sequential controller would ask them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -425,15 +425,16 @@ def build_candidates(
     Cards whose apply_when matches the context enter the probe machine;
     only escalated (Loaded) cards become LoadSkill candidates, and each load
     reads the card body exactly once. allowed_card_ids restricts which
-    registry cards are active (the harness passes the item's injected ids);
-    None means the whole registry is active.
+    registry cards are active (the harness passes the item's injected ids)
+    and is scanned in full; None means the whole registry is active, and its
+    atom index picks the cards whose apply_when is evaluated.
 
     The backend sees two waves: self-confidence, tags, the probe of every
     matched card and the tool source; then the verify source (when the trap
     tag asks for it) and the source of every loaded card.
     """
     if allowed_card_ids is None:
-        active = list(registry)
+        active = registry.candidates(ctx)
     else:
         active = [registry.get(card_id) for card_id in allowed_card_ids]
     matching = [card for card in active if eval_predicate(card.apply_when, ctx)]
@@ -617,7 +618,12 @@ def _run_trajectory(
         final = FinalAnswerClass.STOPPED
         terminal = p_self
     else:
-        post_ctx = replace(ctx, pre_offload_p_self=p_self)
+        post_ctx = TaskContext(
+            prompt=ctx.prompt,
+            kind_tags=ctx.kind_tags,
+            attachments=ctx.attachments,
+            pre_offload_p_self=p_self,
+        )
         if chosen.variant is ActionVariant.LOAD_SKILL:
             assert chosen.card_id is not None
             source_trust = registry.get(chosen.card_id).source_trust

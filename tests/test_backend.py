@@ -618,6 +618,7 @@ def test_requests_in_flight_never_exceed_max_concurrent(auth_env, condition):
 
 def test_gather_waits_for_every_call_and_raises_the_first_failure(auth_env):
     backend = _remote(lambda *a: _ok_response("confidence: 0.5"))
+    third_started = threading.Event()
     second_failed = threading.Event()
     finished: list[str] = []
 
@@ -627,11 +628,15 @@ def test_gather_waits_for_every_call_and_raises_the_first_failure(auth_env):
         raise MissingSignalError("first")
 
     def second():
+        # A call that has not started when an earlier one fails is skipped,
+        # so the third call starts first.
+        third_started.wait(5.0)
         finished.append("second")
         second_failed.set()
         raise MissingSignalError("second")
 
     def third():
+        third_started.set()
         second_failed.wait(5.0)
         threading.Event().wait(0.2)  # still running when the first call fails
         finished.append("third")
@@ -656,6 +661,54 @@ def test_two_failures_in_a_wave_give_the_in_order_diagnostic(auth_env, no_sleep)
     waves = run_trajectory(item, registry, _remote(transport), RoutingConfig(), full)
     assert "self_confidence" in in_order.diagnostic
     assert waves.diagnostic == in_order.diagnostic
+
+
+def test_wave_stops_sending_after_the_first_failure(auth_env, no_sleep):
+    attempts: list[str] = []
+
+    def refuse(url, headers, body, timeout):
+        attempts.append(_prompt(body))
+        raise ConnectionRefusedError("connection refused")
+
+    item, registry = _one_card_item()
+    full = condition_by_name("full")
+    with pytest.raises(RemoteBackendError) as in_order:
+        run_trajectory(item, registry, InOrder(_remote(refuse)), RoutingConfig(), full)
+    in_order_attempts = len(attempts)
+    attempts.clear()
+    with pytest.raises(RemoteBackendError) as waves:
+        run_trajectory(item, registry, _remote(refuse, max_concurrent=1), RoutingConfig(), full)
+    # The first query of the first wave fails after max_retries + 1 attempts;
+    # the wave's three other queries are never sent.
+    assert in_order_attempts == len(attempts) == 3
+    assert str(waves.value) == str(in_order.value)
+
+
+def test_gather_under_contention_keeps_the_in_order_failure(auth_env):
+    backend = _remote(lambda *a: _ok_response("confidence: 0.5"), max_concurrent=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            started: list[int] = []
+            finished: list[int] = []
+
+            def call(index: int):
+                started.append(index)
+                threading.Event().wait(0.0005 * (index % 3))
+                finished.append(index)
+                if index % 4 == 3:
+                    raise MissingSignalError(f"call {index}")
+                return index
+
+            with pytest.raises(MissingSignalError, match=r"^call 3$"):
+                backend.gather([lambda i=i: call(i) for i in range(32)])
+            # Every call before the first failure ran; every call that
+            # started had finished when gather raised.
+            assert {0, 1, 2, 3} <= set(started)
+            assert sorted(started) == sorted(finished)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_cli_import_leaves_out_remote_only_modules():

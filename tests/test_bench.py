@@ -119,6 +119,26 @@ def test_load_suite_dangling_card(tmp_path):
         ({"kind_tags": 5}, r"kind_tags must be a list"),
         ({"injected_card_ids": None}, r"injected_card_ids must be a list"),
         ({"injected_card_ids": 5}, r"item 'a00': injected_card_ids must be a list"),
+        ({"kind_tags": [None]}, r"item 'a00': kind_tags must hold only strings"),
+        ({"kind_tags": ["doc", {"x": 2}]}, r"item 'a00': kind_tags must hold only strings"),
+        ({"injected_card_ids": [None]}, r"item 'a00': injected_card_ids must hold only strings"),
+        ({"injected_card_ids": [7]}, r"item 'a00': injected_card_ids must hold only strings"),
+        (
+            {"attachments": [{"mime_tag": 5, "bytes_len": 1}]},
+            r"item 'a00': bad attachment: mime_tag must be a string",
+        ),
+        (
+            {"attachments": [{"mime_tag": "pdf", "bytes_len": True}]},
+            r"item 'a00': bad attachment: bytes_len must be an integer",
+        ),
+        (
+            {"attachments": [{"mime_tag": "pdf", "bytes_len": "12"}]},
+            r"item 'a00': bad attachment: bytes_len must be an integer",
+        ),
+        (
+            {"attachments": [{"mime_tag": "pdf", "bytes_len": 1.5}]},
+            r"item 'a00': bad attachment: bytes_len must be an integer",
+        ),
     ],
 )
 def test_load_suite_field_validation(tmp_path, mutation, message):

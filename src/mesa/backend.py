@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 from mesa.context import TaskContext
-from mesa.errors import CoverageError, MissingSignalError, RemoteBackendError, ReplayMissError
+from mesa.errors import MissingSignalError, RemoteBackendError, ReplayMissError
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -117,16 +117,8 @@ def required_keys(item: "BenchmarkItem") -> list[str]:
     return keys
 
 
-def load_script(
-    path: str | Path,
-    suite: Sequence["BenchmarkItem"] | None = None,
-    conditions: Iterable[str] = (),
-) -> BehaviorScript:
-    """Parse a script file; optionally coverage-check it against a suite.
-
-    Coverage failures raise CoverageError naming every missing
-    item/condition/key triple before any trajectory can run.
-    """
+def load_script(path: str | Path) -> BehaviorScript:
+    """Parse a script file; run_matrix checks its coverage of a suite."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -152,12 +144,7 @@ def load_script(
             raise MissingSignalError(f"script {path}: duplicate row for {triple}")
         value = raw["value"]
         rows[triple] = float(value) if isinstance(value, (int, float)) else value
-    script = BehaviorScript(rows=rows)
-    if suite is not None:
-        missing = script.missing_keys(suite, conditions)
-        if missing:
-            raise CoverageError(missing)
-    return script
+    return BehaviorScript(rows=rows)
 
 
 class ScriptedBackend:

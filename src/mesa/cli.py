@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from mesa.backend import (
@@ -83,19 +83,9 @@ class Settings:
     decontam: DecontaminationConfig
 
 
-_FLOAT_KEYS = {
-    "alpha",
-    "cost_lambda",
-    "trust_gate",
-    "self_low",
-    "high_confidence_threshold",
-    "decrement_factor",
-    "trust_override_threshold",
-}
-_BOOL_KEYS = {"trap_verify"}
-_ROUTING_KEYS = {"alpha", "cost_lambda", "trust_gate", "self_low", "trap_verify"}
-_BANK_KEYS = {"high_confidence_threshold", "decrement_factor"}
-_DECONTAM_KEYS = {"trust_override_threshold"}
+_CONFIGS = (RoutingConfig, BankConfig, DecontaminationConfig)  # Settings' field order
+# Every config field is a key; its annotation ("float" or "bool") says how to parse it.
+_KEY_TYPES = {f.name: f.type for cls in _CONFIGS for f in fields(cls)}
 
 
 def _parse_config_file(path: str) -> dict[str, object]:
@@ -113,14 +103,15 @@ def _parse_config_file(path: str) -> dict[str, object]:
         if not sep:
             raise ConfigFileError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = key.strip(), raw.strip()
-        if key in _FLOAT_KEYS:
+        key_type = _KEY_TYPES.get(key)
+        if key_type == "float":
             try:
                 values[key] = float(raw)
             except ValueError:
                 raise ConfigFileError(
                     f"{path}:{lineno}: {key} needs a number, got {raw!r}"
                 ) from None
-        elif key in _BOOL_KEYS:
+        elif key_type == "bool":
             if raw.lower() not in ("true", "false"):
                 raise ConfigFileError(
                     f"{path}:{lineno}: {key} needs true or false, got {raw!r}"
@@ -132,24 +123,15 @@ def _parse_config_file(path: str) -> dict[str, object]:
 
 
 def _load_settings(config_path: str | None) -> Settings:
-    routing = RoutingConfig()
-    bank_cfg = BankConfig()
-    decontam = DecontaminationConfig()
-    if config_path:
-        values = _parse_config_file(config_path)
-        try:
-            routing = replace(
-                routing, **{k: v for k, v in values.items() if k in _ROUTING_KEYS}
-            )
-            bank_cfg = replace(
-                bank_cfg, **{k: v for k, v in values.items() if k in _BANK_KEYS}
-            )
-            decontam = replace(
-                decontam, **{k: v for k, v in values.items() if k in _DECONTAM_KEYS}
-            )
-        except ValueError as exc:
-            raise ConfigFileError(f"{config_path}: {exc}") from exc
-    return Settings(routing=routing, bank=bank_cfg, decontam=decontam)
+    values = _parse_config_file(config_path) if config_path else {}
+    try:
+        configs = [
+            cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+            for cls in _CONFIGS
+        ]
+    except ValueError as exc:
+        raise ConfigFileError(f"{config_path}: {exc}") from exc
+    return Settings(*configs)
 
 
 def _use_color(mode: str, stream) -> bool:

@@ -111,102 +111,66 @@ def is_vacuous(expr: PredicateExpr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Lexer: a token is (kind, byte offset, atom), kind one of ( ) NOT AND OR ATOM EOF
+
+_WORD = rb"[A-Za-z0-9_.-]+"
+# Whitespace, then a parenthesis, a word or any other byte; no group at the end.
+_TOKEN_RE = re.compile(rb"[ \t\r\n]*(?:([()])|(" + _WORD + rb")|(.))?", re.S)
+_WORD_RE = re.compile(_WORD)
+_STRING_BODY_RE = re.compile(rb'(?:[^"\\]|\\["\\])*')
+_ESCAPE_RE = re.compile(rb"\\(.)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # one of: ( ) NOT AND OR ATOM EOF
-    offset: int
-    atom: PredicateExpr | None = None
-
-
-def _fail(message: str, offset: int, expected: frozenset[str]) -> "PredicateSyntaxError":
-    return PredicateSyntaxError(message, offset, expected)
-
-
-def _lex(data: bytes) -> list[_Token]:
-    tokens: list[_Token] = []
+def _lex(data: bytes) -> list[tuple[str, int, PredicateExpr | None]]:
+    tokens: list[tuple[str, int, PredicateExpr | None]] = []
     i = 0
-    n = len(data)
-    while i < n:
-        b = data[i]
-        if b in b" \t\r\n":
-            i += 1
-            continue
-        if b == ord("("):
-            tokens.append(_Token("(", i))
-            i += 1
-            continue
-        if b == ord(")"):
-            tokens.append(_Token(")", i))
-            i += 1
-            continue
-        if bytes([b]).isalnum() or b in b"_.-":
-            start = i
-            while i < n and (bytes([data[i]]).isalnum() or data[i] in b"_.-"):
-                i += 1
-            word = data[start:i].decode("utf-8")
-            if word in ("AND", "OR", "NOT"):
-                tokens.append(_Token(word, start))
-                continue
-            if word in _ATOM_NAMES:
-                atom, i = _lex_atom(word, data, i, start)
-                tokens.append(_Token("ATOM", start, atom))
-                continue
-            raise _fail(f"unknown name {word!r}", start, _EXPR_START | {"AND", "OR"})
-        raise _fail(f"unexpected character {chr(b)!r}", i, _EXPR_START)
-    tokens.append(_Token("EOF", n))
-    return tokens
+    while True:
+        m = _TOKEN_RE.match(data, i)
+        i, group = m.end(), m.lastindex
+        if group is None:
+            tokens.append(("EOF", i, None))
+            return tokens
+        start = m.start(group)
+        if group == 3:
+            char = data[start : start + 4].decode("utf-8", "ignore")[0]
+            raise PredicateSyntaxError(f"unexpected character {char!r}", start, _EXPR_START)
+        word = m[group].decode()
+        if group == 1 or word in ("AND", "OR", "NOT"):
+            tokens.append((word, start, None))
+        elif word in _ATOM_NAMES:
+            atom, i = _lex_atom(word, data, i, start)
+            tokens.append(("ATOM", start, atom))
+        else:
+            raise PredicateSyntaxError(
+                f"unknown name {word!r}", start, _EXPR_START | {"AND", "OR"}
+            )
 
 
 def _lex_atom(name: str, data: bytes, i: int, word_start: int) -> tuple[PredicateExpr, int]:
     """Lex the ':' and value following an atom name; returns (atom, next index)."""
-    n = len(data)
-    if i >= n or data[i] != ord(":"):
-        raise _fail(f"expected ':' after {name!r}", i, frozenset({":"}))
+    if data[i : i + 1] != b":":
+        raise PredicateSyntaxError(f"expected ':' after {name!r}", i, frozenset({":"}))
     i += 1
-    if name in ("contains", "matches"):
-        if i >= n or data[i] != ord('"'):
-            raise _fail("expected string literal", i, frozenset({'"'}))
-        value, i = _lex_string(data, i)
-        if name == "contains":
-            return Contains(value), i
-        try:
-            return Matches(value), i
-        except ValueError as exc:
-            raise _fail(str(exc), word_start, frozenset()) from exc
-    # kind / mime take a bare tag
-    start = i
-    while i < n and (bytes([data[i]]).isalnum() or data[i] in b"_.-"):
-        i += 1
-    if i == start:
-        raise _fail(f"expected tag after '{name}:'", start, frozenset({"tag"}))
-    tag = data[start:i].decode("utf-8")
-    return (Kind(tag) if name == "kind" else Mime(tag)), i
-
-
-def _lex_string(data: bytes, i: int) -> tuple[str, int]:
-    """Lex a double-quoted string starting at data[i] == '\"'."""
-    n = len(data)
-    i += 1
-    out = bytearray()
-    while i < n:
-        b = data[i]
-        if b == ord('"'):
-            return out.decode("utf-8"), i + 1
-        if b == ord("\\"):
-            if i + 1 >= n:
-                break
-            esc = data[i + 1]
-            if esc not in (ord('"'), ord("\\")):
-                raise _fail("invalid escape sequence", i, frozenset({'\\"', "\\\\"}))
-            out.append(esc)
-            i += 2
-            continue
-        out.append(b)
-        i += 1
-    raise _fail("unterminated string literal", n, frozenset({'"'}))
+    if name in ("kind", "mime"):
+        m = _WORD_RE.match(data, i)
+        if m is None:
+            raise PredicateSyntaxError(f"expected tag after '{name}:'", i, frozenset({"tag"}))
+        tag = m[0].decode()
+        return (Kind(tag) if name == "kind" else Mime(tag)), m.end()
+    if data[i : i + 1] != b'"':
+        raise PredicateSyntaxError("expected string literal", i, frozenset({'"'}))
+    end = _STRING_BODY_RE.match(data, i + 1).end()
+    if data[end : end + 1] != b'"':
+        if end + 1 < len(data):  # a backslash before anything but " or \
+            raise PredicateSyntaxError("invalid escape sequence", end, frozenset({'\\"', "\\\\"}))
+        raise PredicateSyntaxError("unterminated string literal", len(data), frozenset({'"'}))
+    value = _ESCAPE_RE.sub(rb"\1", data[i + 1 : end]).decode("utf-8")
+    if name == "contains":
+        return Contains(value), end + 1
+    try:
+        return Matches(value), end + 1
+    except ValueError as exc:
+        raise PredicateSyntaxError(str(exc), word_start, frozenset()) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -214,68 +178,62 @@ def _lex_string(data: bytes, i: int) -> tuple[str, int]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
+    def __init__(self, tokens: list[tuple[str, int, PredicateExpr | None]]) -> None:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def take(self, kind: str) -> tuple[str, int, PredicateExpr | None] | None:
+        """Consume and return the next token if it is of this kind."""
+        token = self.tokens[self.pos]
+        if token[0] != kind:
+            return None
         self.pos += 1
-        return tok
+        return token
 
     def parse_or(self) -> PredicateExpr:
         node = self.parse_and()
-        while self.peek().kind == "OR":
-            self.advance()
+        while self.take("OR"):
             node = Or(node, self.parse_and())
         return node
 
     def parse_and(self) -> PredicateExpr:
         node = self.parse_unary()
-        while self.peek().kind == "AND":
-            self.advance()
+        while self.take("AND"):
             node = And(node, self.parse_unary())
         return node
 
     def parse_unary(self) -> PredicateExpr:
-        if self.peek().kind == "NOT":
-            self.advance()
+        if self.take("NOT"):
             return Not(self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self) -> PredicateExpr:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
+        if self.take("("):
             node = self.parse_or()
-            closing = self.peek()
-            if closing.kind != ")":
-                raise _fail("expected closing parenthesis", closing.offset, frozenset({")"}))
-            self.advance()
+            if not self.take(")"):
+                raise PredicateSyntaxError(
+                    "expected closing parenthesis", self.tokens[self.pos][1], frozenset({")"})
+                )
             return node
-        if tok.kind == "ATOM":
-            self.advance()
-            assert tok.atom is not None
-            return tok.atom
-        raise _fail("expected expression", tok.offset, _EXPR_START)
+        token = self.take("ATOM")
+        if token is None:
+            raise PredicateSyntaxError(
+                "expected expression", self.tokens[self.pos][1], _EXPR_START
+            )
+        return token[2]
 
 
 def parse_predicate(text: str) -> PredicateExpr:
     """Parse DSL source into an AST.
 
     Raises PredicateSyntaxError with a 0-based byte offset and the set of
-    tokens that would have been legal at that point.
+    tokens that would have been legal at that point. The whole input is
+    lexed first, so a lexing error anywhere wins over a parse error.
     """
     parser = _Parser(_lex(text.encode("utf-8")))
     node = parser.parse_or()
-    trailing = parser.peek()
-    if trailing.kind != "EOF":
-        raise _fail(
-            f"unexpected {trailing.kind!r} after expression",
-            trailing.offset,
+    kind, offset, _ = parser.tokens[parser.pos]
+    if kind != "EOF":
+        raise PredicateSyntaxError(
+            f"unexpected {kind!r} after expression",
+            offset,
             frozenset({"AND", "OR", "end of input"}),
         )
     return node

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from mesa.cards import CardRegistry, SkillCard, effective_trust
+from mesa.cards import CardRegistry, effective_trust
 from mesa.confidence import (
     TOOL_CHANNEL,
     VERIFY_CHANNEL,
@@ -170,21 +170,6 @@ def _dual_score(
         p_source = _source_confidence_for(action, cv)
         base = (1.0 - alpha) * vigilance * p_source * action.utility_offload
     return base - cost_lambda * action.cost
-
-
-def score_action(
-    action: Action,
-    cv: ConfidenceVector,
-    cfg: RoutingConfig,
-    card: SkillCard | None = None,
-) -> float:
-    """Dual-confidence utility score for one action."""
-    vigilance = 1.0
-    if action.variant is ActionVariant.LOAD_SKILL:
-        if card is None:
-            raise ValueError("score_action on LoadSkill requires the card")
-        vigilance = effective_trust(card)
-    return _dual_score(action, cv, cfg.alpha, cfg.cost_lambda, vigilance)
 
 
 def _tie_key(action: Action) -> tuple:

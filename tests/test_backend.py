@@ -23,7 +23,6 @@ from mesa.backend import (
 from mesa.bench import BenchmarkItem, SliceName, condition_by_name
 from mesa.cards import CardRegistry
 from mesa.errors import (
-    CoverageError,
     MissingSignalError,
     RemoteBackendError,
     ReplayMissError,
@@ -163,11 +162,10 @@ def test_load_script_coverage_check(tmp_path):
     path = write_script(
         tmp_path, [{"item": "i1", "condition": "*", "key": "p_self", "value": 0.5}]
     )
-    with pytest.raises(CoverageError) as exc_info:
-        load_script(path, suite=[make_item()], conditions=["full"])
-    message = str(exc_info.value)
-    assert "i1/full: source:__tool__" in message
-    assert "p_self" not in message.split("\n")[0] or "p_self_post" in message
+    missing = load_script(path).missing_keys([make_item()], ["full"])
+    assert "i1/full: source:__tool__" in missing
+    assert "i1/full: p_self" not in missing
+    assert "i1/full: p_self_post" in missing
 
 
 def _full_rows(item_id="i1", condition="*"):
@@ -193,7 +191,8 @@ def _full_rows(item_id="i1", condition="*"):
 
 def test_load_script_coverage_pass(tmp_path):
     path = write_script(tmp_path, _full_rows())
-    script = load_script(path, suite=[make_item()], conditions=["full", "baseline"])
+    script = load_script(path)
+    assert script.missing_keys([make_item()], ["full", "baseline"]) == []
     assert script.covers("i1", "anything", "p_self")
 
 

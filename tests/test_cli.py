@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from mesa.bank import BankEntry, record
-from mesa.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, dispatch
+from mesa.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _load_settings, dispatch
 from mesa.fixtures import fixture_path
 
 from test_bank import make_record
@@ -538,6 +538,24 @@ def test_flag_beats_config_file(shipped_suite, tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert "score DIRECT: 0.180000" in out
+
+
+def test_config_file_reaches_every_config(tmp_path, capsys):
+    cfg = _config(
+        tmp_path,
+        "self_low = 0.3\ntrap_verify = false\ndecrement_factor = 0.25\n"
+        "trust_override_threshold = 0.95\n",
+    )
+    settings = _load_settings(cfg)
+    assert settings.routing.self_low == 0.3
+    assert settings.routing.trap_verify is False
+    assert settings.bank.decrement_factor == 0.25
+    assert settings.decontam.trust_override_threshold == 0.95
+
+    bad = _config(tmp_path, "trap_verify = maybe\n")
+    code, _, err = run_cli("--config", bad, "cards", "lint", CARDS, capsys=capsys)
+    assert code == EXIT_USAGE
+    assert "trap_verify needs true or false, got 'maybe'" in err
 
 
 def test_config_unknown_key(tmp_path, capsys):

@@ -161,6 +161,10 @@ def test_precedence_against_shunting_yard_oracle():
         ("NOT", 3, "("),
         ("kind:a AND", 10, "("),
         ("()", 1, "NOT"),
+        ("AND %", 4, "("),
+        ('contains:"a\\', 12, '"'),
+        ("kind:a\x0bAND kind:b", 6, "("),
+        ("\x0ckind:a", 0, "("),
     ],
 )
 def test_positioned_syntax_errors(text, offset, expected_contains):
@@ -169,6 +173,19 @@ def test_positioned_syntax_errors(text, offset, expected_contains):
     assert err.value.offset == offset
     assert expected_contains in err.value.expected
     assert str(offset) in str(err.value)
+
+
+def test_tab_and_crlf_are_whitespace():
+    assert parse_predicate("kind:a\tAND\r\nkind:b") == And(Kind("a"), Kind("b"))
+
+
+@pytest.mark.parametrize("text, offset, char", [("é", 0, "é"), ("kind:a AND “x”", 11, "“")])
+def test_unexpected_character_names_the_whole_character(text, offset, char):
+    with pytest.raises(PredicateSyntaxError) as err:
+        parse_predicate(text)
+    assert err.value.offset == offset
+    assert "(" in err.value.expected
+    assert str(err.value).startswith(f"unexpected character {char!r} at byte {offset}")
 
 
 def test_invalid_escape_offset():

@@ -1,21 +1,27 @@
-"""The benchmark's tracer still finds every mesa attribute it wraps.
+"""The benchmark still finds every mesa entry point it uses.
 
 perfbench/tracer.py swaps span wrappers into module attributes of mesa
-(router.eval_predicate, probe.eval_predicate, bench.run_trajectory, ...).
+(router.eval_predicate, probe.eval_predicate, bench.run_trajectory, ...),
+and perfbench/setup_probe.py calls the loaders and the coverage check.
 Renaming or dropping one of them breaks the benchmark, so it is caught here.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from mesa import bench, probe, router
 from mesa.cards import CardRegistry
+from mesa.fixtures import fixture_path
 
 from conftest import make_card, make_ctx
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -53,3 +59,21 @@ def test_tracer_instruments_and_restores_mesa():
     assert _wrapped_attributes() == before
     assert tracer.stats["dsl.apply_when"][0] == 1
     assert tracer.stats["cards.read_body"][0] == 1
+
+
+def test_setup_probe_loads_and_checks_shipped_fixtures():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, str(ROOT / "perfbench" / "setup_probe.py"),
+            str(fixture_path("cards.json")), str(fixture_path("suite.json")),
+            str(fixture_path("script.json")), "--per-slice", "50", "--coverage",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "missing_keys_ms" in proc.stdout

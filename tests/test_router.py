@@ -17,7 +17,6 @@ from mesa.router import (
     Action,
     ActionVariant,
     RoutingConfig,
-    score_action,
     score_baseline,
     score_key,
     select_action,
@@ -79,43 +78,49 @@ def test_config_defaults_and_validation():
 
 
 # ---------------------------------------------------------------------------
-# score_action: worked examples and the brute-force formula oracle
+# The dual score: worked examples and the brute-force formula oracle
+
+
+def _registry(*cards) -> CardRegistry:
+    return CardRegistry(cards=tuple(cards))
+
+
+def _single_score(action, cv, cfg, card=None) -> float:
+    """The score select_action gives its one candidate (cfg.trust_gate is 0.0)."""
+    registry = _registry(card) if card is not None else _registry()
+    decision = select_action(make_ctx(), [action], cv, cfg, registry)
+    assert decision.chosen is action and decision.gated_cards == ()
+    return decision.scores[score_key(action)]
 
 
 def test_score_direct_example():
-    cfg = RoutingConfig(alpha=0.6, cost_lambda=0.1)
+    cfg = RoutingConfig(alpha=0.6, cost_lambda=0.1, trust_gate=0.0)
     action = Action(ActionVariant.DIRECT, utility_direct=1.0, cost=0.0)
-    assert score_action(action, _cv(p_self=0.9), cfg) == pytest.approx(0.54)
+    assert _single_score(action, _cv(p_self=0.9), cfg) == pytest.approx(0.54)
 
 
 def test_score_load_skill_example():
-    cfg = RoutingConfig(alpha=0.6, cost_lambda=0.1)
+    cfg = RoutingConfig(alpha=0.6, cost_lambda=0.1, trust_gate=0.0)
     card = make_card("c", source_trust=0.5)
     action = Action(ActionVariant.LOAD_SKILL, card_id="c", cost=0.3)
     cv = _cv(c=0.8)
-    assert score_action(action, cv, cfg, card) == pytest.approx(0.13)
+    assert _single_score(action, cv, cfg, card) == pytest.approx(0.13)
 
 
 def test_score_zero_trust_annihilates_offload():
-    cfg = RoutingConfig()
+    cfg = RoutingConfig(trust_gate=0.0)
     card = make_card("c", source_trust=0.0)
     action = Action(ActionVariant.LOAD_SKILL, card_id="c", cost=0.5)
-    score = score_action(action, _cv(c=0.99), cfg, card)
+    score = _single_score(action, _cv(c=0.99), cfg, card)
     assert score == pytest.approx(-cfg.cost_lambda * 0.5)
     assert score <= 0.0
-
-
-def test_score_requires_card_for_load_skill():
-    action = Action(ActionVariant.LOAD_SKILL, card_id="c")
-    with pytest.raises(ValueError):
-        score_action(action, _cv(c=0.5), RoutingConfig())
 
 
 def test_score_missing_source_confidence():
     action = Action(ActionVariant.CALL_TOOL, cost=0.3)
     cv = ConfidenceVector(p_self=0.5, source_confidences={})
     with pytest.raises(MissingSignalError, match="__tool__"):
-        score_action(action, cv, RoutingConfig())
+        _single_score(action, cv, RoutingConfig(trust_gate=0.0))
 
 
 def _oracle_score(action, cv, cfg, card, vigilance_enabled=True):
@@ -149,7 +154,7 @@ def _oracle_score(action, cv, cfg, card, vigilance_enabled=True):
 def test_score_matches_formula_oracle(
     alpha, lam, p_self, p_src, trust, stale, utility, cost, variant
 ):
-    cfg = RoutingConfig(alpha=alpha, cost_lambda=lam)
+    cfg = RoutingConfig(alpha=alpha, cost_lambda=lam, trust_gate=0.0)
     card = None
     card_id = None
     if variant is ActionVariant.LOAD_SKILL:
@@ -163,7 +168,7 @@ def test_score_matches_formula_oracle(
         cost=cost,
     )
     cv = _cv(p_self=p_self, tool=p_src, verify=p_src, c=p_src)
-    assert score_action(action, cv, cfg, card) == pytest.approx(
+    assert _single_score(action, cv, cfg, card) == pytest.approx(
         _oracle_score(action, cv, cfg, card)
     )
 
@@ -208,10 +213,6 @@ def test_baseline_ignores_cost_and_trust():
 
 # ---------------------------------------------------------------------------
 # select_action: gate, fallback, ablations
-
-
-def _registry(*cards) -> CardRegistry:
-    return CardRegistry(cards=tuple(cards))
 
 
 def test_gate_excludes_low_trust_and_records_it():

@@ -153,6 +153,9 @@ def _parse_item(raw: object, index: int) -> BenchmarkItem:
         gold = GoldAction(raw["gold_action"])
     except ValueError:
         raise SuiteFormatError(f"{where}: bad gold_action {raw['gold_action']!r}") from None
+    for name in ("id", "prompt"):
+        if not isinstance(raw[name], str):
+            raise SuiteFormatError(f"{where}: {name} must be a string")
     for name in ("kind_tags", "attachments", "injected_card_ids"):
         if not isinstance(raw[name], list):
             raise SuiteFormatError(f"{where}: {name} must be a list")
@@ -165,9 +168,9 @@ def _parse_item(raw: object, index: int) -> BenchmarkItem:
         raise SuiteFormatError(f"{where}: gold_answer must be a string or null")
     try:
         return BenchmarkItem(
-            id=str(raw["id"]),
+            id=raw["id"],
             slice=slice_,
-            prompt=str(raw["prompt"]),
+            prompt=raw["prompt"],
             kind_tags=frozenset(raw["kind_tags"]),
             attachments=parsed_attachments,
             injected_card_ids=tuple(raw["injected_card_ids"]),

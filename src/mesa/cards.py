@@ -12,7 +12,7 @@ through an atom index over the apply_when predicates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
@@ -143,21 +143,10 @@ class CardRegistry:
         return clone
 
 
-_CARD_FIELDS = {
-    "id",
-    "name",
-    "description",
-    "apply_when",
-    "cheap_probe",
-    "offloading_type",
-    "source_trust",
-    "provenance",
-    "stale",
-    "body_ref",
-}
+_CARD_FIELDS = {f.name for f in fields(SkillCard)}
 
 
-def _parse_card(raw: object, index: int) -> SkillCard:
+def _parse_card(raw: object, index: int, trees: dict[str, PredicateExpr]) -> SkillCard:
     where = f"card #{index}"
     if not isinstance(raw, dict):
         raise CardFileError(f"{where}: expected an object")
@@ -169,9 +158,13 @@ def _parse_card(raw: object, index: int) -> SkillCard:
     missing = _CARD_FIELDS - set(raw)
     if missing:
         raise CardFileError(f"{where}: missing field(s) {sorted(missing)}")
+    for name in ("id", "name", "description", "apply_when", "cheap_probe", "body_ref"):
+        if not isinstance(raw[name], str):
+            raise CardFileError(f"{where}: {name} must be a string")
     try:
-        apply_when = parse_predicate(str(raw["apply_when"]))
-        cheap_probe = parse_predicate(str(raw["cheap_probe"]))
+        for name in ("apply_when", "cheap_probe"):
+            if raw[name] not in trees:
+                trees[raw[name]] = parse_predicate(raw[name])
     except PredicateSyntaxError as exc:
         raise CardFileError(f"{where}: bad predicate: {exc}") from exc
     try:
@@ -190,16 +183,16 @@ def _parse_card(raw: object, index: int) -> SkillCard:
         raise CardFileError(f"{where}: source_trust must be a number")
     try:
         return SkillCard(
-            id=str(raw["id"]),
-            name=str(raw["name"]),
-            description=str(raw["description"]),
-            apply_when=apply_when,
-            cheap_probe=cheap_probe,
+            id=raw["id"],
+            name=raw["name"],
+            description=raw["description"],
+            apply_when=trees[raw["apply_when"]],
+            cheap_probe=trees[raw["cheap_probe"]],
             offloading_type=offloading,
             source_trust=float(raw["source_trust"]),
             provenance=provenance,
             stale=bool(raw["stale"]),
-            body_ref=str(raw["body_ref"]),
+            body_ref=raw["body_ref"],
         )
     except ValueError as exc:
         raise CardFileError(f"{where}: {exc}") from exc
@@ -207,6 +200,8 @@ def _parse_card(raw: object, index: int) -> SkillCard:
 
 def load_registry(path: str | Path) -> CardRegistry:
     """Load a card file; all predicates parse eagerly, no partial registry.
+
+    Each distinct predicate text is parsed once; equal texts share one tree.
 
     Raises CardFileError naming the offending card for any schema violation,
     duplicate id, or predicate syntax error.
@@ -219,7 +214,8 @@ def load_registry(path: str | Path) -> CardRegistry:
         raise CardFileError(f"card file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"cards"} or not isinstance(doc["cards"], list):
         raise CardFileError(f'card file {path}: expected top-level {{"cards": [...]}}')
-    cards = tuple(_parse_card(raw, i) for i, raw in enumerate(doc["cards"]))
+    trees: dict[str, PredicateExpr] = {}
+    cards = tuple(_parse_card(raw, i, trees) for i, raw in enumerate(doc["cards"]))
     return CardRegistry(cards=cards)
 
 

@@ -14,6 +14,7 @@ Grammar (operators uppercase, atom names lowercase):
 Precedence NOT > AND > OR; AND/OR associate left; parentheses override.
 The lexer works on the UTF-8 byte encoding so every syntax error carries a
 0-based byte offset plus the set of tokens that would have been legal there.
+At most MAX_OPERATORS NOT/AND/OR/( tokens bound the depth of every tree.
 
 Evaluation semantics: `contains` is a case-insensitive substring test on the
 prompt, `matches` is a regex search on the prompt, `kind`/`mime` are exact tag
@@ -27,8 +28,7 @@ without walking their trees.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from mesa.context import TaskContext
@@ -37,6 +37,10 @@ from mesa.errors import PredicateSyntaxError
 _TAG_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 _ATOM_NAMES = ("contains", "matches", "kind", "mime")
 _EXPR_START = frozenset(_ATOM_NAMES) | {"NOT", "("}
+_AFTER_OPERAND = frozenset(_ATOM_NAMES) | {")", "end of input"}
+# Shipped cards use at most 8; the parser takes 3 frames per parenthesis, so
+# it and every walk over a tree stay far from the recursion limit.
+MAX_OPERATORS = 128
 
 
 @dataclass(frozen=True)
@@ -48,13 +52,14 @@ class Contains:
 
 @dataclass(frozen=True)
 class Matches:
-    """Regex search against the prompt."""
+    """Regex search against the prompt, compiled once when the atom is built."""
 
     pattern: str
+    regex: re.Pattern[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
-            re.compile(self.pattern)
+            object.__setattr__(self, "regex", re.compile(self.pattern))
         except re.error as exc:
             raise ValueError(f"invalid regex pattern {self.pattern!r}: {exc}") from exc
 
@@ -123,6 +128,7 @@ _ESCAPE_RE = re.compile(rb"\\(.)")
 
 def _lex(data: bytes) -> list[tuple[str, int, PredicateExpr | None]]:
     tokens: list[tuple[str, int, PredicateExpr | None]] = []
+    operators = 0
     i = 0
     while True:
         m = _TOKEN_RE.match(data, i)
@@ -136,6 +142,11 @@ def _lex(data: bytes) -> list[tuple[str, int, PredicateExpr | None]]:
             raise PredicateSyntaxError(f"unexpected character {char!r}", start, _EXPR_START)
         word = m[group].decode()
         if group == 1 or word in ("AND", "OR", "NOT"):
+            operators += word != ")"
+            if operators > MAX_OPERATORS:
+                raise PredicateSyntaxError(
+                    f"more than {MAX_OPERATORS} NOT/AND/OR/( tokens", start, _AFTER_OPERAND
+                )
             tokens.append((word, start, None))
         elif word in _ATOM_NAMES:
             atom, i = _lex_atom(word, data, i, start)
@@ -225,9 +236,17 @@ def parse_predicate(text: str) -> PredicateExpr:
 
     Raises PredicateSyntaxError with a 0-based byte offset and the set of
     tokens that would have been legal at that point. The whole input is
-    lexed first, so a lexing error anywhere wins over a parse error.
+    encoded, then lexed, before parsing, so a lone surrogate anywhere wins
+    over a lexing error, and a lexing error anywhere over a parse error.
     """
-    parser = _Parser(_lex(text.encode("utf-8")))
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        offset = len(text[: exc.start].encode("utf-8"))
+        raise PredicateSyntaxError(
+            f"lone surrogate {text[exc.start]!r}", offset, frozenset({"a valid character"})
+        ) from None
+    parser = _Parser(_lex(data))
     node = parser.parse_or()
     kind, offset, _ = parser.tokens[parser.pos]
     if kind != "EOF":
@@ -242,31 +261,15 @@ def parse_predicate(text: str) -> PredicateExpr:
 # ---------------------------------------------------------------------------
 # Printer
 
-_LEVEL_OR = 1
-_LEVEL_AND = 2
-_LEVEL_UNARY = 3
-_LEVEL_ATOM = 4
-
-
-def _level(expr: PredicateExpr) -> int:
-    if isinstance(expr, Or):
-        return _LEVEL_OR
-    if isinstance(expr, And):
-        return _LEVEL_AND
-    if isinstance(expr, Not):
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
-
 
 def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _print_at(expr: PredicateExpr, min_level: int) -> str:
+def _print_in(expr: PredicateExpr, looser: tuple[type, ...]) -> str:
+    """Print expr, parenthesized if it is one of the looser-binding node types."""
     text = print_predicate(expr)
-    if _level(expr) < min_level:
-        return f"({text})"
-    return text
+    return f"({text})" if isinstance(expr, looser) else text
 
 
 def print_predicate(expr: PredicateExpr) -> str:
@@ -280,12 +283,12 @@ def print_predicate(expr: PredicateExpr) -> str:
     if isinstance(expr, Mime):
         return f"mime:{expr.tag}"
     if isinstance(expr, Not):
-        return f"NOT {_print_at(expr.child, _LEVEL_UNARY)}"
+        return f"NOT {_print_in(expr.child, (And, Or))}"
     if isinstance(expr, And):
         # right child needs parens at equal level to preserve left association
-        return f"{_print_at(expr.left, _LEVEL_AND)} AND {_print_at(expr.right, _LEVEL_AND + 1)}"
+        return f"{_print_in(expr.left, (Or,))} AND {_print_in(expr.right, (And, Or))}"
     if isinstance(expr, Or):
-        return f"{_print_at(expr.left, _LEVEL_OR)} OR {_print_at(expr.right, _LEVEL_OR + 1)}"
+        return f"{print_predicate(expr.left)} OR {_print_in(expr.right, (Or,))}"
     raise TypeError(f"not a predicate node: {expr!r}")
 
 
@@ -293,17 +296,12 @@ def print_predicate(expr: PredicateExpr) -> str:
 # Evaluation
 
 
-@lru_cache(maxsize=512)
-def _compiled(pattern: str) -> re.Pattern[str]:
-    return re.compile(pattern)
-
-
 def eval_predicate(expr: PredicateExpr, ctx: TaskContext) -> bool:
     """Evaluate a predicate against a task context. Total and pure."""
     if isinstance(expr, Contains):
         return expr.text.lower() in ctx.prompt.lower()
     if isinstance(expr, Matches):
-        return _compiled(expr.pattern).search(ctx.prompt) is not None
+        return expr.regex.search(ctx.prompt) is not None
     if isinstance(expr, Kind):
         return expr.tag in ctx.kind_tags
     if isinstance(expr, Mime):
@@ -361,7 +359,7 @@ class PredicateIndex:
 
     def __init__(self, exprs: Iterable[PredicateExpr]) -> None:
         needles: dict[str, set[int]] = {}
-        patterns: dict[str, set[int]] = {}
+        patterns: dict[Matches, set[int]] = {}
         kinds: dict[str, set[int]] = {}
         mimes: dict[str, set[int]] = {}
         always: list[int] = []
@@ -373,14 +371,14 @@ class PredicateIndex:
                 if isinstance(atom, Contains):
                     needles.setdefault(atom.text.lower(), set()).add(position)
                 elif isinstance(atom, Matches):
-                    patterns.setdefault(atom.pattern, set()).add(position)
+                    patterns.setdefault(atom, set()).add(position)
                 elif isinstance(atom, Kind):
                     kinds.setdefault(atom.tag, set()).add(position)
                 else:
                     mimes.setdefault(atom.tag, set()).add(position)
         self._always = always
         self._needles = list(needles.items())
-        self._patterns = [(re.compile(pattern), hits) for pattern, hits in patterns.items()]
+        self._patterns = [(atom.regex, hits) for atom, hits in patterns.items()]
         self._kinds = kinds
         self._mimes = mimes
 

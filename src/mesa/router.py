@@ -10,8 +10,8 @@ scorer splits by action family:
 where V_a is the effective trust of the card for LoadSkill and 1.0 for the
 built-in tool and verifier channels. Before scoring, the vigilance gate
 removes every LoadSkill candidate whose effective trust sits below the
-configured gate; if that empties the candidate set the controller falls back
-to Direct/Stop.
+configured gate. An empty candidate set, before or after the gate, is a
+ValueError: the engine's candidates always include the four base actions.
 
 decide turns one task context into decisions: signal collection, probe
 escalation, candidate assembly and selection. run_trajectory wires one
@@ -237,8 +237,6 @@ def select_action(
     asymmetric self-vs-source weighting.
     """
     del ctx  # part of the signature contract; scoring needs only cv/cfg
-    if not candidates:
-        raise ValueError("empty candidate list")
     alpha = cfg.alpha if dualconf_enabled else 0.5
 
     gated: list[str] = []
@@ -253,19 +251,7 @@ def select_action(
         survivors.append(action)
 
     if not survivors:
-        # every candidate was a gated LoadSkill; the agent must still act
-        survivors = [
-            Action(
-                ActionVariant.DIRECT,
-                utility_direct=1.0,
-                cost=COST_TABLE[ActionVariant.DIRECT],
-            ),
-            Action(
-                ActionVariant.STOP,
-                utility_direct=0.0,
-                cost=COST_TABLE[ActionVariant.STOP],
-            ),
-        ]
+        raise ValueError("empty candidate list")
 
     scored: list[tuple[Action, float]] = []
     scores: dict[str, float] = {}

@@ -139,6 +139,11 @@ def test_load_suite_dangling_card(tmp_path):
             {"attachments": [{"mime_tag": "pdf", "bytes_len": 1.5}]},
             r"item 'a00': bad attachment: bytes_len must be an integer",
         ),
+        ({"prompt": None}, r"item 'a00': prompt must be a string"),
+        ({"prompt": 42}, r"item 'a00': prompt must be a string"),
+        ({"id": None}, r"item #0: id must be a string"),
+        ({"id": 7}, r"item 7: id must be a string"),
+        ({"id": ["a00"]}, r"item \['a00'\]: id must be a string"),
     ],
 )
 def test_load_suite_field_validation(tmp_path, mutation, message):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -19,9 +20,10 @@ from mesa.cards import (
     lint_cards,
     load_registry,
 )
+from mesa.dsl import eval_predicate
 from mesa.errors import CardFileError, RegistryLookupError
 
-from conftest import make_card
+from conftest import make_card, make_ctx
 
 
 def _card_doc(**overrides) -> dict:
@@ -92,6 +94,50 @@ def test_bad_enum_values_rejected(tmp_path):
 def test_trust_out_of_range_rejected(tmp_path):
     with pytest.raises(CardFileError):
         load_registry(_write_cards(tmp_path, [_card_doc(source_trust=1.5)]))
+
+
+@pytest.mark.parametrize(
+    "name, value, where",
+    [
+        ("id", None, "card #0"),
+        ("id", 7, "card 7"),
+        ("name", None, "card 'date_time'"),
+        ("description", ["Converts timestamps."], "card 'date_time'"),
+        ("apply_when", None, "card 'date_time'"),
+        ("cheap_probe", 3, "card 'date_time'"),
+        ("body_ref", {"inline": "x"}, "card 'date_time'"),
+    ],
+)
+def test_non_string_fields_rejected(tmp_path, name, value, where):
+    path = _write_cards(tmp_path, [_card_doc(**{name: value})])
+    with pytest.raises(CardFileError, match=rf"^{re.escape(where)}: {name} must be a string$"):
+        load_registry(path)
+
+
+def test_equal_predicate_texts_share_one_tree(tmp_path):
+    docs = [_card_doc(id="a"), _card_doc(id="b", cheap_probe='contains:"date"')]
+    path = _write_cards(tmp_path, docs)
+    registry = load_registry(path)
+    a, b = registry.get("a"), registry.get("b")
+    assert a.apply_when is b.apply_when
+    assert b.cheap_probe is a.apply_when  # equal text in another field
+    assert a.cheap_probe is not b.cheap_probe
+    again = load_registry(path).get("a")  # nothing is shared across loads
+    assert again.apply_when == a.apply_when and again.apply_when is not a.apply_when
+
+
+def test_loaded_regexes_are_never_recompiled(tmp_path, monkeypatch):
+    docs = [_card_doc(id=f"r{i}", apply_when=f'matches:"^p{i}( |$)"') for i in range(600)]
+    registry = load_registry(_write_cards(tmp_path, docs))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("re.compile called after the registry loaded")
+
+    monkeypatch.setattr(re, "compile", refuse)
+    for i, card in enumerate(registry):
+        ctx = make_ctx(prompt=f"p{i} please")
+        assert eval_predicate(card.apply_when, ctx) is True
+        assert registry.candidates(ctx) == [card]
 
 
 def test_not_a_card_file(tmp_path):

@@ -611,6 +611,37 @@ def test_module_entry_point_help():
     assert "usage: mesa" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "predicate",
+    [
+        pytest.param("kind:a AND contains:\"\ud800\"", id="lone-surrogate"),
+        pytest.param("NOT " * 2000 + "kind:a", id="2000-NOTs"),
+        pytest.param(" AND ".join(["kind:a"] * 2000), id="2000-ANDs"),
+    ],
+)
+def test_unparseable_predicate_exits_3_without_traceback(tmp_path, predicate):
+    card = {
+        "id": "deep", "name": "Deep", "description": "d", "apply_when": predicate,
+        "cheap_probe": "kind:a", "offloading_type": "procedural", "source_trust": 0.9,
+        "provenance": "first_party", "stale": False, "body_ref": "inline:x",
+    }
+    cards = tmp_path / "cards.json"
+    cards.write_text(json.dumps({"cards": [card]}), encoding="utf-8")
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("", encoding="utf-8")
+    for argv in (
+        ["cards", "lint", str(cards)],
+        ["route", "--cards", str(cards), "--backend", "cached", "--cache", str(cache),
+         "--prompt", "a task", "--kind-tag", "a"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mesa.cli", *argv], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == EXIT_IO, (argv[0], proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("mesa: card 'deep': bad predicate: ")
+
+
 def test_console_script_eval_verbose_logs_to_stderr(tmp_path):
     proc = subprocess.run(
         [

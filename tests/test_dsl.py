@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mesa.context import Attachment, TaskContext
 from mesa.dsl import (
+    MAX_OPERATORS,
     And,
     Contains,
     Kind,
@@ -21,6 +22,7 @@ from mesa.dsl import (
     is_vacuous,
     parse_predicate,
     print_predicate,
+    triggers,
 )
 from mesa.errors import PredicateSyntaxError
 
@@ -165,6 +167,14 @@ def test_precedence_against_shunting_yard_oracle():
         ('contains:"a\\', 12, '"'),
         ("kind:a\x0bAND kind:b", 6, "("),
         ("\x0ckind:a", 0, "("),
+        ("\ud800", 0, "a valid character"),
+        ('kind:a AND contains:"é\udfff"', 23, "a valid character"),
+        pytest.param("NOT " * 2000 + "kind:a", 4 * MAX_OPERATORS, "end of input", id="2000-NOTs"),
+        pytest.param("(" * 330 + "kind:a" + ")" * 330, MAX_OPERATORS, ")", id="330-parens"),
+        pytest.param(
+            " AND ".join(["kind:a"] * 2000), 7 + 11 * MAX_OPERATORS, "end of input", id="2000-ANDs"
+        ),
+        pytest.param("NOT (" * 100 + "kind:a", 5 * (MAX_OPERATORS // 2), "kind", id="NOT-paren"),
     ],
 )
 def test_positioned_syntax_errors(text, offset, expected_contains):
@@ -173,6 +183,26 @@ def test_positioned_syntax_errors(text, offset, expected_contains):
     assert err.value.offset == offset
     assert expected_contains in err.value.expected
     assert str(offset) in str(err.value)
+
+
+def test_trees_at_the_operator_cap_can_be_walked():
+    chain = parse_predicate(" AND ".join(["kind:a"] * (MAX_OPERATORS + 1)))
+    half = MAX_OPERATORS // 2
+    nested = parse_predicate("NOT (" * half + "kind:a" + ")" * half)
+    ctx = make_ctx(kind_tags=("a",))
+    for tree in (chain, nested):
+        again = parse_predicate(print_predicate(tree))
+        assert again == tree and hash(again) == hash(tree)
+        assert eval_predicate(tree, ctx) is True
+    assert triggers(chain) == frozenset({Kind("a")})
+    assert triggers(nested) == frozenset()
+
+
+def test_matches_keeps_its_compiled_regex():
+    atom = Matches("v[0-9]+")
+    assert atom.regex.pattern == "v[0-9]+"
+    assert atom == Matches("v[0-9]+") and hash(atom) == hash(Matches("v[0-9]+"))
+    assert repr(atom) == "Matches(pattern='v[0-9]+')"
 
 
 def test_tab_and_crlf_are_whitespace():

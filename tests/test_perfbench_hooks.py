@@ -9,6 +9,7 @@ Renaming or dropping one of them breaks the benchmark, so it is caught here.
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -61,9 +62,14 @@ def test_tracer_instruments_and_restores_mesa():
     assert tracer.stats["cards.read_body"][0] == 1
 
 
-def test_setup_probe_loads_and_checks_shipped_fixtures():
+def _src_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_setup_probe_loads_and_checks_shipped_fixtures():
+    env = _src_env()
     proc = subprocess.run(
         [
             sys.executable, str(ROOT / "perfbench" / "setup_probe.py"),
@@ -77,3 +83,24 @@ def test_setup_probe_loads_and_checks_shipped_fixtures():
     )
     assert proc.returncode == 0, proc.stderr
     assert "missing_keys_ms" in proc.stdout
+
+
+def test_setup_probe_digests_routes_over_the_generated_10k_registry(tmp_path):
+    # The seed-1 registry shares 7,048 parsed trees among its 20,000
+    # predicates; the digest calls build_candidates and select_action
+    # positionally, as the route_registry_10k workload does.
+    env = _src_env()
+    gen = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "registry_gen.py"), "--seed", "1",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert gen.returncode == 0, gen.stderr
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "setup_probe.py"),
+         *(str(tmp_path / name) for name in ("cards.json", "suite.json", "script.json")),
+         "--digest"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["digest"]) == 64

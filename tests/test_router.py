@@ -264,16 +264,19 @@ def test_gate_boundary_is_inclusive():
     assert decision.gated_cards == ()
 
 
-def test_all_gated_falls_back_to_direct_stop():
+def test_all_gated_candidates_rejected():
+    # Engine candidates always include the four base actions, so only a
+    # caller passing gated LoadSkills alone can empty the set.
     cfg = RoutingConfig()
     card = make_card("evil", source_trust=0.1)
     only_load = [Action(ActionVariant.LOAD_SKILL, card_id="evil", cost=0.5)]
-    decision = select_action(
-        make_ctx(), only_load, _cv(p_self=0.9, evil=0.99), cfg, _registry(card)
+    cv = _cv(p_self=0.9, evil=0.99)
+    with pytest.raises(ValueError, match="empty candidate list"):
+        select_action(make_ctx(), only_load, cv, cfg, _registry(card))
+    ungated = select_action(
+        make_ctx(), only_load, cv, cfg, _registry(card), vigilance_enabled=False
     )
-    assert decision.chosen.variant is ActionVariant.DIRECT
-    assert decision.scores["DIRECT"] == pytest.approx(0.54)
-    assert decision.gated_cards == ("evil",)
+    assert ungated.chosen is only_load[0]
 
 
 def test_dualconf_disabled_pins_alpha_half():

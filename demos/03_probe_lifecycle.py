@@ -2,12 +2,13 @@
 Delayed escalation: probe before you pay for the body
 =====================================================
 
-Matching a skill card is cheap; loading its body is not. The escalation
-machine inserts a probe between the two: a matched card is only loaded when
+Matching a skill card is cheap; loading its body is not. Delayed
+escalation puts a probe between the two: a matched card is only loaded when
 its cheap_probe predicate holds AND a quick confidence check says the agent
-actually needs help. This demo drives the machine by hand, then lets
-build_candidates run it and proves, with a counting loader, that bodies are
-read exactly once per load and never for skipped cards.
+actually needs help. The probe is one step, load or skip. This demo runs it
+by hand, then lets build_candidates run it and proves, with a counting
+loader, that bodies are read exactly once per load and never for skipped
+cards.
 
 Run with: python3 demos/03_probe_lifecycle.py
 """
@@ -18,17 +19,13 @@ from mesa import (
     PROBE_COST,
     PROBE_SLACK,
     CardRegistry,
-    IllegalTransitionError,
     OffloadingType,
     Provenance,
     RoutingConfig,
     SkillCard,
     TaskContext,
-    begin,
     build_candidates,
-    bypass,
     parse_predicate,
-    resolve,
     run_probe,
 )
 
@@ -90,31 +87,22 @@ threshold = cfg.self_low + PROBE_SLACK
 print(f"probe passes when signal < self_low + slack = {threshold:.2f}")
 
 # ---------------------------------------------------------------------------
-# The machine by hand: Matched -> Probed -> Loaded or Skipped. Each probe
-# charges PROBE_COST exactly once; illegal edges raise.
+# The probe by hand: one step from Matched to Loaded or Skipped. Each probe
+# charges PROBE_COST exactly once, whichever way it goes.
 
 for name, task in (("hard", hard_task), ("easy", easy_task)):
-    state = begin(card)
-    state = run_probe(state, card, task, backend, cfg)
-    state = resolve(state)
+    state = run_probe(task, card, backend, cfg)
     print(
         f"{name} task: probe={backend.probe_table[task.prompt]:.2f} "
         f"-> passed={state.passed} -> {state.stage.value} "
         f"(charged {state.probe_cost_charged:.2f}, expected {PROBE_COST:.2f})"
     )
 
-try:
-    resolve(begin(card))
-except IllegalTransitionError as err:
-    print(f"skipping the probe stage is rejected: {err}")
-
-# bypass is the one legal shortcut, reserved for probe-disabled conditions
-print(f"bypass() jumps Matched -> {bypass(begin(card)).stage.value} (no charge)")
-
 # ---------------------------------------------------------------------------
-# The same machinery inside build_candidates, with a loader that counts
-# body reads. Loads are lazy: the easy task matches the card but never
-# pays for the body.
+# The same probe inside build_candidates, with a loader that counts body
+# reads. Loads are lazy: the easy task matches the card but never pays for
+# the body. A condition without the probe loads every matched card
+# uncharged.
 
 reads: list[str] = []
 registry = CardRegistry(cards=(card,)).with_body_loader(
@@ -132,3 +120,10 @@ for name, task in (("hard", hard_task), ("easy", easy_task)):
     )
 
 assert reads == ["snail_facts"], "exactly one paid load across both tasks"
+
+_, _, (unprobed,) = build_candidates(easy_task, registry, backend, cfg, probe_enabled=False)
+print(
+    f"probe disabled: easy task -> {unprobed.stage.value} "
+    f"(passed={unprobed.passed}, charged {unprobed.probe_cost_charged:.2f}) "
+    f"body reads so far={reads}"
+)

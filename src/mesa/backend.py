@@ -228,19 +228,37 @@ class CachedBackend:
         self._path = Path(cache_path)
         self._lock = threading.Lock()
         self._entries: dict[str, object] = {}
+        # A clean append ends with a newline, so a last line without one was
+        # cut short mid-write. It is kept if it parses and skipped with a
+        # warning if not. The first append then rewrites it as a complete
+        # line, or cuts it off, so the new record starts on a fresh line.
+        self._torn: tuple[int, bytes] | None = None
         if self._path.exists():
-            for line_no, line in enumerate(
-                self._path.read_text(encoding="utf-8").splitlines()
-            ):
+            data = self._path.read_bytes()
+            *lines, tail = data.split(b"\n")
+            for line_no, line in enumerate(lines):
                 if not line.strip():
                     continue
                 try:
-                    row = json.loads(line)
-                    self._entries[row["key"]] = row["value"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    self._load_row(line)
+                except (ValueError, KeyError, TypeError) as exc:
                     raise ReplayMissError(
                         f"cache {self._path} line {line_no} is damaged: {exc}"
                     ) from exc
+            if tail:
+                try:
+                    self._load_row(tail)
+                    kept = tail + b"\n"
+                except (ValueError, KeyError, TypeError):
+                    log.warning(
+                        "%s: ignoring torn trailing record (%d bytes)", self._path, len(tail)
+                    )
+                    kept = b""
+                self._torn = (len(data) - len(tail), kept)
+
+    def _load_row(self, line: bytes) -> None:
+        row = json.loads(line)
+        self._entries[row["key"]] = row["value"]
 
     def _resolve(self, op: str, ctx: TaskContext, arg: str | None, call: Callable[[], object]) -> object:
         key = _cache_key(op, ctx, arg)
@@ -251,8 +269,13 @@ class CachedBackend:
                 raise ReplayMissError(f"replay cache has no entry for key {key}")
             value = call()
             self._entries[key] = value
-            with self._path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps({"key": key, "value": value}, sort_keys=True) + "\n")
+            with self._path.open("ab") as fh:
+                if self._torn is not None:
+                    offset, kept = self._torn
+                    fh.truncate(offset)
+                    fh.write(kept)
+                    self._torn = None
+                fh.write(json.dumps({"key": key, "value": value}, sort_keys=True).encode() + b"\n")
                 fh.flush()
             return value
 

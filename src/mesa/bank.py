@@ -99,14 +99,14 @@ def _next_sequence(fd: int) -> int:
         start = max(0, size - window)
         tail = os.pread(fd, size - start, start)
         end = tail.rfind(b"\n")
-        begin = tail.rfind(b"\n", 0, max(end, 0))
-        if start == 0 or begin != -1:
+        prev_newline = tail.rfind(b"\n", 0, max(end, 0))
+        if start == 0 or prev_newline != -1:
             break
         window *= 2
     if end == -1:
         return 0
     try:
-        seq = json.loads(tail[begin + 1:end])["recorded_at"]
+        seq = json.loads(tail[prev_newline + 1:end])["recorded_at"]
     except (ValueError, KeyError, TypeError):
         seq = None
     if type(seq) is not int:

@@ -45,7 +45,7 @@ from mesa.errors import (
     MesaError,
     StaleTrustError,
 )
-from mesa.router import RoutingConfig, decide
+from mesa.router import RoutingConfig, context_for_item, decide
 
 log = logging.getLogger(__name__)
 
@@ -230,16 +230,12 @@ def _cmd_route(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     allowed = None
     if args.suite:
         suite_items = load_suite(args.suite, registry, expected_per_slice=None)
-        # When the prompt names a suite item, mirror the harness: only that
-        # item's injected cards are active.
+        # When the prompt names a suite item, mirror the harness: route that
+        # item's context, with only its injected cards active.
         for item in suite_items:
             if item.prompt == args.prompt:
                 allowed = item.injected_card_ids
-                ctx = replace(
-                    ctx,
-                    kind_tags=frozenset(item.kind_tags),
-                    attachments=item.attachments,
-                )
+                ctx = context_for_item(item)
                 break
     backend = _build_backend(args, suite_items, parser)
 

@@ -35,10 +35,6 @@ class RegistryLookupError(MesaError):
     """A card id was requested that the registry does not contain."""
 
 
-class IllegalTransitionError(MesaError):
-    """A probe state machine operation was called in the wrong stage."""
-
-
 class MissingSignalError(MesaError):
     """The backend has no value for a requested signal or answer."""
 

@@ -39,10 +39,10 @@ from mesa.confidence import (
     DecontaminationConfig,
     decontaminate,
 )
-from mesa.context import Attachment, TaskContext
+from mesa.context import TaskContext
 from mesa.dsl import eval_predicate
 from mesa.errors import MissingSignalError
-from mesa.probe import ProbeStage, ProbeState, begin, bypass, resolve, run_probe
+from mesa.probe import ProbeStage, ProbeState, run_probe
 
 if TYPE_CHECKING:
     from mesa.backend import ModelBackend
@@ -240,30 +240,24 @@ def select_action(
     alpha = cfg.alpha if dualconf_enabled else 0.5
 
     gated: list[str] = []
-    survivors: list[Action] = []
+    scored: list[tuple[Action, float]] = []
+    scores: dict[str, float] = {}
     for action in candidates:
+        vigilance = 1.0
         if action.variant is ActionVariant.LOAD_SKILL:
             assert action.card_id is not None
             card = registry.get(action.card_id)
-            if vigilance_enabled and effective_trust(card) < cfg.trust_gate:
-                gated.append(action.card_id)
-                continue
-        survivors.append(action)
-
-    if not survivors:
-        raise ValueError("empty candidate list")
-
-    scored: list[tuple[Action, float]] = []
-    scores: dict[str, float] = {}
-    for action in survivors:
-        vigilance = 1.0
-        if action.variant is ActionVariant.LOAD_SKILL and vigilance_enabled:
-            assert action.card_id is not None
-            vigilance = effective_trust(registry.get(action.card_id))
+            if vigilance_enabled:
+                vigilance = effective_trust(card)
+                if vigilance < cfg.trust_gate:
+                    gated.append(action.card_id)
+                    continue
         value = _dual_score(action, cv, alpha, cfg.cost_lambda, vigilance)
         scored.append((action, value))
         scores[score_key(action)] = value
 
+    if not scored:
+        raise ValueError("empty candidate list")
     chosen = _argmax(scored)
     return Decision(chosen=chosen, scores=scores, gated_cards=tuple(sorted(gated)))
 
@@ -356,9 +350,7 @@ def context_for_item(item: "BenchmarkItem") -> TaskContext:
     return TaskContext(
         prompt=item.prompt,
         kind_tags=frozenset(item.kind_tags),
-        attachments=tuple(
-            Attachment(mime_tag=a.mime_tag, bytes_len=a.bytes_len) for a in item.attachments
-        ),
+        attachments=item.attachments,
     )
 
 
@@ -413,7 +405,7 @@ def build_candidates(
     wave = [lambda: backend.self_confidence(ctx), lambda: backend.self_report_tags(ctx)]
     if probe_enabled:
         for card in matching:
-            wave.append(lambda card=card: run_probe(begin(card), card, ctx, backend, cfg))
+            wave.append(lambda card=card: run_probe(ctx, card, backend, cfg))
     wave.append(lambda: backend.source_confidence(ctx, TOOL_CHANNEL))
     p_self, tags, *probed, tool_source = _gather(backend, wave)
 
@@ -423,7 +415,7 @@ def build_candidates(
     traces: list[ProbeState] = []
     loaded = []
     for index, card in enumerate(matching):
-        state = resolve(probed[index]) if probe_enabled else bypass(begin(card))
+        state = probed[index] if probe_enabled else ProbeState(card.id, ProbeStage.LOADED)
         traces.append(state)
         if state.stage is ProbeStage.LOADED:
             registry.read_body(card.id)

@@ -342,6 +342,48 @@ def test_damaged_cache_line_rejected(tmp_path):
         CachedBackend(None, path)
 
 
+def _record_then_tear(path, torn):
+    """Record two entries, then damage the end of the cache file.
+
+    "fragment" appends the first bytes of a third record, as a crash
+    mid-append leaves them; "unterminated" drops only the last newline.
+    """
+    recorder = CachedBackend(DictBackend(p_self=0.7, sources={"__tool__": 0.4}), path)
+    recorder.self_confidence(make_ctx())
+    recorder.source_confidence(make_ctx(), "__tool__")
+    if torn == "fragment":
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"key": "{\\"arg\\": \\"c\\", \\"att')
+    else:
+        path.write_bytes(path.read_bytes()[:-1])
+
+
+def test_torn_cache_tail_is_skipped_and_replayed(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    _record_then_tear(path, "fragment")
+    with caplog.at_level(logging.WARNING, logger="mesa.backend"):
+        replayer = CachedBackend(None, path)
+    assert "torn trailing record" in caplog.text
+    assert replayer.self_confidence(make_ctx()) == 0.7
+    assert replayer.source_confidence(make_ctx(), "__tool__") == 0.4
+    with pytest.raises(ReplayMissError):
+        replayer.probe_signal(make_ctx(), "c")
+
+
+@pytest.mark.parametrize("torn", ["fragment", "unterminated"])
+def test_append_after_torn_tail_is_replayed(tmp_path, torn):
+    path = tmp_path / "cache.jsonl"
+    _record_then_tear(path, torn)
+    CachedBackend(DictBackend(probes={"c": 0.2}), path).probe_signal(make_ctx(), "c")
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[-1] == ""
+    assert [json.loads(line)["value"] for line in lines[:-1]] == [0.7, 0.4, 0.2]
+    replayer = CachedBackend(None, path)
+    assert replayer.self_confidence(make_ctx()) == 0.7
+    assert replayer.source_confidence(make_ctx(), "__tool__") == 0.4
+    assert replayer.probe_signal(make_ctx(), "c") == 0.2
+
+
 def test_cache_file_is_jsonl(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = CachedBackend(DictBackend(p_self=0.7), path)

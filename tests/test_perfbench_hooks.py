@@ -19,7 +19,7 @@ from mesa import bench, probe, router
 from mesa.cards import CardRegistry
 from mesa.fixtures import fixture_path
 
-from conftest import make_card, make_ctx
+from conftest import DictBackend, make_card, make_ctx
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -60,6 +60,26 @@ def test_tracer_instruments_and_restores_mesa():
     assert _wrapped_attributes() == before
     assert tracer.stats["dsl.apply_when"][0] == 1
     assert tracer.stats["cards.read_body"][0] == 1
+
+
+def test_tracer_sees_each_probe_build_candidates_runs():
+    # The tracer's probe hook reads the card from run_probe's second
+    # positional argument and the verdict from its result.
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    card = make_card("helper", cheap_probe="kind:doc")
+    with tracer_module.instrument(tracer):
+        registry = tracer.registry(CardRegistry(cards=(card,)))
+        backend = DictBackend(sources={"__tool__": 0.3, "helper": 0.8}, probes={"helper": 0.1})
+        candidates, _, traces = router.build_candidates(
+            make_ctx(), registry, backend, router.RoutingConfig(), True, None
+        )
+    assert tracer.stats["probe.run_probe"][0] == 1
+    assert tracer.stats["dsl.cheap_probe"][0] == 1
+    assert tracer.counts["probe.passed"] == 1
+    assert tracer._probed == {"helper"}
+    assert [trace.passed for trace in traces] == [True]
+    assert [action.card_id for action in candidates if action.card_id] == ["helper"]
 
 
 def _src_env() -> dict[str, str]:

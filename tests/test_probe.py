@@ -1,12 +1,12 @@
-"""Delayed escalation state machine: legality, probe logic, costs."""
+"""Delayed escalation: the one-step probe, its threshold and its cost."""
 
 from __future__ import annotations
 
 import pytest
 
 from mesa.context import Attachment
-from mesa.errors import IllegalTransitionError, MissingSignalError
-from mesa.probe import PROBE_COST, PROBE_SLACK, ProbeStage, begin, bypass, resolve, run_probe
+from mesa.errors import MissingSignalError
+from mesa.probe import PROBE_COST, PROBE_SLACK, ProbeStage, run_probe
 from mesa.router import RoutingConfig
 
 from conftest import DictBackend, make_card, make_ctx
@@ -15,28 +15,12 @@ from conftest import DictBackend, make_card, make_ctx
 CFG = RoutingConfig()
 
 
-def test_begin_is_matched_with_zero_cost():
-    card = make_card("c1")
-    state = begin(card)
-    assert state.stage is ProbeStage.MATCHED
-    assert state.card_id == "c1"
-    assert state.probe_cost_charged == 0.0
-    assert state.passed is None
-
-
-def test_begin_twice_yields_independent_values():
-    card = make_card("c1")
-    first, second = begin(card), begin(card)
-    assert first == second
-    assert first is not second
-
-
 def test_probe_passes_on_predicate_and_insufficiency():
     card = make_card("c1", cheap_probe="mime:html")
     ctx = make_ctx(attachments=(Attachment("html"),))
     backend = DictBackend(probes={"c1": 0.3})
-    state = run_probe(begin(card), card, ctx, backend, CFG)
-    assert state.stage is ProbeStage.PROBED
+    state = run_probe(ctx, card, backend, CFG)
+    assert state.stage is ProbeStage.LOADED
     assert state.passed is True
     assert state.probe_cost_charged == PROBE_COST
 
@@ -45,26 +29,23 @@ def test_probe_fails_when_predicate_false():
     card = make_card("c1", cheap_probe="mime:html")
     ctx = make_ctx(attachments=())
     backend = DictBackend(probes={"c1": 0.3})
-    state = run_probe(begin(card), card, ctx, backend, CFG)
+    state = run_probe(ctx, card, backend, CFG)
+    assert state.stage is ProbeStage.SKIPPED
     assert state.passed is False
 
 
 def test_probe_fails_when_parametric_knowledge_sufficient():
     card = make_card("c1", cheap_probe='contains:"task"')
     backend = DictBackend(probes={"c1": 0.95})
-    state = run_probe(begin(card), card, make_ctx(), backend, CFG)
+    state = run_probe(make_ctx(), card, backend, CFG)
     assert state.passed is False
 
 
 def test_probe_threshold_band_is_self_low_plus_slack():
     card = make_card("c1", cheap_probe='contains:"task"')
     threshold = CFG.self_low + PROBE_SLACK
-    below = run_probe(
-        begin(card), card, make_ctx(), DictBackend(probes={"c1": threshold - 0.01}), CFG
-    )
-    at = run_probe(
-        begin(card), card, make_ctx(), DictBackend(probes={"c1": threshold}), CFG
-    )
+    below = run_probe(make_ctx(), card, DictBackend(probes={"c1": threshold - 0.01}), CFG)
+    at = run_probe(make_ctx(), card, DictBackend(probes={"c1": threshold}), CFG)
     assert below.passed is True
     assert at.passed is False
 
@@ -74,69 +55,28 @@ def test_probe_signal_always_queried():
     # failed, so signal coverage problems surface deterministically.
     card = make_card("c1", cheap_probe="mime:html")
     backend = DictBackend(probes={"c1": 0.1})
-    run_probe(begin(card), card, make_ctx(attachments=()), backend, CFG)
+    run_probe(make_ctx(attachments=()), card, backend, CFG)
     assert ("probe_signal", "c1") in backend.calls
 
 
 def test_probe_missing_signal_raises():
     card = make_card("c1")
     with pytest.raises(MissingSignalError):
-        run_probe(begin(card), card, make_ctx(), DictBackend(probes={}), CFG)
+        run_probe(make_ctx(), card, DictBackend(probes={}), CFG)
 
 
-def test_resolve_transitions():
+def test_run_probe_ends_loaded_or_skipped():
+    # One step from a matched card to its terminal stage; a probe that ran
+    # keeps its verdict.
     card = make_card("c1", cheap_probe='contains:"task"')
-    passed = run_probe(begin(card), card, make_ctx(), DictBackend(probes={"c1": 0.1}), CFG)
-    failed = run_probe(begin(card), card, make_ctx(), DictBackend(probes={"c1": 0.99}), CFG)
-    assert resolve(passed).stage is ProbeStage.LOADED
-    assert resolve(failed).stage is ProbeStage.SKIPPED
-
-
-def test_illegal_transitions_rejected():
-    card = make_card("c1", cheap_probe='contains:"task"')
-    matched = begin(card)
-    with pytest.raises(IllegalTransitionError):
-        resolve(matched)
-    probed = run_probe(matched, card, make_ctx(), DictBackend(probes={"c1": 0.1}), CFG)
-    with pytest.raises(IllegalTransitionError):
-        run_probe(probed, card, make_ctx(), DictBackend(probes={"c1": 0.1}), CFG)
-    loaded = resolve(probed)
-    with pytest.raises(IllegalTransitionError):
-        resolve(loaded)
-    with pytest.raises(IllegalTransitionError):
-        bypass(probed)
-
-
-def test_run_probe_rejects_mismatched_card():
-    card_a, card_b = make_card("a"), make_card("b")
-    with pytest.raises(ValueError):
-        run_probe(begin(card_a), card_b, make_ctx(), DictBackend(probes={"b": 0.1}), CFG)
-
-
-def test_bypass_skips_probe_entirely():
-    state = bypass(begin(make_card("c1")))
-    assert state.stage is ProbeStage.LOADED
-    assert state.passed is None
-    assert state.probe_cost_charged == 0.0
+    outcomes = ((0.1, ProbeStage.LOADED, True), (0.99, ProbeStage.SKIPPED, False))
+    for signal, stage, passed in outcomes:
+        state = run_probe(make_ctx(), card, DictBackend(probes={"c1": signal}), CFG)
+        assert (state.card_id, state.stage, state.passed) == ("c1", stage, passed)
 
 
 def test_cost_charged_exactly_once():
     card = make_card("c1", cheap_probe='contains:"task"')
-    state = run_probe(begin(card), card, make_ctx(), DictBackend(probes={"c1": 0.1}), CFG)
-    assert state.probe_cost_charged == PROBE_COST
-    assert resolve(state).probe_cost_charged == PROBE_COST
-
-
-def test_visited_stage_sequences():
-    # Every legal operation sequence visits a prefix of
-    # Matched -> Probed -> (Loaded | Skipped).
-    card = make_card("c1", cheap_probe='contains:"task"')
-    for signal, terminal in ((0.1, ProbeStage.LOADED), (0.99, ProbeStage.SKIPPED)):
-        stages = []
-        state = begin(card)
-        stages.append(state.stage)
-        state = run_probe(state, card, make_ctx(), DictBackend(probes={"c1": signal}), CFG)
-        stages.append(state.stage)
-        state = resolve(state)
-        stages.append(state.stage)
-        assert stages == [ProbeStage.MATCHED, ProbeStage.PROBED, terminal]
+    for signal in (0.1, 0.99):
+        state = run_probe(make_ctx(), card, DictBackend(probes={"c1": signal}), CFG)
+        assert state.probe_cost_charged == PROBE_COST

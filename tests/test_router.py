@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mesa.cards import CardRegistry, Provenance, effective_trust
 from mesa.confidence import TOOL_CHANNEL, VERIFY_CHANNEL, ConfidenceVector
-from mesa.errors import MissingSignalError
+from mesa.errors import MissingSignalError, RegistryLookupError
 from mesa.router import (
     COST_TABLE,
     TIE_BREAK_ORDER,
@@ -277,6 +277,20 @@ def test_all_gated_candidates_rejected():
         make_ctx(), only_load, cv, cfg, _registry(card), vigilance_enabled=False
     )
     assert ungated.chosen is only_load[0]
+
+
+def test_unknown_card_raises_with_or_without_vigilance():
+    load = Action(ActionVariant.LOAD_SKILL, card_id="ghost", cost=0.5)
+    for vigilance in (True, False):
+        with pytest.raises(RegistryLookupError, match="ghost"):
+            select_action(
+                make_ctx(),
+                _basic_candidates() + [load],
+                _cv(ghost=0.9),
+                RoutingConfig(),
+                _registry(),
+                vigilance_enabled=vigilance,
+            )
 
 
 def test_dualconf_disabled_pins_alpha_half():

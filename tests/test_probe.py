@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from mesa.cards import CardRegistry
+from mesa.confidence import TOOL_CHANNEL
 from mesa.context import Attachment
 from mesa.errors import MissingSignalError
 from mesa.probe import PROBE_COST, PROBE_SLACK, ProbeStage, run_probe
-from mesa.router import RoutingConfig
+from mesa.router import RoutingConfig, build_candidates
 
 from conftest import DictBackend, make_card, make_ctx
 
@@ -65,7 +67,7 @@ def test_probe_missing_signal_raises():
         run_probe(make_ctx(), card, DictBackend(probes={}), CFG)
 
 
-def test_run_probe_ends_loaded_or_skipped():
+def test_resolve_transitions():
     # One step from a matched card to its terminal stage; a probe that ran
     # keeps its verdict.
     card = make_card("c1", cheap_probe='contains:"task"')
@@ -73,6 +75,40 @@ def test_run_probe_ends_loaded_or_skipped():
     for signal, stage, passed in outcomes:
         state = run_probe(make_ctx(), card, DictBackend(probes={"c1": signal}), CFG)
         assert (state.card_id, state.stage, state.passed) == ("c1", stage, passed)
+
+
+def test_visited_stage_sequences():
+    # Each matched card leaves exactly one trace, already terminal:
+    # Matched -> (Loaded | Skipped), with no stage in between.
+    cards = (
+        make_card("pass", cheap_probe='contains:"task"'),
+        make_card("fail", cheap_probe='contains:"task"'),
+        make_card("unmatched", apply_when='contains:"absent"'),
+    )
+    backend = DictBackend(
+        probes={"pass": 0.1, "fail": 0.99},
+        sources={TOOL_CHANNEL: 0.5, "pass": 0.9},
+    )
+    _, _, traces = build_candidates(
+        make_ctx(), CardRegistry(cards=cards), backend, CFG, probe_enabled=True
+    )
+    assert [(t.card_id, t.stage) for t in traces] == [
+        ("pass", ProbeStage.LOADED),
+        ("fail", ProbeStage.SKIPPED),
+    ]
+
+
+def test_bypass_skips_probe_entirely():
+    card = make_card("c1")
+    backend = DictBackend(sources={TOOL_CHANNEL: 0.5, "c1": 0.9})
+    _, _, traces = build_candidates(
+        make_ctx(), CardRegistry(cards=(card,)), backend, CFG, probe_enabled=False
+    )
+    (state,) = traces
+    assert state.stage is ProbeStage.LOADED
+    assert state.passed is None
+    assert state.probe_cost_charged == 0.0
+    assert ("probe_signal", "c1") not in backend.calls
 
 
 def test_cost_charged_exactly_once():

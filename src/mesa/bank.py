@@ -9,9 +9,10 @@ multiplies trust by (1 - decrement_factor).
 Appends happen as one short write under an advisory lock followed by fsync,
 so a reader never observes a torn record as valid: a damaged final line is
 treated as an interrupted append and ignored, while damage anywhere else is
-reported as corruption. Trust updates are applied to the card file through
-an optimistic old-value check, a backup of the prior file, and an atomic
-rename.
+reported as corruption. Trust updates are applied to the card file under an
+exclusive lock on a sidecar <path>.lock, through an optimistic old-value
+check, a backup of the prior file, and an atomic rename; the backup and the
+new file are each fsynced before their rename and the directory after it.
 """
 
 from __future__ import annotations
@@ -197,35 +198,51 @@ def hypercorrection_updates(
     return updates
 
 
+def _replace_durably(path: Path, data: bytes) -> None:
+    """Write data to a temp file, fsync it, rename it over path, fsync the directory."""
+    temp = path.with_name(path.name + ".tmp")
+    with open(temp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(temp, path)
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 def apply_updates(registry_path: str | Path, updates: Sequence[TrustUpdate]) -> None:
     """Rewrite the card file with new trust values.
 
     Each update's old_trust must still match the file (optimistic check); a
     mismatch aborts the whole batch with the file untouched. The prior file
     is kept at <path>.bak and the rewrite lands via atomic rename. Only
-    source_trust fields change.
+    source_trust fields change. Concurrent correctors serialize on an
+    exclusive flock of <path>.lock, held from the read to the last rename; a
+    sidecar is locked because the rename replaces the card file's inode.
     """
     path = Path(registry_path)
-    original = path.read_bytes()
-    try:
-        doc = json.loads(original.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise StaleTrustError(f"cannot parse card file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("cards"), list):
-        raise StaleTrustError(f"card file {path} has no cards list")
-    by_id = {card.get("id"): card for card in doc["cards"] if isinstance(card, dict)}
-    for update in updates:
-        card = by_id.get(update.card_id)
-        if card is None:
-            raise RegistryLookupError(f"no card with id {update.card_id!r} in {path}")
-        if card.get("source_trust") != update.old_trust:
-            raise StaleTrustError(
-                f"card {update.card_id!r}: expected trust {update.old_trust!r}, "
-                f"file has {card.get('source_trust')!r}; batch aborted"
-            )
-        card["source_trust"] = update.new_trust
-    backup = path.with_name(path.name + ".bak")
-    backup.write_bytes(original)
-    temp = path.with_name(path.name + ".tmp")
-    temp.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    os.replace(temp, path)
+    with open(path.with_name(path.name + ".lock"), "ab") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        original = path.read_bytes()
+        try:
+            doc = json.loads(original.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise StaleTrustError(f"cannot parse card file {path}: {exc}") from exc
+        if not isinstance(doc, dict) or not isinstance(doc.get("cards"), list):
+            raise StaleTrustError(f"card file {path} has no cards list")
+        by_id = {card.get("id"): card for card in doc["cards"] if isinstance(card, dict)}
+        for update in updates:
+            card = by_id.get(update.card_id)
+            if card is None:
+                raise RegistryLookupError(f"no card with id {update.card_id!r} in {path}")
+            if card.get("source_trust") != update.old_trust:
+                raise StaleTrustError(
+                    f"card {update.card_id!r}: expected trust {update.old_trust!r}, "
+                    f"file has {card.get('source_trust')!r}; batch aborted"
+                )
+            card["source_trust"] = update.new_trust
+        _replace_durably(path.with_name(path.name + ".bak"), original)
+        _replace_durably(path, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))

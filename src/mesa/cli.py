@@ -236,6 +236,17 @@ def _cmd_route(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             if item.prompt == args.prompt:
                 allowed = item.injected_card_ids
                 ctx = context_for_item(item)
+                dropped = [
+                    flag
+                    for flag, given in (("--kind-tag", args.kind_tag), ("--attach", args.attach))
+                    if given
+                ]
+                if dropped:
+                    log.warning(
+                        "suite item %s supplies the task context; ignoring %s",
+                        item.id,
+                        " and ".join(dropped),
+                    )
                 break
     backend = _build_backend(args, suite_items, parser)
 

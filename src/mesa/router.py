@@ -13,6 +13,12 @@ removes every LoadSkill candidate whose effective trust sits below the
 configured gate. An empty candidate set, before or after the gate, is a
 ValueError: the engine's candidates always include the four base actions.
 
+The gate test lives in one place, _trust_past_gate. Under vigilance,
+build_candidates applies it before paying for a loaded card: a card below
+the gate is still probed and still becomes a LoadSkill candidate (so
+select_action lists it among the gated cards), but its body is never read
+and its source confidence is never queried.
+
 decide turns one task context into decisions: signal collection, probe
 escalation, candidate assembly and selection. run_trajectory wires one
 benchmark item end to end on top of it: offload execution with confidence
@@ -20,9 +26,10 @@ decontamination, and outcome grading against the item's gold label.
 
 Backend queries that do not depend on each other go out together in waves
 (see _gather): self-confidence, tags, every matched card's probe and the
-tool source; then the verify and loaded-card sources; then the relevance
-passes; then the post-offload confidence with the answer. Concatenated, the
-waves list the queries in the order a sequential controller would ask them.
+tool source; then the verify source and the sources of loaded cards that
+pass the gate; then the relevance passes; then the post-offload confidence
+with the answer. Concatenated, the waves list the queries in the order a
+sequential controller would ask them.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from mesa.cards import CardRegistry, effective_trust
+from mesa.cards import CardRegistry, SkillCard, effective_trust
 from mesa.confidence import (
     TOOL_CHANNEL,
     VERIFY_CHANNEL,
@@ -147,6 +154,12 @@ class Decision:
 # Scorers
 
 
+def _trust_past_gate(card: SkillCard, cfg: RoutingConfig) -> float | None:
+    """The card's effective trust, or None when it sits below the vigilance gate."""
+    trust = effective_trust(card)
+    return trust if trust >= cfg.trust_gate else None
+
+
 def _source_confidence_for(action: Action, cv: ConfidenceVector) -> float:
     channel = {
         ActionVariant.CALL_TOOL: TOOL_CHANNEL,
@@ -248,10 +261,11 @@ def select_action(
             assert action.card_id is not None
             card = registry.get(action.card_id)
             if vigilance_enabled:
-                vigilance = effective_trust(card)
-                if vigilance < cfg.trust_gate:
+                trust = _trust_past_gate(card, cfg)
+                if trust is None:
                     gated.append(action.card_id)
                     continue
+                vigilance = trust
         value = _dual_score(action, cv, alpha, cfg.cost_lambda, vigilance)
         scored.append((action, value))
         scores[score_key(action)] = value
@@ -382,19 +396,29 @@ def build_candidates(
     cfg: RoutingConfig,
     probe_enabled: bool,
     allowed_card_ids: Sequence[str] | None = None,
+    *,
+    vigilance_enabled: bool = True,
 ) -> tuple[list[Action], ConfidenceVector, tuple[ProbeState, ...]]:
     """Assemble the candidate set, confidence vector, and probe traces.
 
-    Cards whose apply_when matches the context enter the probe machine;
-    only escalated (Loaded) cards become LoadSkill candidates, and each load
-    reads the card body exactly once. allowed_card_ids restricts which
-    registry cards are active (the harness passes the item's injected ids)
-    and is scanned in full; None means the whole registry is active, and its
-    atom index picks the cards whose apply_when is evaluated.
+    Cards whose apply_when matches the context are probed; only escalated
+    (Loaded) cards become LoadSkill candidates. allowed_card_ids restricts
+    which registry cards are active (the harness passes the item's injected
+    ids) and is scanned in full; None means the whole registry is active,
+    and its atom index picks the cards whose apply_when is evaluated.
+
+    Each Loaded card that passes the trust gate has its body read exactly
+    once and its source confidence queried. With vigilance_enabled (the
+    default), a Loaded card below the gate is neither read nor
+    source-queried: it stays a LoadSkill candidate with a Loaded trace, and
+    select_action with vigilance gates it. Its source is absent from the
+    confidence vector, so scoring these candidates with vigilance off raises
+    MissingSignalError rather than score the card from an invented source;
+    build them with vigilance_enabled=False for that.
 
     The backend sees two waves: self-confidence, tags, the probe of every
     matched card and the tool source; then the verify source (when the trap
-    tag asks for it) and the source of every loaded card.
+    tag asks for it) and the source of every loaded card that is read.
     """
     if allowed_card_ids is None:
         active = registry.candidates(ctx)
@@ -410,7 +434,7 @@ def build_candidates(
     p_self, tags, *probed, tool_source = _gather(backend, wave)
 
     # Wave 2 asks the verify source (when the trap tag calls for it) and
-    # the source of every loaded card.
+    # the source of every loaded card the gate lets through.
     channels = [VERIFY_CHANNEL] if "trap" in tags and cfg.trap_verify else []
     traces: list[ProbeState] = []
     loaded = []
@@ -418,9 +442,10 @@ def build_candidates(
         state = probed[index] if probe_enabled else ProbeState(card.id, ProbeStage.LOADED)
         traces.append(state)
         if state.stage is ProbeStage.LOADED:
-            registry.read_body(card.id)
             loaded.append(card)
-            channels.append(card.id)
+            if not vigilance_enabled or _trust_past_gate(card, cfg) is not None:
+                registry.read_body(card.id)
+                channels.append(card.id)
 
     stop_utility = 1.0 if "trivial" in tags else 0.0
     candidates = [
@@ -498,7 +523,13 @@ def decide(
     vector they were scored from.
     """
     candidates, cv, traces = build_candidates(
-        ctx, registry, backend, cfg, condition.probe_enabled, allowed_card_ids
+        ctx,
+        registry,
+        backend,
+        cfg,
+        condition.probe_enabled,
+        allowed_card_ids,
+        vigilance_enabled=condition.vigilance_enabled,
     )
     if condition.scorer in ("baseline", "reflection"):
         decisions = _score_relevance(

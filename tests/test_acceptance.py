@@ -58,13 +58,21 @@ def matrix_run(shipped_suite, shipped_registry, shipped_script):
 
     registry = shipped_registry.with_body_loader(counting_loader)
     records = []
+    reads_per_record: list[list[str]] = []
+
+    def on_record(rec):
+        records.append(rec)
+        reads_per_record.append(reads[sum(map(len, reads_per_record)):])
+
     start = time.perf_counter()
-    table = run_matrix(
-        shipped_suite, registry, shipped_script, on_record=records.append
-    )
+    table = run_matrix(shipped_suite, registry, shipped_script, on_record=on_record)
     elapsed = time.perf_counter() - start
     return SimpleNamespace(
-        table=table, records=records, reads=reads, elapsed=elapsed
+        table=table,
+        records=records,
+        reads=reads,
+        reads_per_record=reads_per_record,
+        elapsed=elapsed,
     )
 
 
@@ -286,15 +294,19 @@ def test_gate_soundness(matrix_run, shipped_registry):
 
 
 def test_probe_laziness(matrix_run):
-    """5: bodies are read exactly once per Loaded transition; NoProbe pays."""
-    loaded_transitions = sum(
-        1
-        for rec in matrix_run.records
-        for trace in rec.decisions[0].probe_traces
-        if trace.stage is ProbeStage.LOADED
-    )
-    assert len(matrix_run.reads) == loaded_transitions
-    assert loaded_transitions > 0
+    """5: a body is read once per Loaded card the gate passes, never if gated; NoProbe pays."""
+    passed_loads = gated_loads = 0
+    for rec, reads in zip(matrix_run.records, matrix_run.reads_per_record, strict=True):
+        first = rec.decisions[0]
+        gated = set(first.gated_cards)
+        loaded = [t.card_id for t in first.probe_traces if t.stage is ProbeStage.LOADED]
+        assert reads == [card_id for card_id in loaded if card_id not in gated]
+        assert gated.isdisjoint(reads)
+        passed_loads += len(reads)
+        gated_loads += len(loaded) - len(reads)
+    assert len(matrix_run.reads) == passed_loads
+    assert passed_loads > 0
+    assert gated_loads > 0
 
     no_probe_b_failures = {
         it.item_id
@@ -303,7 +315,8 @@ def test_probe_laziness(matrix_run):
     }
     assert no_probe_b_failures == {f"b_html_{i:02d}" for i in range(10)}
     print(
-        f"[acceptance 5] body reads == {loaded_transitions} Loaded transitions; "
+        f"[acceptance 5] body reads == {passed_loads} Loaded cards past the gate, "
+        f"none of {gated_loads} gated loads; "
         f"NoProbe slice-B failures are exactly the 10 HTML items: PASS"
     )
 

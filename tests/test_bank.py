@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -339,3 +343,44 @@ def test_chained_updates_apply_in_order(tmp_path):
     updates = hypercorrection_updates(entries, BankConfig(), registry)
     apply_updates(path, updates)
     assert load_registry(path).get("c0").source_trust == pytest.approx(0.2)
+
+
+def test_apply_leaves_no_temp_files(tmp_path):
+    path = _card_file(tmp_path)
+    apply_updates(path, [TrustUpdate("c0", 0.8, 0.4, "test")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cards.json", "cards.json.bak", "cards.json.lock",
+    ]
+
+
+_CORRECTOR = """
+import sys
+from mesa.bank import TrustUpdate, apply_updates
+print("ready", flush=True)
+apply_updates(sys.argv[1], [TrustUpdate("c0", 0.8, 0.4, "subprocess")])
+"""
+
+
+def test_concurrent_corrector_waits_for_the_lock(tmp_path):
+    path = _card_file(tmp_path)
+    original = path.read_bytes()
+    lock_fd = os.open(path.with_name(path.name + ".lock"), os.O_RDWR | os.O_CREAT, 0o644)
+    fcntl.flock(lock_fd, fcntl.LOCK_EX)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _CORRECTOR, str(path)], stdout=subprocess.PIPE, text=True
+    )
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.3)
+        assert proc.poll() is None, "the corrector did not wait for the lock"
+        assert path.read_bytes() == original
+        fcntl.flock(lock_fd, fcntl.LOCK_UN)
+        assert proc.wait(timeout=30) == 0
+    finally:
+        os.close(lock_fd)
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    assert load_registry(path).get("c0").source_trust == 0.4
+    assert path.with_name(path.name + ".bak").read_bytes() == original

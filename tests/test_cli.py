@@ -642,6 +642,31 @@ def test_unparseable_predicate_exits_3_without_traceback(tmp_path, predicate):
         assert proc.stderr.startswith("mesa: card 'deep': bad predicate: ")
 
 
+def test_route_warns_when_suite_item_drops_context_flags(shipped_suite):
+    route = [
+        sys.executable, "-m", "mesa.cli", "route", "--cards", CARDS, "--backend", "scripted",
+        "--script", SCRIPT, "--suite", SUITE, "--prompt", _prompt_of(shipped_suite, "a_fact_00"),
+    ]
+    plain = subprocess.run(route, capture_output=True, text=True, timeout=60)
+    flagged = subprocess.run(
+        [*route, "--kind-tag", "code", "--attach", "text/html:10"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert plain.returncode == flagged.returncode == EXIT_OK
+    assert flagged.stdout == plain.stdout
+    assert plain.stderr == ""
+    (warning,) = flagged.stderr.splitlines()
+    assert warning.startswith("WARNING ")
+    assert warning.endswith(
+        "suite item a_fact_00 supplies the task context; ignoring --kind-tag and --attach"
+    )
+    only_tag = subprocess.run([*route, "--kind-tag", "code"], capture_output=True, text=True,
+                              timeout=60)
+    assert only_tag.stderr.endswith("ignoring --kind-tag\n")
+
+
 def test_console_script_eval_verbose_logs_to_stderr(tmp_path):
     proc = subprocess.run(
         [

@@ -8,21 +8,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mesa.bench import CONDITIONS
 from mesa.cards import CardRegistry, Provenance, effective_trust
 from mesa.confidence import TOOL_CHANNEL, VERIFY_CHANNEL, ConfidenceVector
 from mesa.errors import MissingSignalError, RegistryLookupError
+from mesa.probe import ProbeStage
 from mesa.router import (
     COST_TABLE,
     TIE_BREAK_ORDER,
     Action,
     ActionVariant,
+    Decision,
     RoutingConfig,
+    build_candidates,
+    decide,
     score_baseline,
     score_key,
     select_action,
 )
 
-from conftest import make_card, make_ctx
+from conftest import DictBackend, make_card, make_ctx
 
 
 def _cv(p_self=0.5, **sources) -> ConfidenceVector:
@@ -464,3 +469,105 @@ def test_select_action_equals_brute_force(data):
 def test_score_key_formats():
     assert score_key(Action(ActionVariant.DIRECT)) == "DIRECT"
     assert score_key(Action(ActionVariant.LOAD_SKILL, card_id="c")) == "LOAD_SKILL:c"
+
+
+# ---------------------------------------------------------------------------
+# Gate before read: below-gate cards cost no body read and no source query
+
+_VIGILANT_CONDITIONS = [c for c in CONDITIONS if c.scorer == "dual" and c.vigilance_enabled]
+
+
+class _GateGuardBackend(DictBackend):
+    """A DictBackend that refuses source queries about below-gate cards."""
+
+    def __init__(self, below_gate: set[str], **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.below_gate = below_gate
+
+    def source_confidence(self, ctx, channel):
+        if channel in self.below_gate:
+            raise AssertionError(f"source of below-gate card {channel} queried")
+        return super().source_confidence(ctx, channel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lazy_gate_matches_eager_gate_and_never_touches_gated_cards(data):
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    cfg = RoutingConfig(trust_gate=data.draw(unit))
+    cards = []
+    probes: dict[str, float] = {}
+    sources = {TOOL_CHANNEL: data.draw(unit), VERIFY_CHANNEL: data.draw(unit)}
+    for i in range(data.draw(st.integers(min_value=1, max_value=4))):
+        card_id = f"c{i}"
+        cards.append(
+            make_card(
+                card_id,
+                apply_when=data.draw(st.sampled_from(['contains:"task"', 'contains:"absent"'])),
+                cheap_probe=data.draw(st.sampled_from(["kind:doc", "kind:absent"])),
+                source_trust=data.draw(unit),
+                stale=data.draw(st.booleans()),
+            )
+        )
+        probes[card_id] = data.draw(st.sampled_from([0.1, 0.9]))
+        sources[card_id] = data.draw(unit)
+    below_gate = {c.id for c in cards if effective_trust(c) < cfg.trust_gate}
+    tags = frozenset(data.draw(st.sets(st.sampled_from(["trap", "trivial"]))))
+    p_self = data.draw(unit)
+    allowed = data.draw(st.sampled_from([None, [c.id for c in cards]]))
+    ctx = make_ctx()
+
+    for condition in _VIGILANT_CONDITIONS:
+        reads: list[str] = []
+
+        def guarded_loader(card):
+            assert card.id not in below_gate, f"body of below-gate card {card.id} read"
+            reads.append(card.id)
+            return "body"
+
+        lazy_registry = CardRegistry(cards=tuple(cards), body_loader=guarded_loader)
+        lazy_backend = _GateGuardBackend(
+            below_gate, p_self=p_self, sources=sources, probes=probes, tags=tags
+        )
+        (lazy,), _ = decide(ctx, lazy_registry, lazy_backend, cfg, condition, allowed)
+
+        eager_registry = CardRegistry(cards=tuple(cards))
+        eager_backend = DictBackend(p_self=p_self, sources=sources, probes=probes, tags=tags)
+        candidates, cv, traces = build_candidates(
+            ctx,
+            eager_registry,
+            eager_backend,
+            cfg,
+            condition.probe_enabled,
+            allowed,
+            vigilance_enabled=False,
+        )
+        eager = select_action(
+            ctx,
+            candidates,
+            cv,
+            cfg,
+            eager_registry,
+            vigilance_enabled=True,
+            dualconf_enabled=condition.dualconf_enabled,
+        )
+
+        assert lazy == Decision(eager.chosen, eager.scores, eager.gated_cards, traces)
+        loaded = [t.card_id for t in traces if t.stage is ProbeStage.LOADED]
+        assert reads == [card_id for card_id in loaded if card_id not in below_gate]
+        assert set(lazy.gated_cards) == set(loaded) & below_gate
+
+
+def test_vigilance_off_over_vigilant_candidates_fails_closed():
+    # A gated card's source was never asked, so scoring it without the gate
+    # must raise instead of inventing a source confidence.
+    card = make_card("low", source_trust=0.2)
+    registry = _registry(card)
+    backend = DictBackend(probes={"low": 0.1}, sources={TOOL_CHANNEL: 0.5, "low": 0.9})
+    cfg = RoutingConfig()
+    candidates, cv, _ = build_candidates(make_ctx(), registry, backend, cfg, True)
+    assert Action(ActionVariant.LOAD_SKILL, card_id="low", cost=0.5) in candidates
+    assert ("source_confidence", "low") not in backend.calls
+    assert select_action(make_ctx(), candidates, cv, cfg, registry).gated_cards == ("low",)
+    with pytest.raises(MissingSignalError, match="'low'"):
+        select_action(make_ctx(), candidates, cv, cfg, registry, vigilance_enabled=False)

@@ -6,8 +6,9 @@ and self-report tags. The scripted backend resolves them from a behavior
 script keyed by (item, condition, key) with "*" as the any-condition default,
 so whole benchmark runs are pure functions of committed fixtures. The cache
 wrapper records any live backend into the same deterministic shape and can
-replay with no inner backend at all. The remote backend speaks a minimal
-chat-completions style HTTP protocol with retry, clamping, and redaction.
+replay with no inner backend at all; it appends through mesa.journal, as the
+failure bank does. The remote backend speaks a minimal chat-completions style
+HTTP protocol with retry, clamping, and redaction.
 
 A backend may also offer gather(calls), which runs independent zero-argument
 queries (possibly concurrently) and returns their results in list order. The
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
+from mesa import journal
 from mesa.context import TaskContext
 from mesa.errors import MissingSignalError, RemoteBackendError, ReplayMissError
 
@@ -220,63 +222,57 @@ def _cache_key(op: str, ctx: TaskContext, arg: str | None) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+# What each query's cached value must be: a description and a check.
+_CONFIDENCE = ("a number in [0, 1]", lambda v: type(v) in (int, float) and 0.0 <= v <= 1.0)
+_SHAPES = {
+    "self_confidence": _CONFIDENCE,
+    "source_confidence": _CONFIDENCE,
+    "probe_signal": _CONFIDENCE,
+    "answer": ("a string", lambda v: isinstance(v, str)),
+    "self_report_tags": (
+        "a list of strings", lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v)
+    ),
+}
+
+
 class CachedBackend:
-    """Write-through memo of an inner backend; inner=None means strict replay."""
+    """Write-through memo of an inner backend; inner=None means strict replay.
+
+    A value of the wrong type for its query, read or freshly recorded, is a
+    replay miss that names the key.
+    """
 
     def __init__(self, inner: ModelBackend | None, cache_path: str | Path) -> None:
         self._inner = inner
         self._path = Path(cache_path)
         self._lock = threading.Lock()
         self._entries: dict[str, object] = {}
-        # A clean append ends with a newline, so a last line without one was
-        # cut short mid-write. It is kept if it parses and skipped with a
-        # warning if not. The first append then rewrites it as a complete
-        # line, or cuts it off, so the new record starts on a fresh line.
-        self._torn: tuple[int, bytes] | None = None
         if self._path.exists():
-            data = self._path.read_bytes()
-            *lines, tail = data.split(b"\n")
-            for line_no, line in enumerate(lines):
+            for line_no, line in enumerate(journal.read_lines(self._path)):
                 if not line.strip():
                     continue
                 try:
-                    self._load_row(line)
+                    row = json.loads(line)
+                    self._entries[row["key"]] = row["value"]
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ReplayMissError(
                         f"cache {self._path} line {line_no} is damaged: {exc}"
                     ) from exc
-            if tail:
-                try:
-                    self._load_row(tail)
-                    kept = tail + b"\n"
-                except (ValueError, KeyError, TypeError):
-                    log.warning(
-                        "%s: ignoring torn trailing record (%d bytes)", self._path, len(tail)
-                    )
-                    kept = b""
-                self._torn = (len(data) - len(tail), kept)
-
-    def _load_row(self, line: bytes) -> None:
-        row = json.loads(line)
-        self._entries[row["key"]] = row["value"]
 
     def _resolve(self, op: str, ctx: TaskContext, arg: str | None, call: Callable[[], object]) -> object:
         key = _cache_key(op, ctx, arg)
         with self._lock:
-            if key in self._entries:
-                return self._entries[key]
-            if self._inner is None:
+            cached = key in self._entries
+            if not cached and self._inner is None:
                 raise ReplayMissError(f"replay cache has no entry for key {key}")
-            value = call()
-            self._entries[key] = value
-            with self._path.open("ab") as fh:
-                if self._torn is not None:
-                    offset, kept = self._torn
-                    fh.truncate(offset)
-                    fh.write(kept)
-                    self._torn = None
-                fh.write(json.dumps({"key": key, "value": value}, sort_keys=True).encode() + b"\n")
-                fh.flush()
+            value = self._entries[key] if cached else call()
+            what, valid = _SHAPES[op]
+            if not valid(value):
+                raise ReplayMissError(f"cache value for key {key} is not {what}: {value!r}")
+            if not cached:
+                self._entries[key] = value
+                row = json.dumps({"key": key, "value": value}, sort_keys=True)
+                journal.append(self._path, lambda _last: row)
             return value
 
     def self_confidence(self, ctx: TaskContext) -> float:
@@ -304,10 +300,8 @@ class CachedBackend:
         )
 
     def answer(self, ctx: TaskContext, variant_key: str) -> str:
-        return str(
-            self._resolve(
-                "answer", ctx, variant_key, lambda: self._inner.answer(ctx, variant_key)
-            )
+        return self._resolve(  # type: ignore[return-value]
+            "answer", ctx, variant_key, lambda: self._inner.answer(ctx, variant_key)
         )
 
     def self_report_tags(self, ctx: TaskContext) -> frozenset[str]:
@@ -317,7 +311,7 @@ class CachedBackend:
             None,
             lambda: sorted(self._inner.self_report_tags(ctx)),
         )
-        return frozenset(str(tag) for tag in value)  # type: ignore[union-attr]
+        return frozenset(value)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ confident (terminal confidence at or above the high-confidence threshold)
 and attributable to a card ever lower that card's trust, and each hit
 multiplies trust by (1 - decrement_factor).
 
-Appends happen as one short write under an advisory lock followed by fsync,
-so a reader never observes a torn record as valid: a damaged final line is
-treated as an interrupted append and ignored, while damage anywhere else is
-reported as corruption. Trust updates are applied to the card file under an
-exclusive lock on a sidecar <path>.lock, through an optimistic old-value
-check, a backup of the prior file, and an atomic rename; the backup and the
-new file are each fsynced before their rename and the directory after it.
+Appends go through mesa.journal, one write under an exclusive flock and then
+fsync. A record counts once its newline is written: readers skip a torn final
+line and the next append cuts it off, while damage anywhere else (a last
+complete record without a sequence number too) is corruption. Trust updates
+are applied to the card file under an exclusive lock on a sidecar <path>.lock,
+through an optimistic old-value check, a backup of the prior file, and an
+atomic rename; the backup and the new file are each fsynced before their
+rename and the directory after it.
 """
 
 from __future__ import annotations
@@ -20,16 +21,14 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from mesa import journal
 from mesa.cards import CardRegistry
 from mesa.errors import BankCorruptionError, RegistryLookupError, StaleTrustError
 from mesa.router import Outcome, TrajectoryRecord, trajectory_from_dict, trajectory_to_dict
-
-log = logging.getLogger("mesa.bank")
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ def _entry_to_line(entry: BankEntry, seq: int) -> str:
         "implicated_card": entry.implicated_card,
         "trajectory": trajectory_to_dict(entry.trajectory),
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _entry_from_dict(raw: dict) -> BankEntry:
@@ -84,68 +83,35 @@ def _entry_from_dict(raw: dict) -> BankEntry:
     )
 
 
-_TAIL_WINDOW = 4096  # bytes read from the journal's end; doubled for a longer record
-
-
-def _next_sequence(fd: int) -> int:
-    """One past the last complete record's sequence number; 0 for an empty journal.
-
-    Only the end of the journal is read, so an append costs the same at any
-    bank size. A last record without a readable sequence number (a torn tail
-    that a later append was glued onto) falls back to counting every line.
-    """
-    size = os.fstat(fd).st_size
-    window = _TAIL_WINDOW
-    while True:
-        start = max(0, size - window)
-        tail = os.pread(fd, size - start, start)
-        end = tail.rfind(b"\n")
-        prev_newline = tail.rfind(b"\n", 0, max(end, 0))
-        if start == 0 or prev_newline != -1:
-            break
-        window *= 2
-    if end == -1:
-        return 0
-    try:
-        seq = json.loads(tail[prev_newline + 1:end])["recorded_at"]
-    except (ValueError, KeyError, TypeError):
-        seq = None
-    if type(seq) is not int:
-        return os.pread(fd, size, 0).count(b"\n")
-    return seq + 1
-
-
 def record(entry: BankEntry, bank_path: str | Path) -> int:
     """Append one entry; returns its assigned sequence number.
 
-    Sequence numbers count complete existing records, so the first append
-    gets 0; they are read from the journal's last record, not recounted.
-    The entry's own recorded_at field is ignored and restamped.
+    The first entry gets 0 and each later one follows the journal's last
+    complete record, so an append costs the same at any bank size. The
+    entry's own recorded_at field is ignored and restamped.
     """
-    path = Path(bank_path)
-    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        seq = _next_sequence(fd)
-        line = _entry_to_line(entry, seq).encode("utf-8")
-        os.write(fd, line)
-        os.fsync(fd)
-        return seq
-    finally:
-        fcntl.flock(fd, fcntl.LOCK_UN)
-        os.close(fd)
+    seq = 0
+
+    def make_line(last: bytes | None) -> str:
+        nonlocal seq
+        if last is not None:
+            try:
+                previous = json.loads(last)["recorded_at"]
+            except (ValueError, KeyError, TypeError):
+                previous = None
+            if type(previous) is not int:
+                raise BankCorruptionError(f"{bank_path}: last record has no readable recorded_at")
+            seq = previous + 1
+        return _entry_to_line(entry, seq)
+
+    journal.append(bank_path, make_line)
+    return seq
 
 
 def read_bank(path: str | Path) -> list[BankEntry]:
     """Read every complete entry; a torn final line is skipped with a warning."""
-    data = Path(path).read_bytes()
     entries: list[BankEntry] = []
-    lines = data.split(b"\n")
-    # data always ends with b"" after a clean append; anything else is a tear
-    complete, tail = lines[:-1], lines[-1]
-    if tail:
-        log.warning("%s: ignoring torn trailing record (%d bytes)", path, len(tail))
-    for index, line in enumerate(complete):
+    for index, line in enumerate(journal.read_lines(path)):
         try:
             raw = json.loads(line.decode("utf-8"))
             entry = _entry_from_dict(raw)

@@ -372,16 +372,135 @@ def test_torn_cache_tail_is_skipped_and_replayed(tmp_path, caplog):
 
 @pytest.mark.parametrize("torn", ["fragment", "unterminated"])
 def test_append_after_torn_tail_is_replayed(tmp_path, torn):
+    # A record counts once its newline is written, so an unterminated last
+    # line is cut off like a fragment, even though it parses.
     path = tmp_path / "cache.jsonl"
     _record_then_tear(path, torn)
     CachedBackend(DictBackend(probes={"c": 0.2}), path).probe_signal(make_ctx(), "c")
     lines = path.read_text(encoding="utf-8").split("\n")
     assert lines[-1] == ""
-    assert [json.loads(line)["value"] for line in lines[:-1]] == [0.7, 0.4, 0.2]
+    kept = [0.7, 0.4, 0.2] if torn == "fragment" else [0.7, 0.2]
+    assert [json.loads(line)["value"] for line in lines[:-1]] == kept
     replayer = CachedBackend(None, path)
     assert replayer.self_confidence(make_ctx()) == 0.7
-    assert replayer.source_confidence(make_ctx(), "__tool__") == 0.4
+    if torn == "fragment":
+        assert replayer.source_confidence(make_ctx(), "__tool__") == 0.4
+    else:
+        with pytest.raises(ReplayMissError):
+            replayer.source_confidence(make_ctx(), "__tool__")
     assert replayer.probe_signal(make_ctx(), "c") == 0.2
+
+
+def test_recorders_opened_on_one_torn_cache_keep_both_records(tmp_path):
+    # Each append cuts the torn tail it finds under the lock, not the one its
+    # recorder saw when it opened the file.
+    path = tmp_path / "cache.jsonl"
+    _record_then_tear(path, "fragment")
+    first = CachedBackend(DictBackend(probes={"a": 0.1}), path)
+    second = CachedBackend(DictBackend(probes={"b": 0.2}), path)
+    first.probe_signal(make_ctx(), "a")
+    second.probe_signal(make_ctx(), "b")
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert [json.loads(line)["value"] for line in lines[:-1]] == [0.7, 0.4, 0.1, 0.2]
+    replayer = CachedBackend(None, path)
+    assert replayer.probe_signal(make_ctx(), "a") == 0.1
+    assert replayer.probe_signal(make_ctx(), "b") == 0.2
+
+
+_RECORDER = """
+import sys
+from mesa.backend import CachedBackend
+from mesa.context import TaskContext
+
+class Probes:
+    def probe_signal(self, ctx, card_id):
+        return int(card_id[1:]) / 1000
+
+path, prefix = sys.argv[1], sys.argv[2]
+cache = CachedBackend(Probes(), path)
+ctx = TaskContext(prompt="please do the task", kind_tags=frozenset({"doc"}), attachments=())
+print("ready", flush=True)
+sys.stdin.readline()
+for i in range(150):
+    cache.probe_signal(ctx, f"{prefix}{i}")
+"""
+
+
+def test_two_processes_recording_into_one_cache_lose_nothing(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _RECORDER, str(path), prefix],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for prefix in ("a", "b")
+    ]
+    try:
+        for proc in procs:
+            assert proc.stdout.readline() == "ready\n"
+        for proc in procs:
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[-1] == "" and len(lines) == 301
+    for line in lines[:-1]:
+        json.loads(line)
+    replayer = CachedBackend(None, path)
+    for prefix in ("a", "b"):
+        for i in range(150):
+            assert replayer.probe_signal(make_ctx(), f"{prefix}{i}") == i / 1000
+
+
+@pytest.mark.parametrize(
+    ("op", "value"),
+    [
+        ("self_confidence", "high"),
+        ("self_confidence", True),
+        ("self_confidence", 1.5),
+        ("self_confidence", -0.1),
+        ("self_confidence", None),
+        ("answer", 3),
+        ("self_report_tags", "trap"),
+        ("self_report_tags", ["trap", 1]),
+    ],
+)
+def test_replayed_value_of_the_wrong_shape_is_a_miss_naming_the_key(tmp_path, op, value):
+    path = tmp_path / "cache.jsonl"
+    recorder = CachedBackend(DictBackend(p_self=0.7, tags=frozenset({"trap"})), path)
+    call = {
+        "self_confidence": lambda backend: backend.self_confidence(make_ctx()),
+        "answer": lambda backend: backend.answer(make_ctx(), "direct"),
+        "self_report_tags": lambda backend: backend.self_report_tags(make_ctx()),
+    }[op]
+    call(recorder)
+    row = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({"key": row["key"], "value": value}) + "\n", encoding="utf-8")
+    with pytest.raises(ReplayMissError, match=f'"op":"{op}"'):
+        call(CachedBackend(None, path))
+
+
+def test_replayed_integer_confidence_is_a_float(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    CachedBackend(DictBackend(p_self=1.0), path).self_confidence(make_ctx())
+    row = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({"key": row["key"], "value": 1}) + "\n", encoding="utf-8")
+    value = CachedBackend(None, path).self_confidence(make_ctx())
+    assert value == 1.0 and type(value) is float
+
+
+def test_inner_value_of_the_wrong_shape_is_not_recorded(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    with pytest.raises(ReplayMissError, match="self_confidence"):
+        CachedBackend(DictBackend(p_self=1.5), path).self_confidence(make_ctx())
+    assert not path.exists()
 
 
 def test_cache_file_is_jsonl(tmp_path):

@@ -113,19 +113,48 @@ def test_append_after_torn_tail_overwrites_nothing(bank_path):
     record(make_entry(item_id="a"), bank_path)
     data = bank_path.read_bytes()
     bank_path.write_bytes(data + b'{"half": ')
-    # The torn tail has no newline, so the next append glues onto it;
-    # reading before repairing sees only the intact record.
+    # The torn tail has no newline, so it is not a record: reading sees only
+    # the intact one, and the next append cuts the fragment off and leaves
+    # the intact record's bytes as they were.
     assert [e.trajectory.item_id for e in read_bank(bank_path)] == ["a"]
-
+    record(make_entry(item_id="b"), bank_path)
+    assert bank_path.read_bytes().startswith(data)
+    assert [e.trajectory.item_id for e in read_bank(bank_path)] == ["a", "b"]
 
 
 def test_sequence_after_glued_torn_tail_counts_lines(bank_path):
     record(make_entry(item_id="a"), bank_path)
     bank_path.write_bytes(bank_path.read_bytes() + b'{"half": ')
     assert record(make_entry(item_id="b"), bank_path) == 1
-    # The last line is now the torn bytes glued to b; it has no readable
-    # sequence number, so the next append counts lines instead.
+    # That append cut the torn bytes off, so b is a whole line and the
+    # sequence continues from it.
     assert record(make_entry(item_id="c"), bank_path) == 2
+    entries = read_bank(bank_path)
+    assert [(e.recorded_at, e.trajectory.item_id) for e in entries] == [
+        (0, "a"), (1, "b"), (2, "c"),
+    ]
+
+
+def test_record_after_half_a_record_keeps_every_entry(bank_path):
+    for i in range(3):
+        record(make_entry(item_id=f"t{i}"), bank_path)
+    data = bank_path.read_bytes()
+    first = data.split(b"\n")[0]
+    bank_path.write_bytes(data + first[: len(first) // 2])
+    assert record(make_entry(item_id="t3"), bank_path) == 3
+    entries = read_bank(bank_path)
+    assert [e.trajectory.item_id for e in entries] == ["t0", "t1", "t2", "t3"]
+    assert [e.recorded_at for e in entries] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("last", [b'{"x": 1}', b'{"recorded_at": "7"}', b"garbage"])
+def test_record_after_unreadable_last_record_is_corruption(bank_path, last):
+    record(make_entry(item_id="a"), bank_path)
+    bank_path.write_bytes(bank_path.read_bytes() + last + b"\n")
+    data = bank_path.read_bytes()
+    with pytest.raises(BankCorruptionError, match="recorded_at"):
+        record(make_entry(item_id="b"), bank_path)
+    assert bank_path.read_bytes() == data
 
 
 def test_sequence_continues_past_a_long_record(bank_path):
@@ -144,6 +173,7 @@ def test_append_reads_only_the_journal_tail(bank_path, monkeypatch):
     monkeypatch.setattr(os, "pread", lambda fd, n, offset: reads.append(n) or real_pread(fd, n, offset))
     assert record(make_entry(item_id="last"), bank_path) == 40
     assert reads and max(reads) < size // 2
+
 
 def test_mid_file_damage_is_corruption(bank_path):
     for i in range(3):
@@ -384,3 +414,48 @@ def test_concurrent_corrector_waits_for_the_lock(tmp_path):
         proc.stdout.close()
     assert load_registry(path).get("c0").source_trust == 0.4
     assert path.with_name(path.name + ".bak").read_bytes() == original
+
+
+_KILLED_CORRECTOR = """
+import os
+import sys
+from mesa.bank import TrustUpdate, apply_updates
+kill_at, calls = int(sys.argv[2]), [0]
+def killing(real):
+    def call(*args):
+        calls[0] += 1
+        if calls[0] == kill_at:
+            os._exit(70)
+        return real(*args)
+    return call
+os.replace, os.fsync = killing(os.replace), killing(os.fsync)
+apply_updates(sys.argv[1], [TrustUpdate("c0", 0.8, 0.4, "killed")])
+print(calls[0])
+"""
+
+
+def _run_killed_corrector(path, kill_at):
+    return subprocess.run(
+        [sys.executable, "-c", _KILLED_CORRECTOR, str(path), str(kill_at)],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_kill_at_any_replace_or_fsync_leaves_old_or_new_card_file(tmp_path):
+    path = _card_file(tmp_path)
+    old = path.read_bytes()
+    done = _run_killed_corrector(path, 0)
+    assert done.returncode == 0, done.stderr
+    kill_points = int(done.stdout)
+    new = path.read_bytes()
+    assert kill_points == 6 and new != old  # (fsync, replace, fsync) for .bak, then the file
+    seen = set()
+    for kill_at in range(1, kill_points + 1):
+        path.write_bytes(old)
+        killed = _run_killed_corrector(path, kill_at)
+        assert killed.returncode == 70, (kill_at, killed.stderr)
+        data = path.read_bytes()
+        assert data in (old, new), f"killed at call {kill_at}"
+        assert load_registry(path).get("c0").source_trust == (0.8 if data == old else 0.4)
+        seen.add(data)
+    assert seen == {old, new}

@@ -8,10 +8,13 @@ import sys
 
 import pytest
 
+from mesa.backend import CachedBackend
 from mesa.bank import BankEntry, record
 from mesa.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _load_settings, dispatch
 from mesa.fixtures import fixture_path
+from mesa.router import context_for_item
 
+from conftest import DictBackend
 from test_bank import make_record
 
 
@@ -640,6 +643,26 @@ def test_unparseable_predicate_exits_3_without_traceback(tmp_path, predicate):
         assert proc.returncode == EXIT_IO, (argv[0], proc.stderr)
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("mesa: card 'deep': bad predicate: ")
+
+
+@pytest.mark.parametrize("value", ["high", 1.5, True], ids=["text", "out-of-range", "bool"])
+def test_route_replaying_a_bad_cached_value_exits_3_without_traceback(
+    tmp_path, shipped_suite, value
+):
+    item = next(item for item in shipped_suite if item.id == "a_fact_00")
+    cache = tmp_path / "cache.jsonl"
+    CachedBackend(DictBackend(p_self=0.7), cache).self_confidence(context_for_item(item))
+    row = json.loads(cache.read_text(encoding="utf-8"))
+    cache.write_text(json.dumps({"key": row["key"], "value": value}) + "\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mesa.cli", "route", "--cards", CARDS, "--backend", "cached",
+         "--cache", str(cache), "--suite", SUITE, "--prompt", item.prompt],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("mesa: cache value for key ")
+    assert '"op":"self_confidence"' in proc.stderr
 
 
 def test_route_warns_when_suite_item_drops_context_flags(shipped_suite):

@@ -2,7 +2,8 @@
 
 perfbench/tracer.py swaps span wrappers into module attributes of mesa
 (router.eval_predicate, probe.eval_predicate, bench.run_trajectory, ...),
-and perfbench/setup_probe.py calls the loaders and the coverage check.
+and perfbench/setup_probe.py calls the loaders and the coverage check;
+perfbench/workloads.py's FsyncClock counts syncs by patching os.fsync.
 Renaming or dropping one of them breaks the benchmark, so it is caught here.
 """
 
@@ -16,13 +17,17 @@ import sys
 from pathlib import Path
 
 from mesa import bench, probe, router
+from mesa.backend import CachedBackend
+from mesa.bank import record
 from mesa.cards import CardRegistry
 from mesa.fixtures import fixture_path
 
 from conftest import DictBackend, make_card, make_ctx
+from test_bank import make_entry
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def _load_tracer():
@@ -80,6 +85,23 @@ def test_tracer_sees_each_probe_build_candidates_runs():
     assert tracer._probed == {"helper"}
     assert [trace.passed for trace in traces] == [True]
     assert [action.card_id for action in candidates if action.card_id] == ["helper"]
+
+
+def test_fsync_clock_counts_bank_and_cache_appends(tmp_path, monkeypatch):
+    # bank_journal's gate counts syncs by patching os.fsync on the os module,
+    # so the journal must look it up there at call time.
+    monkeypatch.syspath_prepend(str(WORKLOADS.parent))  # for its sibling imports
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    assert spec is not None and spec.loader is not None
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    with workloads.FsyncClock() as clock:
+        record(make_entry(), tmp_path / "bank.jsonl")
+        after_record = clock.calls
+        CachedBackend(DictBackend(p_self=0.7), tmp_path / "cache.jsonl").self_confidence(make_ctx())
+    assert after_record >= 1
+    assert clock.calls > after_record
 
 
 def _src_env() -> dict[str, str]:

@@ -119,8 +119,16 @@ def required_keys(item: "BenchmarkItem") -> list[str]:
     return keys
 
 
+def _is_confidence_key(key: str) -> bool:
+    return key in ("p_self", "p_self_post") or key.startswith(("source:", "probe:"))
+
+
 def load_script(path: str | Path) -> BehaviorScript:
-    """Parse a script file; run_matrix checks its coverage of a suite."""
+    """Parse a script file; run_matrix checks its coverage of a suite.
+
+    A numeric value on a confidence key (p_self, p_self_post, source:*,
+    probe:*) outside [0, 1], NaN included, makes its row malformed.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -139,6 +147,11 @@ def load_script(path: str | Path) -> BehaviorScript:
             or not isinstance(raw["key"], str)
             or not isinstance(raw["value"], (int, float, str))
             or isinstance(raw["value"], bool)
+            or (
+                not isinstance(raw["value"], str)
+                and _is_confidence_key(raw["key"])
+                and not 0.0 <= raw["value"] <= 1.0
+            )
         ):
             raise MissingSignalError(f"script {path}: malformed row #{i}: {raw!r}")
         triple = (raw["item"], raw["condition"], raw["key"])

@@ -31,16 +31,19 @@ class TaskContext:
 
     pre_offload_p_self is None until an offload begins; the trajectory
     controller sets it so backends can distinguish the post-offload
-    confidence query from the initial one.
+    confidence query from the initial one. lowered_prompt is derived: the
+    prompt lowercased once, for the predicates' `contains` tests.
     """
 
     prompt: str
     kind_tags: frozenset[str] = field(default_factory=frozenset)
     attachments: tuple[Attachment, ...] = ()
     pre_offload_p_self: float | None = None
+    lowered_prompt: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
         if self.pre_offload_p_self is not None and not 0.0 <= self.pre_offload_p_self <= 1.0:
             raise ValueError("pre_offload_p_self must be in [0, 1]")
+        object.__setattr__(self, "lowered_prompt", self.prompt.lower())

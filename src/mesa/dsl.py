@@ -17,8 +17,11 @@ The lexer works on the UTF-8 byte encoding so every syntax error carries a
 At most MAX_OPERATORS NOT/AND/OR/( tokens bound the depth of every tree.
 
 Evaluation semantics: `contains` is a case-insensitive substring test on the
-prompt, `matches` is a regex search on the prompt, `kind`/`mime` are exact tag
-membership tests on the context's kind tags and attachment mime tags.
+prompt (`text.lower() in prompt.lower()`), `matches` is a regex search on the
+prompt, `kind`/`mime` are exact tag membership tests on the context's kind
+tags and attachment mime tags. The needle and the prompt are each lowered
+once, when the atom and the TaskContext are built, so evaluation lowercases
+nothing.
 
 PredicateIndex prefilters many predicates at once: from each predicate's
 triggers it finds, per context, a superset of the predicates that hold,
@@ -45,9 +48,13 @@ MAX_OPERATORS = 128
 
 @dataclass(frozen=True)
 class Contains:
-    """Case-insensitive substring test against the prompt."""
+    """Case-insensitive substring test against the prompt, lowered once when built."""
 
     text: str
+    lowered_text: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lowered_text", self.text.lower())
 
 
 @dataclass(frozen=True)
@@ -297,21 +304,30 @@ def print_predicate(expr: PredicateExpr) -> str:
 
 
 def eval_predicate(expr: PredicateExpr, ctx: TaskContext) -> bool:
-    """Evaluate a predicate against a task context. Total and pure."""
-    if isinstance(expr, Contains):
-        return expr.text.lower() in ctx.prompt.lower()
-    if isinstance(expr, Matches):
-        return expr.regex.search(ctx.prompt) is not None
-    if isinstance(expr, Kind):
-        return expr.tag in ctx.kind_tags
-    if isinstance(expr, Mime):
-        return any(att.mime_tag == expr.tag for att in ctx.attachments)
-    if isinstance(expr, Not):
-        return not eval_predicate(expr.child, ctx)
-    if isinstance(expr, And):
-        return eval_predicate(expr.left, ctx) and eval_predicate(expr.right, ctx)
-    if isinstance(expr, Or):
+    """Evaluate a predicate against a task context. Total and pure.
+
+    Dispatches on the exact node type, the commonest first; `contains`
+    compares the needle and the prompt that the atom and the context each
+    lowered once, when they were built.
+    """
+    node = type(expr)
+    if node is Or:
         return eval_predicate(expr.left, ctx) or eval_predicate(expr.right, ctx)
+    if node is And:
+        return eval_predicate(expr.left, ctx) and eval_predicate(expr.right, ctx)
+    if node is Contains:
+        return expr.lowered_text in ctx.lowered_prompt
+    if node is Kind:
+        return expr.tag in ctx.kind_tags
+    if node is Mime:
+        for att in ctx.attachments:
+            if att.mime_tag == expr.tag:
+                return True
+        return False
+    if node is Matches:
+        return expr.regex.search(ctx.prompt) is not None
+    if node is Not:
+        return not eval_predicate(expr.child, ctx)
     raise TypeError(f"not a predicate node: {expr!r}")
 
 
@@ -351,8 +367,9 @@ class PredicateIndex:
 
     Each distinct trigger atom maps to the positions of the predicates it
     triggers; predicates with no trigger set are always candidates. Per
-    context the prompt is lowered once, each distinct `contains` needle and
-    `matches` pattern is tested once, with eval_predicate's own tests, and
+    context each distinct `contains` needle and `matches` pattern is tested
+    once, with eval_predicate's own tests (the needle and the prompt each
+    lowered once, when the atom and the context were built), and
     `kind`/`mime` are looked up by the context's own tags. The result holds
     every position whose predicate holds, and usually few others.
     """
@@ -369,7 +386,7 @@ class PredicateIndex:
                 always.append(position)
             for atom in atoms:
                 if isinstance(atom, Contains):
-                    needles.setdefault(atom.text.lower(), set()).add(position)
+                    needles.setdefault(atom.lowered_text, set()).add(position)
                 elif isinstance(atom, Matches):
                     patterns.setdefault(atom, set()).add(position)
                 elif isinstance(atom, Kind):
@@ -386,7 +403,7 @@ class PredicateIndex:
         """Positions, ascending, of every predicate that may hold for ctx."""
         found = set(self._always)
         prompt = ctx.prompt
-        lowered = prompt.lower()
+        lowered = ctx.lowered_prompt
         for needle, hits in self._needles:
             if needle in lowered:
                 found |= hits

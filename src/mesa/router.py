@@ -84,6 +84,12 @@ COST_TABLE: Mapping[ActionVariant, float] = {
 # Verifier source confidence when the trap heuristic is not in play.
 VERIFY_BASELINE = 0.1
 
+# Source channel of each fixed offload; a LoadSkill's channel is its card id.
+_SOURCE_CHANNELS: Mapping[ActionVariant, str] = {
+    ActionVariant.CALL_TOOL: TOOL_CHANNEL,
+    ActionVariant.VERIFY: VERIFY_CHANNEL,
+}
+
 # Terminal confidence at or above which a post-offload claim is committed
 # rather than hedged. Matches the failure bank's high-confidence threshold.
 CLAIM_THRESHOLD = 0.8
@@ -161,10 +167,7 @@ def _trust_past_gate(card: SkillCard, cfg: RoutingConfig) -> float | None:
 
 
 def _source_confidence_for(action: Action, cv: ConfidenceVector) -> float:
-    channel = {
-        ActionVariant.CALL_TOOL: TOOL_CHANNEL,
-        ActionVariant.VERIFY: VERIFY_CHANNEL,
-    }.get(action.variant, action.card_id)
+    channel = _SOURCE_CHANNELS.get(action.variant, action.card_id)
     assert channel is not None
     try:
         return cv.source_confidences[channel]

@@ -72,6 +72,22 @@ def test_load_script_happy_path(tmp_path):
     assert script.lookup("i1", "full", "tags") == "trivial"
 
 
+def test_load_script_range_checks_only_numeric_confidences(tmp_path):
+    path = write_script(
+        tmp_path,
+        [
+            {"item": "i1", "condition": "*", "key": "p_self", "value": 0},
+            {"item": "i1", "condition": "*", "key": "probe:c1", "value": 1},
+            {"item": "i1", "condition": "*", "key": "source:c1", "value": "text"},
+            {"item": "i1", "condition": "*", "key": "answer:direct", "value": 42},
+            {"item": "i1", "condition": "*", "key": "answer:tool", "value": -1.5},
+        ],
+    )
+    script = load_script(path)
+    assert script.lookup("i1", "full", "probe:c1") == 1.0
+    assert script.lookup("i1", "full", "answer:direct") == 42.0
+
+
 def test_lookup_miss_names_the_triple():
     script = BehaviorScript(rows={})
     with pytest.raises(MissingSignalError, match=r"i9/full: p_self"):
@@ -100,6 +116,12 @@ def test_load_script_rejects_bad_shapes(tmp_path):
         {"item": 3, "condition": "*", "key": "p_self", "value": 0.5},
         {"item": "i1", "condition": "*", "key": ["p_self"], "value": 0.5},
         "not even a dict",
+        # confidences outside [0, 1]
+        {"item": "i1", "condition": "*", "key": "p_self", "value": 1.5},
+        {"item": "i1", "condition": "full", "key": "p_self_post", "value": -0.1},
+        {"item": "i1", "condition": "*", "key": "source:__tool__", "value": float("nan")},
+        {"item": "i1", "condition": "*", "key": "source:relevance:DIRECT", "value": 2},
+        {"item": "i1", "condition": "*", "key": "probe:c1", "value": float("inf")},
     ],
 )
 def test_load_script_rejects_malformed_rows(tmp_path, row):

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mesa.cards import CardRegistry
@@ -105,6 +106,45 @@ def test_card_without_triggers_is_always_a_candidate(expr, ctx):
     registry = _registry([Contains("never in any prompt \x00"), expr])
     if not triggers(expr):
         assert registry.cards[1] in registry.candidates(ctx)
+
+
+def _reference(expr: PredicateExpr, ctx: TaskContext) -> bool:
+    """eval_predicate's documented semantics, with nothing lowered ahead of time."""
+    if isinstance(expr, Contains):
+        return expr.text.lower() in ctx.prompt.lower()
+    if isinstance(expr, Matches):
+        return re.search(expr.pattern, ctx.prompt) is not None
+    if isinstance(expr, Kind):
+        return expr.tag in ctx.kind_tags
+    if isinstance(expr, Mime):
+        return any(att.mime_tag == expr.tag for att in ctx.attachments)
+    if isinstance(expr, Not):
+        return not _reference(expr.child, ctx)
+    if isinstance(expr, And):
+        return _reference(expr.left, ctx) and _reference(expr.right, ctx)
+    return _reference(expr.left, ctx) or _reference(expr.right, ctx)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_any_predicates, _any_contexts)
+# Pairs on which lower() and casefold() disagree: final sigma, and ẞ -> ß vs ss.
+@example(Contains("ς"), TaskContext(prompt="σ"))
+@example(Contains("σ"), TaskContext(prompt="ΑΣ"))
+@example(Contains("ss"), TaskContext(prompt="STRAẞE"))
+def test_eval_predicate_equals_the_reference_semantics(expr, ctx):
+    assert eval_predicate(expr, ctx) == _reference(expr, ctx)
+
+
+def test_lowered_prompt_is_derived_and_left_out_of_eq_hash_and_repr():
+    ctx = TaskContext(prompt="STRAẞE İ", kind_tags=frozenset({"doc"}))
+    assert ctx.lowered_prompt == "STRAẞE İ".lower()
+    assert replace(ctx, prompt="ΟΔΟΣ").lowered_prompt == "οδος"
+    twin = TaskContext(prompt="STRAẞE İ", kind_tags=frozenset({"doc"}))
+    object.__setattr__(twin, "lowered_prompt", "something else")
+    assert twin == ctx and hash(twin) == hash(ctx)
+    assert "lowered_prompt" not in repr(ctx) and repr(twin) == repr(ctx)
+    with pytest.raises(TypeError):
+        TaskContext(prompt="p", lowered_prompt="p")
 
 
 def test_trigger_choice():

@@ -130,7 +130,9 @@ def test_setup_probe_loads_and_checks_shipped_fixtures():
 def test_setup_probe_digests_routes_over_the_generated_10k_registry(tmp_path):
     # The seed-1 registry shares 7,048 parsed trees among its 20,000
     # predicates; the digest calls build_candidates and select_action
-    # positionally, as the route_registry_10k workload does.
+    # positionally, as the route_registry_10k workload does. Its value pins
+    # the decisions, scores, gated cards and probe traces of the prompts it
+    # routes, so a change that alters routing must change it on purpose.
     env = _src_env()
     gen = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "registry_gen.py"), "--seed", "1",
@@ -145,4 +147,6 @@ def test_setup_probe_digests_routes_over_the_generated_10k_registry(tmp_path):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert len(json.loads(proc.stdout)["digest"]) == 64
+    assert json.loads(proc.stdout)["digest"] == (
+        "017489d07b85ae431d2e50b935481510c2227dc224d28ba1adaa48c6ceea743e"
+    )

@@ -252,7 +252,11 @@ class CachedBackend:
     """Write-through memo of an inner backend; inner=None means strict replay.
 
     A value of the wrong type for its query, read or freshly recorded, is a
-    replay miss that names the key.
+    replay miss that names the key. Recorders sharing one file keep one row
+    per key: on a miss, a recorder first reads, under the file's lock, the
+    rows others appended since its last read, and if one holds the key it
+    returns that value and appends nothing. So every session returns what a
+    replay of the file returns.
     """
 
     def __init__(self, inner: ModelBackend | None, cache_path: str | Path) -> None:
@@ -260,33 +264,53 @@ class CachedBackend:
         self._path = Path(cache_path)
         self._lock = threading.Lock()
         self._entries: dict[str, object] = {}
+        self._lines = 0  # complete lines read so far
+        self._offset = 0  # the byte just past them
         if self._path.exists():
-            for line_no, line in enumerate(journal.read_lines(self._path)):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                    self._entries[row["key"]] = row["value"]
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ReplayMissError(
-                        f"cache {self._path} line {line_no} is damaged: {exc}"
-                    ) from exc
+            lines = journal.read_lines(self._path)
+            self._take(lines)
+            self._offset = sum(len(line) + 1 for line in lines)
+
+    def _take(self, lines: list[bytes]) -> None:
+        """Learn rows read from the cache file; a later row for a key wins, as in replay."""
+        for line in lines:
+            line_no, self._lines = self._lines, self._lines + 1
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+                self._entries[row["key"]] = row["value"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ReplayMissError(
+                    f"cache {self._path} line {line_no} is damaged: {exc}"
+                ) from exc
 
     def _resolve(self, op: str, ctx: TaskContext, arg: str | None, call: Callable[[], object]) -> object:
         key = _cache_key(op, ctx, arg)
+        what, valid = _SHAPES[op]
         with self._lock:
-            cached = key in self._entries
-            if not cached and self._inner is None:
+            if key in self._entries:
+                value = self._entries[key]
+            elif self._inner is None:
                 raise ReplayMissError(f"replay cache has no entry for key {key}")
-            value = self._entries[key] if cached else call()
-            what, valid = _SHAPES[op]
+            else:
+                value = call()
+                if valid(value):
+                    value = self._record(key, value)
             if not valid(value):
                 raise ReplayMissError(f"cache value for key {key} is not {what}: {value!r}")
-            if not cached:
-                self._entries[key] = value
-                row = json.dumps({"key": key, "value": value}, sort_keys=True)
-                journal.append(self._path, lambda _last: row)
             return value
+
+    def _record(self, key: str, value: object) -> object:
+        """Append key's row unless another recorder's came first; return the value that counts."""
+        row = json.dumps({"key": key, "value": value}, sort_keys=True)
+
+        def unless_recorded(new_lines: list[bytes]) -> str | None:
+            self._take(new_lines)
+            return None if key in self._entries else row
+
+        self._offset = journal.append_unless_seen(self._path, self._offset, unless_recorded)
+        return self._entries.setdefault(key, value)
 
     def self_confidence(self, ctx: TaskContext) -> float:
         return float(

@@ -24,14 +24,16 @@ once, when the atom and the TaskContext are built, so evaluation lowercases
 nothing.
 
 PredicateIndex prefilters many predicates at once: from each predicate's
-triggers it finds, per context, a superset of the predicates that hold,
-without walking their trees.
+triggers (atoms, and pairs of kind/mime atoms that must both hold) it
+finds, per context, a superset of the predicates that hold, without
+walking their trees.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Union
 
 from mesa.context import TaskContext
@@ -334,70 +336,102 @@ def eval_predicate(expr: PredicateExpr, ctx: TaskContext) -> bool:
 # ---------------------------------------------------------------------------
 # Prefilter index
 
+# A trigger is an atom, or a frozenset of two distinct kind/mime atoms that
+# holds when both of them do.
+Trigger = Union[PredicateExpr, frozenset[PredicateExpr]]
 
-def _trigger_rank(atoms: frozenset[PredicateExpr]) -> tuple[bool, int]:
-    return any(isinstance(atom, (Kind, Mime)) for atom in atoms), len(atoms)
+
+def _both(first: PredicateExpr, second: PredicateExpr) -> Trigger:
+    return first if first == second else frozenset((first, second))
 
 
-def triggers(expr: PredicateExpr) -> frozenset[PredicateExpr]:
-    """Atoms at least one of which holds whenever expr holds.
+def _trigger_rank(found: frozenset[Trigger]) -> tuple[int, int]:
+    # A single tag is shared by many contexts, a pair of tags by fewer.
+    worst = max(
+        2 if isinstance(t, (Kind, Mime)) else 1 if isinstance(t, frozenset) else 0
+        for t in found
+    )
+    return worst, len(found)
 
-    The empty set promises nothing: expr may hold while every atom in it is
-    false (NOT, or an OR with such a side). An AND needs one side's atoms
-    only; it takes a side without kind/mime atoms when it can, since a tag
-    is shared by many contexts, then the smaller set.
+
+def _tags_only(found: frozenset[Trigger]) -> bool:
+    return all(isinstance(t, (Kind, Mime)) for t in found)
+
+
+def triggers(expr: PredicateExpr) -> frozenset[Trigger]:
+    """Triggers at least one of which holds whenever expr holds.
+
+    A trigger is an atom, or an unordered pair of two distinct kind/mime
+    atoms (a frozenset) that holds when both of them hold. The empty set
+    promises nothing: expr may hold while every trigger in it is false (NOT,
+    or an OR with such a side). An AND whose two sides have only single
+    kind/mime atoms takes their pairwise product, two equal atoms giving
+    that atom, while the product has at most as many triggers as the two
+    sides together, so the set stays linear in the size of expr. Any other
+    AND needs one side's triggers only: it prefers tag-free atoms, then
+    pairs, then single tags, then the smaller set, then the left side.
     """
-    if isinstance(expr, And):
+    node = type(expr)
+    if node is And:
         left, right = triggers(expr.left), triggers(expr.right)
-        if left and right:
-            return min(left, right, key=_trigger_rank)
-        return left or right
-    if isinstance(expr, Or):
+        if not (left and right):
+            return left or right
+        n, m = len(left), len(right)
+        if n * m <= n + m and _tags_only(left) and _tags_only(right):
+            return frozenset(_both(a, b) for a in left for b in right)
+        return min(left, right, key=_trigger_rank)
+    if node is Or:
         left, right = triggers(expr.left), triggers(expr.right)
         return left | right if left and right else frozenset()
-    if isinstance(expr, Not):
+    if node is Not:
         return frozenset()
-    if isinstance(expr, _ATOM_TYPES):
+    if node in _ATOM_TYPES:
         return frozenset((expr,))
     raise TypeError(f"not a predicate node: {expr!r}")
 
 
-class PredicateIndex:
-    """Which of many predicates may hold for a context, found by atom.
+def _fact(atom: Kind | Mime) -> tuple[str, str]:
+    return ("kind" if isinstance(atom, Kind) else "mime", atom.tag)
 
-    Each distinct trigger atom maps to the positions of the predicates it
+
+class PredicateIndex:
+    """Which of many predicates may hold for a context, found by trigger.
+
+    Each distinct trigger maps to the positions of the predicates it
     triggers; predicates with no trigger set are always candidates. Per
     context each distinct `contains` needle and `matches` pattern is tested
     once, with eval_predicate's own tests (the needle and the prompt each
-    lowered once, when the atom and the context were built), and
-    `kind`/`mime` are looked up by the context's own tags. The result holds
-    every position whose predicate holds, and usually few others.
+    lowered once, when the atom and the context were built). Tags are
+    facts, ("kind", tag) or ("mime", tag): a single tag is keyed by its
+    fact and a pair by the frozenset of its two facts, and both are looked
+    up from the context's own distinct facts and each unordered pair of
+    them. The result holds every position whose predicate holds, and
+    usually few others.
     """
 
     def __init__(self, exprs: Iterable[PredicateExpr]) -> None:
         needles: dict[str, set[int]] = {}
         patterns: dict[Matches, set[int]] = {}
-        kinds: dict[str, set[int]] = {}
-        mimes: dict[str, set[int]] = {}
+        tags: dict[object, set[int]] = {}
         always: list[int] = []
         for position, expr in enumerate(exprs):
-            atoms = triggers(expr)
-            if not atoms:
+            found = triggers(expr)
+            if not found:
                 always.append(position)
-            for atom in atoms:
-                if isinstance(atom, Contains):
-                    needles.setdefault(atom.lowered_text, set()).add(position)
-                elif isinstance(atom, Matches):
-                    patterns.setdefault(atom, set()).add(position)
-                elif isinstance(atom, Kind):
-                    kinds.setdefault(atom.tag, set()).add(position)
+            for trigger in found:
+                if isinstance(trigger, Contains):
+                    needles.setdefault(trigger.lowered_text, set()).add(position)
+                elif isinstance(trigger, Matches):
+                    patterns.setdefault(trigger, set()).add(position)
+                elif isinstance(trigger, frozenset):
+                    key = frozenset(map(_fact, trigger))
+                    tags.setdefault(key, set()).add(position)
                 else:
-                    mimes.setdefault(atom.tag, set()).add(position)
+                    tags.setdefault(_fact(trigger), set()).add(position)
         self._always = always
         self._needles = list(needles.items())
         self._patterns = [(atom.regex, hits) for atom, hits in patterns.items()]
-        self._kinds = kinds
-        self._mimes = mimes
+        self._tags = tags
 
     def candidates(self, ctx: TaskContext) -> list[int]:
         """Positions, ascending, of every predicate that may hold for ctx."""
@@ -410,8 +444,11 @@ class PredicateIndex:
         for pattern, hits in self._patterns:
             if pattern.search(prompt) is not None:
                 found |= hits
-        for tag in ctx.kind_tags:
-            found |= self._kinds.get(tag, frozenset())
-        for att in ctx.attachments:
-            found |= self._mimes.get(att.mime_tag, frozenset())
+        facts = {("kind", tag) for tag in ctx.kind_tags}
+        facts.update(("mime", att.mime_tag) for att in ctx.attachments)
+        tags = self._tags
+        for fact in facts:
+            found |= tags.get(fact, frozenset())
+        for pair in combinations(facts, 2):
+            found |= tags.get(frozenset(pair), frozenset())
         return sorted(found)

@@ -3,6 +3,8 @@
 A record counts once its newline is written. Readers skip a final line
 without one (a crash mid-append) with a warning, and the next append cuts it
 off. An append holds an exclusive flock from its read of the tail to its fsync.
+The bank reads only the last record there; the replay cache reads every
+record appended since its own last read, so that it records each key once.
 """
 
 from __future__ import annotations
@@ -26,6 +28,19 @@ def read_lines(path: str | Path) -> list[bytes]:
     return lines
 
 
+def _write(fd: int, complete: int, size: int, line: str) -> int:
+    """Cut a torn tail back to byte complete, then append line and its newline durably.
+
+    Returns the new end of the file.
+    """
+    data = (line + "\n").encode("utf-8")
+    if complete != size:
+        os.ftruncate(fd, complete)
+    os.write(fd, data)
+    os.fsync(fd)
+    return complete + len(data)
+
+
 def append(path: str | Path, make_line: Callable[[bytes | None], str]) -> None:
     """Append make_line(last complete line or None), a record without its newline.
 
@@ -46,10 +61,30 @@ def append(path: str | Path, make_line: Callable[[bytes | None], str]) -> None:
                 break
             window *= 2
         last = tail[prev_newline + 1:end] if end != -1 else None
-        line = (make_line(last) + "\n").encode("utf-8")
-        if end + 1 != len(tail):  # a torn tail: cut it at the last newline
-            os.ftruncate(fd, start + end + 1)
-        os.write(fd, line)
-        os.fsync(fd)
+        _write(fd, start + end + 1, size, make_line(last))
+    finally:
+        os.close(fd)
+
+
+def append_unless_seen(
+    path: str | Path, offset: int, make_line: Callable[[list[bytes]], str | None]
+) -> int:
+    """Append make_line(the complete lines from byte offset on) unless it returns None.
+
+    offset is where the caller's last read ended, so make_line sees exactly
+    the records other writers appended since, and can decide under the lock
+    whether its own record is still needed. Returns the offset just past the
+    last complete line, the appended one included.
+    """
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        size = os.fstat(fd).st_size
+        if offset > size:  # the file was replaced by a shorter one: all of it is new
+            offset = 0
+        new = os.pread(fd, size - offset, offset)
+        complete = offset + new.rfind(b"\n") + 1
+        line = make_line(new[: complete - offset].split(b"\n")[:-1])
+        return complete if line is None else _write(fd, complete, size, line)
     finally:
         os.close(fd)

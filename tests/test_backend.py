@@ -22,6 +22,7 @@ from mesa.backend import (
 )
 from mesa.bench import BenchmarkItem, SliceName, condition_by_name
 from mesa.cards import CardRegistry
+from mesa.context import TaskContext
 from mesa.errors import (
     MissingSignalError,
     RemoteBackendError,
@@ -479,6 +480,72 @@ def test_two_processes_recording_into_one_cache_lose_nothing(tmp_path):
     for prefix in ("a", "b"):
         for i in range(150):
             assert replayer.probe_signal(make_ctx(), f"{prefix}{i}") == i / 1000
+
+
+_RACER = """
+import sys
+from mesa.backend import CachedBackend
+from mesa.context import TaskContext
+
+class Inner:
+    def self_confidence(self, ctx):
+        return float(sys.argv[2])
+
+cache = CachedBackend(Inner(), sys.argv[1])
+print("ready", flush=True)
+sys.stdin.readline()
+print(cache.self_confidence(TaskContext(prompt="please do the task")), flush=True)
+"""
+
+
+def test_racing_recorders_keep_one_row_and_return_what_replay_returns(tmp_path):
+    # Both recorders open the file before either records, so both miss on the
+    # key and call their inner backend; the second to take the lock finds the
+    # first's row, returns it and appends nothing.
+    path = tmp_path / "cache.jsonl"
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _RACER, str(path), inner],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for inner in ("0.1", "0.2")
+    ]
+    try:
+        for proc in procs:
+            assert proc.stdout.readline() == "ready\n"
+        for proc in procs:
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+        returned = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+            returned.append(float(out))
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert len(rows) == 1 and rows[0]["value"] in (0.1, 0.2)
+    replayed = CachedBackend(None, path).self_confidence(TaskContext(prompt="please do the task"))
+    assert returned == [replayed, replayed]
+
+
+def test_recorder_returns_a_row_another_recorder_appended_since_it_opened(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    _record_then_tear(path, "fragment")
+    first = CachedBackend(DictBackend(probes={"c": 0.1, "d": 0.3}), path)
+    second = CachedBackend(DictBackend(probes={"c": 0.2, "e": 0.4}), path)
+    assert first.probe_signal(make_ctx(), "c") == 0.1
+    assert second.probe_signal(make_ctx(), "c") == 0.1
+    assert second.probe_signal(make_ctx(), "e") == 0.4
+    assert first.probe_signal(make_ctx(), "d") == 0.3
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert [json.loads(line)["value"] for line in lines[:-1]] == [0.7, 0.4, 0.1, 0.4, 0.3]
+    replayer = CachedBackend(None, path)
+    for card, value in (("c", 0.1), ("d", 0.3), ("e", 0.4)):
+        assert replayer.probe_signal(make_ctx(), card) == value
 
 
 @pytest.mark.parametrize(

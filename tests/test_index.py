@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mesa.cards import CardRegistry
 from mesa.context import Attachment, TaskContext
 from mesa.dsl import (
+    MAX_OPERATORS,
     And,
     Contains,
     Kind,
@@ -21,6 +22,7 @@ from mesa.dsl import (
     Or,
     PredicateExpr,
     eval_predicate,
+    parse_predicate,
     triggers,
 )
 
@@ -56,13 +58,35 @@ _trap_predicates = st.recursive(
 _trap_contexts = st.builds(
     TaskContext,
     prompt=st.text(alphabet=st.sampled_from(list(_CASE_TRAPS + "abx ")), min_size=1, max_size=12),
-    kind_tags=st.frozensets(st.sampled_from(_TAGS), max_size=3),
+    # "html" and "csv" are also drawn as kind tags, so kind:x and mime:x meet.
+    kind_tags=st.frozensets(st.sampled_from(_TAGS + _MIMES[:2]), max_size=3),
     attachments=st.lists(
         st.builds(Attachment, mime_tag=st.sampled_from(_MIMES)), max_size=2
     ).map(tuple),
 )
 
-_any_predicates = st.one_of(_predicates, _trap_predicates)
+_tag_atoms = st.one_of(st.sampled_from(_TAGS).map(Kind), st.sampled_from(_MIMES).map(Mime))
+# ANDs of tag atoms, ORs of them on either side, duplicate tags, and
+# kind:x AND mime:x, which are two different facts.
+_tag_sides = st.one_of(
+    _tag_atoms, st.tuples(_tag_atoms, _tag_atoms).map(lambda lr: Or(*lr))
+)
+_tag_pairs = st.one_of(
+    st.tuples(_tag_sides, _tag_sides).map(lambda lr: And(*lr)),
+    _tag_atoms.map(lambda atom: And(atom, atom)),
+    st.sampled_from(_TAGS + _MIMES).map(lambda tag: And(Kind(tag), Mime(tag))),
+)
+_pair_predicates = st.recursive(
+    _tag_pairs,
+    lambda children: st.one_of(
+        st.tuples(children, st.one_of(children, _trap_atoms)).map(lambda lr: And(*lr)),
+        st.tuples(st.one_of(children, _trap_atoms), children).map(lambda lr: Or(*lr)),
+        children.map(Not),
+    ),
+    max_leaves=4,
+)
+
+_any_predicates = st.one_of(_predicates, _trap_predicates, _pair_predicates)
 _any_contexts = st.one_of(_contexts, _trap_contexts)
 
 
@@ -94,10 +118,21 @@ def test_index_matching_equals_full_scan(exprs, contexts):
 @settings(max_examples=300, deadline=None)
 @given(_any_predicates, _any_contexts)
 def test_triggers_are_sound(expr, ctx):
-    atoms = triggers(expr)
-    assert all(isinstance(atom, (Contains, Matches, Kind, Mime)) for atom in atoms)
-    if atoms and eval_predicate(expr, ctx):
-        assert any(eval_predicate(atom, ctx) for atom in atoms)
+    found = triggers(expr)
+    for trigger in found:
+        if isinstance(trigger, frozenset):  # a pair of two distinct tag atoms
+            assert len(trigger) == 2 and all(isinstance(a, (Kind, Mime)) for a in trigger)
+        else:
+            assert isinstance(trigger, (Contains, Matches, Kind, Mime))
+    if found and eval_predicate(expr, ctx):
+        assert any(_holds(trigger, ctx) for trigger in found)
+
+
+def _holds(trigger, ctx: TaskContext) -> bool:
+    """An atom holds by eval_predicate; a pair holds iff both of its atoms hold."""
+    if isinstance(trigger, frozenset):
+        return all(eval_predicate(atom, ctx) for atom in trigger)
+    return eval_predicate(trigger, ctx)
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,10 +189,34 @@ def test_trigger_choice():
     # AND takes the tag-free side, then the smaller set, then the left side.
     assert triggers(And(tag, word)) == {word}
     assert triggers(And(Or(word, other), Contains("u"))) == {Contains("u")}
-    assert triggers(And(tag, mime)) == {tag}
     assert triggers(And(Not(word), mime)) == {mime}
-    assert triggers(Or(word, And(tag, mime))) == {word, tag}
     assert triggers(Or(word, Not(other))) == frozenset()
+    # An AND of tag atoms takes the pairwise product, equal atoms collapsing.
+    pair = frozenset({tag, mime})
+    assert triggers(And(tag, mime)) == {pair}
+    assert triggers(Or(word, And(tag, mime))) == {word, pair}
+    assert triggers(And(tag, Kind("doc"))) == {tag}
+    assert triggers(And(Kind("pdf"), mime)) == {frozenset({Kind("pdf"), mime})}
+    assert triggers(And(tag, Or(mime, Kind("x")))) == {pair, frozenset({tag, Kind("x")})}
+    # A pair ranks after tag-free atoms and before a single tag.
+    assert triggers(And(And(tag, mime), word)) == {word}
+    assert triggers(And(Kind("x"), And(tag, mime))) == {pair}
+    # Past |L|*|R| <= |L|+|R| an AND keeps one side: here the smaller.
+    three = Or(Or(Mime("a"), Mime("b")), Mime("c"))
+    assert triggers(And(Or(tag, Kind("x")), three)) == {Kind("doc"), Kind("x")}
+    two = Or(Mime("a"), Mime("b"))
+    assert len(triggers(And(Or(tag, Kind("x")), two))) == 4
+
+
+def test_tag_product_stays_linear_at_the_operator_cap():
+    kinds = " OR ".join(f"kind:k{i}" for i in range(64))
+    mimes = " OR ".join(f"mime:m{i}" for i in range(63))
+    text = f"({kinds}) AND ({mimes})"
+    assert sum(text.split().count(op) for op in ("AND", "OR")) + 2 == MAX_OPERATORS
+    expr = parse_predicate(text)
+    assert len(triggers(expr)) <= 64 + 63
+    one = parse_predicate(f"kind:k AND ({mimes})")
+    assert len(triggers(one)) <= 1 + 63
 
 
 @pytest.mark.parametrize(
@@ -178,6 +237,12 @@ def test_trigger_choice():
         ('contains:"σ"', "ΟΔΟΣ", (), ()),
         ('contains:"Σ" AND mime:pdf', "ΟΔΟΣ", (), ("pdf",)),
         ("kind:doc AND mime:pdf", "p", ("doc",), ("csv",)),
+        ("kind:doc AND mime:pdf", "p", ("doc",), ("pdf",)),
+        ("kind:pdf AND mime:pdf", "p", ("pdf",), ()),
+        ("kind:pdf AND mime:pdf", "p", ("pdf",), ("pdf",)),
+        ("kind:doc AND kind:doc", "p", ("doc",), ()),
+        ("kind:doc AND kind:code", "p", ("doc", "code"), ()),
+        ("mime:csv AND mime:pdf", "p", (), ("pdf", "csv")),
     ],
 )
 def test_index_examples_match_full_scan(apply_when, prompt, kind_tags, mimes):
@@ -205,6 +270,18 @@ def test_index_prunes_cards_that_cannot_match():
     )
     ctx = make_ctx(prompt="Current STOCK price", kind_tags=("doc",))
     assert [card.id for card in registry.candidates(ctx)] == ["word", "negated"]
+
+
+def test_index_skips_a_tag_pair_card_without_the_mime():
+    registry = CardRegistry(
+        cards=(make_card("pair", apply_when='contains:"stock" OR (kind:doc AND mime:pdf)'),)
+    )
+    without = make_ctx(prompt="a plain prompt", kind_tags=("doc",))
+    assert registry.candidates(without) == []
+    both = make_ctx(
+        prompt="a plain prompt", kind_tags=("doc",), attachments=(Attachment(mime_tag="pdf"),)
+    )
+    assert [card.id for card in registry.candidates(both)] == ["pair"]
 
 
 @given(st.lists(_any_predicates, max_size=8), _any_contexts)

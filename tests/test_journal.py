@@ -27,3 +27,28 @@ def test_append_sees_the_last_complete_line_and_cuts_a_torn_tail(tmp_path, befor
     assert seen == [last]
     assert path.read_bytes() == after
     assert journal.read_lines(path) == after.split(b"\n")[:-1]
+
+
+@pytest.mark.parametrize(
+    ("before", "offset", "seen", "record", "after", "end"),
+    [
+        (None, 0, [], "new", b"new\n", 4),
+        (b"a\n", 2, [], "new", b"a\nnew\n", 6),
+        (b"a\nb\nc\n", 2, [b"b", b"c"], "new", b"a\nb\nc\nnew\n", 10),
+        (b"a\nb\nhalf", 2, [b"b"], "new", b"a\nb\nnew\n", 8),
+        (b"a\nb\n", 2, [b"b"], None, b"a\nb\n", 4),
+        (b"a\nhalf", 2, [], None, b"a\nhalf", 2),
+        (b"b\n", 9, [b"b"], "new", b"b\nnew\n", 6),
+    ],
+    ids=["missing", "nothing-new", "new-lines", "torn", "seen", "seen-torn", "replaced"],
+)
+def test_append_unless_seen_shows_the_lines_past_the_offset(
+    tmp_path, before, offset, seen, record, after, end
+):
+    path = tmp_path / "j.jsonl"
+    if before is not None:
+        path.write_bytes(before)
+    shown = []
+    assert journal.append_unless_seen(path, offset, lambda lines: shown.append(lines) or record) == end
+    assert shown == [seen]
+    assert path.read_bytes() == after

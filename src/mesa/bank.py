@@ -28,7 +28,13 @@ from typing import Sequence
 from mesa import journal
 from mesa.cards import CardRegistry
 from mesa.errors import BankCorruptionError, RegistryLookupError, StaleTrustError
-from mesa.router import Outcome, TrajectoryRecord, trajectory_from_dict, trajectory_to_dict
+from mesa.router import (
+    Codec,
+    Outcome,
+    TrajectoryRecord,
+    trajectory_from_dict,
+    trajectory_to_dict,
+)
 
 
 @dataclass(frozen=True)
@@ -66,21 +72,7 @@ class TrustUpdate:
             raise ValueError("a trust update must strictly lower a positive trust")
 
 
-def _entry_to_line(entry: BankEntry, seq: int) -> str:
-    payload = {
-        "recorded_at": seq,
-        "implicated_card": entry.implicated_card,
-        "trajectory": trajectory_to_dict(entry.trajectory),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _entry_from_dict(raw: dict) -> BankEntry:
-    return BankEntry(
-        trajectory=trajectory_from_dict(raw["trajectory"]),
-        implicated_card=raw["implicated_card"],
-        recorded_at=raw["recorded_at"],
-    )
+_ENTRY = Codec(BankEntry, trajectory=(trajectory_to_dict, trajectory_from_dict))
 
 
 def record(entry: BankEntry, bank_path: str | Path) -> int:
@@ -90,6 +82,7 @@ def record(entry: BankEntry, bank_path: str | Path) -> int:
     complete record, so an append costs the same at any bank size. The
     entry's own recorded_at field is ignored and restamped.
     """
+    payload = _ENTRY.encode(entry)
     seq = 0
 
     def make_line(last: bytes | None) -> str:
@@ -102,7 +95,8 @@ def record(entry: BankEntry, bank_path: str | Path) -> int:
             if type(previous) is not int:
                 raise BankCorruptionError(f"{bank_path}: last record has no readable recorded_at")
             seq = previous + 1
-        return _entry_to_line(entry, seq)
+        payload["recorded_at"] = seq
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     journal.append(bank_path, make_line)
     return seq
@@ -114,7 +108,7 @@ def read_bank(path: str | Path) -> list[BankEntry]:
     for index, line in enumerate(journal.read_lines(path)):
         try:
             raw = json.loads(line.decode("utf-8"))
-            entry = _entry_from_dict(raw)
+            entry = _ENTRY.decode(raw)
         except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
             raise BankCorruptionError(f"{path}: damaged record at line {index}: {exc}") from exc
         if entry.recorded_at != index:

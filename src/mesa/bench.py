@@ -26,6 +26,7 @@ from mesa.confidence import DecontaminationConfig
 from mesa.context import Attachment
 from mesa.errors import CoverageError, MesaError, SuiteFormatError
 from mesa.router import (
+    Codec,
     FinalAnswerClass,
     GoldAction,
     Outcome,
@@ -369,6 +370,9 @@ def two_prop_ztest(k1: int, n1: int, k2: int, n2: int) -> ZTestResult:
 
 REPORT_FORMAT_TAG = "routing-bench-results-v1"
 
+_ITEM = Codec(ItemOutcome)
+_CELL_KEYS = {s.value for s in SliceName} | {"overall"}
+
 
 def _text_report(table: ResultsTable) -> str:
     slices = [s.value for s in SliceName]
@@ -402,17 +406,7 @@ def _machine_report(table: ResultsTable) -> str:
         "format": REPORT_FORMAT_TAG,
         "conditions": list(table.conditions),
         "cells": {cond: dict(row) for cond, row in table.cells.items()},
-        "items": [
-            {
-                "condition": it.condition,
-                "item_id": it.item_id,
-                "slice": it.slice,
-                "outcome": it.outcome,
-                "final_class": it.final_class,
-                "diagnostic": it.diagnostic,
-            }
-            for it in table.items
-        ],
+        "items": [_ITEM.encode(it) for it in table.items],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -429,25 +423,44 @@ def emit_report(table: ResultsTable, format: str = "text") -> str:
 
 
 def parse_report(document: str) -> ResultsTable:
-    """Inverse of emit_report for the machine format."""
+    """Inverse of emit_report for the machine format.
+
+    A document that is not a well-formed machine report raises
+    SuiteFormatError naming the first problem found.
+    """
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise SuiteFormatError(f"not a machine-readable report: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != REPORT_FORMAT_TAG:
         raise SuiteFormatError(f"not a {REPORT_FORMAT_TAG} document")
-    return ResultsTable(
-        conditions=tuple(doc["conditions"]),
-        cells={cond: dict(row) for cond, row in doc["cells"].items()},
-        items=tuple(
-            ItemOutcome(
-                condition=raw["condition"],
-                item_id=raw["item_id"],
-                slice=raw["slice"],
-                outcome=raw["outcome"],
-                final_class=raw["final_class"],
-                diagnostic=raw["diagnostic"],
+    missing = {"conditions", "cells", "items"} - set(doc)
+    if missing:
+        raise SuiteFormatError(f"{REPORT_FORMAT_TAG}: missing key(s) {sorted(missing)}")
+    conditions, cells = doc["conditions"], doc["cells"]
+    if not isinstance(conditions, list) or not all(isinstance(c, str) for c in conditions):
+        raise SuiteFormatError(f"{REPORT_FORMAT_TAG}: conditions must be a list of strings")
+    if (
+        len(set(conditions)) != len(conditions)
+        or not isinstance(cells, dict)
+        or set(cells) != set(conditions)
+    ):
+        raise SuiteFormatError(f"{REPORT_FORMAT_TAG}: cells must hold one row per listed condition")
+    for cond, row in cells.items():
+        if (
+            not isinstance(row, dict)
+            or "overall" not in row
+            or not set(row) <= _CELL_KEYS
+            or not all(type(value) in (int, float) for value in row.values())
+        ):
+            raise SuiteFormatError(
+                f"{REPORT_FORMAT_TAG}: cells[{cond!r}] must map overall and slices "
+                "A, B, C to numbers"
             )
-            for raw in doc["items"]
-        ),
-    )
+    if not isinstance(doc["items"], list):
+        raise SuiteFormatError(f"{REPORT_FORMAT_TAG}: items must be a list")
+    try:
+        items = tuple(_ITEM.decode(raw) for raw in doc["items"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SuiteFormatError(f"{REPORT_FORMAT_TAG}: bad item: {type(exc).__name__}: {exc}") from exc
+    return ResultsTable(conditions=tuple(conditions), cells=cells, items=items)

@@ -30,13 +30,18 @@ tool source; then the verify source and the sources of loaded cards that
 pass the gate; then the relevance passes; then the post-offload confidence
 with the answer. Concatenated, the waves list the queries in the order a
 sequential controller would ask them.
+
+Codec declares, once per record type, the JSON object that the failure bank
+and the machine report write and read back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Generic, Mapping, Sequence, TypeVar
 
 from mesa.cards import CardRegistry, SkillCard, effective_trust
 from mesa.confidence import (
@@ -142,8 +147,10 @@ class RoutingConfig:
             raise ValueError("alpha must be in [0, 1]")
         if not 0.0 <= self.trust_gate <= 1.0:
             raise ValueError("trust_gate must be in [0, 1]")
-        if self.cost_lambda < 0.0:
-            raise ValueError("cost_lambda must be >= 0")
+        if not (math.isfinite(self.cost_lambda) and self.cost_lambda >= 0.0):
+            raise ValueError("cost_lambda must be finite and >= 0")
+        if not 0.0 <= self.self_low <= 1.0:
+            raise ValueError("self_low must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -665,87 +672,61 @@ def _run_trajectory(
 # Serialization (used by the failure bank and report tooling)
 
 
-def _action_to_dict(action: Action) -> dict:
-    return {
-        "variant": action.variant.value,
-        "card_id": action.card_id,
-        "utility_direct": action.utility_direct,
-        "utility_offload": action.utility_offload,
-        "cost": action.cost,
-    }
+_Record = TypeVar("_Record")
 
 
-def _action_from_dict(raw: dict) -> Action:
-    return Action(
-        variant=ActionVariant(raw["variant"]),
-        card_id=raw["card_id"],
-        utility_direct=raw["utility_direct"],
-        utility_offload=raw["utility_offload"],
-        cost=raw["cost"],
-    )
+class Codec(Generic[_Record]):
+    """A record's JSON object: one key per field of its dataclass.
+
+    special maps a field name to an (encode, decode) pair; it is needed only
+    for a field whose value is not a plain JSON value (an enum, a nested
+    record, a tuple, a mapping). decode reads exactly the declared keys: a
+    missing key raises KeyError, extra keys are ignored, and the record's
+    own __post_init__ checks run.
+    """
+
+    def __init__(self, cls: type[_Record], **special: tuple[Callable, Callable]) -> None:
+        self._cls = cls
+        self._fields = tuple((f.name, *special.get(f.name, (None, None))) for f in fields(cls))
+
+    def encode(self, obj: _Record) -> dict:
+        return {
+            name: getattr(obj, name) if enc is None else enc(getattr(obj, name))
+            for name, enc, _ in self._fields
+        }
+
+    def decode(self, raw: Mapping) -> _Record:
+        return self._cls(
+            **{name: raw[name] if dec is None else dec(raw[name]) for name, _, dec in self._fields}
+        )
+
+    def many(self) -> tuple[Callable, Callable]:
+        """The (encode, decode) pair of a tuple of these records."""
+        encode, decode = self.encode, self.decode
+        return (
+            lambda objs: [encode(obj) for obj in objs],
+            lambda raws: tuple(decode(raw) for raw in raws),
+        )
 
 
-def _probe_state_to_dict(state: ProbeState) -> dict:
-    return {
-        "card_id": state.card_id,
-        "stage": state.stage.value,
-        "passed": state.passed,
-        "probe_cost_charged": state.probe_cost_charged,
-    }
+def _enum_field(enum: type[Enum]) -> tuple[Callable, Callable]:
+    """The (encode, decode) pair of an enum field: its value and back."""
+    return attrgetter("value"), enum
 
 
-def _probe_state_from_dict(raw: dict) -> ProbeState:
-    return ProbeState(
-        card_id=raw["card_id"],
-        stage=ProbeStage(raw["stage"]),
-        passed=raw["passed"],
-        probe_cost_charged=raw["probe_cost_charged"],
-    )
-
-
-def _decision_to_dict(decision: Decision) -> dict:
-    return {
-        "chosen": _action_to_dict(decision.chosen),
-        "scores": dict(decision.scores),
-        "gated_cards": list(decision.gated_cards),
-        "probe_traces": [_probe_state_to_dict(t) for t in decision.probe_traces],
-    }
-
-
-def _decision_from_dict(raw: dict) -> Decision:
-    return Decision(
-        chosen=_action_from_dict(raw["chosen"]),
-        scores=dict(raw["scores"]),
-        gated_cards=tuple(raw["gated_cards"]),
-        probe_traces=tuple(_probe_state_from_dict(t) for t in raw["probe_traces"]),
-    )
-
-
-def trajectory_to_dict(record: TrajectoryRecord) -> dict:
-    return {
-        "item_id": record.item_id,
-        "condition": record.condition,
-        "decisions": [_decision_to_dict(d) for d in record.decisions],
-        "p_self_pre": record.p_self_pre,
-        "p_self_post_decontaminated": record.p_self_post_decontaminated,
-        "final_answer_class": record.final_answer_class.value,
-        "outcome": record.outcome.value,
-        "terminal_confidence": record.terminal_confidence,
-        "answer": record.answer,
-        "diagnostic": record.diagnostic,
-    }
-
-
-def trajectory_from_dict(raw: dict) -> TrajectoryRecord:
-    return TrajectoryRecord(
-        item_id=raw["item_id"],
-        condition=raw["condition"],
-        decisions=tuple(_decision_from_dict(d) for d in raw["decisions"]),
-        p_self_pre=raw["p_self_pre"],
-        p_self_post_decontaminated=raw["p_self_post_decontaminated"],
-        final_answer_class=FinalAnswerClass(raw["final_answer_class"]),
-        outcome=Outcome(raw["outcome"]),
-        terminal_confidence=raw["terminal_confidence"],
-        answer=raw["answer"],
-        diagnostic=raw["diagnostic"],
-    )
+_ACTION = Codec(Action, variant=_enum_field(ActionVariant))
+_DECISION = Codec(
+    Decision,
+    chosen=(_ACTION.encode, _ACTION.decode),
+    scores=(dict, dict),
+    gated_cards=(list, tuple),
+    probe_traces=Codec(ProbeState, stage=_enum_field(ProbeStage)).many(),
+)
+_TRAJECTORY = Codec(
+    TrajectoryRecord,
+    decisions=_DECISION.many(),
+    final_answer_class=_enum_field(FinalAnswerClass),
+    outcome=_enum_field(Outcome),
+)
+trajectory_to_dict = _TRAJECTORY.encode
+trajectory_from_dict = _TRAJECTORY.decode

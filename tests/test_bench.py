@@ -514,3 +514,49 @@ def test_parse_report_rejects_other_documents():
         parse_report("definitely not json")
     with pytest.raises(SuiteFormatError, match="routing-bench-results-v1"):
         parse_report(json.dumps({"format": "something-else"}))
+
+
+def _report_doc(**changes):
+    doc = json.loads(emit_report(_tiny_table(), "machine"))
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"format": "routing-bench-results-v1", "conditions": [], "cells": {}}, "missing key"),
+        (_report_doc(conditions="full"), "conditions must be a list of strings"),
+        (_report_doc(conditions=["baseline", 7]), "conditions must be a list of strings"),
+        (_report_doc(conditions=["full"]), "one row per listed condition"),
+        (_report_doc(conditions=["full", "full", "baseline"]), "one row per listed condition"),
+        (_report_doc(cells=[]), "one row per listed condition"),
+        (_report_doc(cells={"baseline": {"A": 0.5, "overall": 0.5}, "full": {"A": 1.0}}),
+         r"cells\['full'\]"),
+        (_report_doc(cells={"baseline": {"D": 0.5, "overall": 0.5}, "full": {"overall": 1.0}}),
+         r"cells\['baseline'\]"),
+        (_report_doc(cells={"baseline": {"overall": "x"}, "full": {"overall": 1.0}}),
+         r"cells\['baseline'\]"),
+        (_report_doc(cells={"baseline": {"overall": True}, "full": {"overall": 1.0}}),
+         r"cells\['baseline'\]"),
+        (_report_doc(cells={"baseline": [], "full": {"overall": 1.0}}), r"cells\['baseline'\]"),
+        (_report_doc(items={"condition": "full"}), "items must be a list"),
+        (_report_doc(items=[{"condition": "full"}]), "bad item: KeyError: 'item_id'"),
+        (_report_doc(items=["full"]), "bad item: TypeError"),
+    ],
+    ids=[
+        "no-items", "conditions-text", "conditions-number", "row-missing", "duplicate-condition",
+        "cells-list", "no-overall", "slice-D", "text-cell", "bool-cell", "row-list",
+        "items-object", "item-missing-key", "item-text",
+    ],
+)
+def test_parse_report_rejects_malformed_v1_documents(doc, message):
+    with pytest.raises(SuiteFormatError, match=message):
+        parse_report(json.dumps(doc))
+
+
+def test_parse_report_ignores_extra_item_keys():
+    doc = _report_doc()
+    for raw in doc["items"]:
+        raw["note"] = "added by a later writer"
+    assert parse_report(json.dumps(doc)) == _tiny_table()

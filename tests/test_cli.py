@@ -190,6 +190,23 @@ def test_route_rejects_bad_alpha(capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+def test_route_rejects_a_non_finite_or_negative_lambda(value, capsys):
+    code, out, err = run_cli(
+        "route",
+        "--cards", CARDS,
+        "--backend", "scripted",
+        "--script", SCRIPT,
+        "--suite", SUITE,
+        "--prompt", "anything",
+        "--lambda", value,
+        capsys=capsys,
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "cost_lambda must be finite and >= 0" in err
+
+
 def test_route_unknown_condition(capsys):
     code, _, err = run_cli(
         "route",
@@ -403,6 +420,36 @@ def test_report_rejects_non_report_file(tmp_path, capsys):
     assert "routing-bench-results-v1" in err
 
 
+_GOOD_REPORT = {
+    "format": "routing-bench-results-v1",
+    "conditions": ["full"],
+    "cells": {"full": {"A": 1.0, "overall": 1.0}},
+    "items": [],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {key: value for key, value in _GOOD_REPORT.items() if key != "items"},
+            "missing key(s) ['items']",
+        ),
+        ({**_GOOD_REPORT, "cells": {"full": {"A": "x", "overall": 1.0}}}, "cells['full']"),
+    ],
+    ids=["no-items", "text-cell"],
+)
+def test_report_rejects_a_malformed_v1_document(tmp_path, capsys, doc, message):
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli("report", "--in", str(path), capsys=capsys)
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.startswith("mesa: routing-bench-results-v1: ")
+    assert message in err
+    assert err.count("\n") == 1
+
+
 def test_report_missing_file(capsys):
     code, _, err = run_cli("report", "--in", "/nonexistent/report.json", capsys=capsys)
     assert code == EXIT_IO
@@ -582,6 +629,14 @@ def test_config_out_of_range_value(tmp_path, capsys):
     code, _, err = run_cli("--config", cfg, "cards", "lint", CARDS, capsys=capsys)
     assert code == EXIT_USAGE
     assert "alpha" in err
+
+
+def test_config_non_finite_self_low_is_a_config_error(tmp_path, capsys):
+    cfg = _config(tmp_path, "self_low = nan\n")
+    code, _, err = run_cli("--config", cfg, "cards", "lint", CARDS, capsys=capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("mesa: config error: ")
+    assert "self_low must be in [0, 1]" in err
 
 
 def test_config_missing_file(capsys):

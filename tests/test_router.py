@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -80,6 +81,22 @@ def test_config_defaults_and_validation():
         RoutingConfig(alpha=1.2)
     with pytest.raises(ValueError):
         RoutingConfig(cost_lambda=-0.1)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"cost_lambda": math.nan}, "cost_lambda must be finite and >= 0"),
+        ({"cost_lambda": math.inf}, "cost_lambda must be finite and >= 0"),
+        ({"self_low": math.nan}, "self_low must be in \\[0, 1\\]"),
+        ({"self_low": -0.1}, "self_low must be in \\[0, 1\\]"),
+        ({"self_low": 1.5}, "self_low must be in \\[0, 1\\]"),
+    ],
+    ids=["lambda-nan", "lambda-inf", "self-low-nan", "self-low-negative", "self-low-above-1"],
+)
+def test_config_rejects_non_finite_lambda_and_out_of_range_self_low(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        RoutingConfig(**overrides)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ from typing import Sequence
 
 from mesa import journal
 from mesa.cards import CardRegistry
+from mesa.codec import Codec
 from mesa.errors import BankCorruptionError, RegistryLookupError, StaleTrustError
 from mesa.router import (
-    Codec,
     Outcome,
     TrajectoryRecord,
     trajectory_from_dict,

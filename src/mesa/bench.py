@@ -22,11 +22,11 @@ from typing import Callable, Mapping, Sequence
 
 from mesa.backend import BehaviorScript, ScriptedBackend
 from mesa.cards import CardRegistry
+from mesa.codec import Codec
 from mesa.confidence import DecontaminationConfig
 from mesa.context import Attachment
 from mesa.errors import CoverageError, MesaError, SuiteFormatError
 from mesa.router import (
-    Codec,
     FinalAnswerClass,
     GoldAction,
     Outcome,

@@ -24,26 +24,30 @@ escalation, candidate assembly and selection. run_trajectory wires one
 benchmark item end to end on top of it: offload execution with confidence
 decontamination, and outcome grading against the item's gold label.
 
-Backend queries that do not depend on each other go out together in waves
-(see _gather): self-confidence, tags, every matched card's probe and the
-tool source; then the verify source and the sources of loaded cards that
-pass the gate; then the relevance passes; then the post-offload confidence
-with the answer. Concatenated, the waves list the queries in the order a
-sequential controller would ask them.
+Each backend query goes out in the first wave that has its inputs (see
+_gather), and a scorer is asked only what it reads. Wave 1 holds
+self-confidence, tags, every matched card's probe and, for the dual
+scorer, the tool source. With the probe off the candidate set needs no
+backend answer, so wave 1 also holds the candidates' own queries: the
+sources of the loaded cards that pass the gate, or, for a relevance scorer,
+its relevance passes. Wave 2 holds the verify source when the trap tag asks
+for it and, with the probe on, the loaded cards' sources. The last wave is
+the post-offload confidence with the answer. A backend without gather asks
+the concatenated waves in order.
 
-Codec declares, once per record type, the JSON object that the failure bank
-and the machine report write and read back.
+Codecs (mesa.codec) declare, once per record type, the JSON object that the
+failure bank and the machine report write and read back.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Generic, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from mesa.cards import CardRegistry, SkillCard, effective_trust
+from mesa.codec import NUMBER_DICT, STRING_TUPLE, Codec, enum_field
 from mesa.confidence import (
     TOOL_CHANNEL,
     VERIFY_CHANNEL,
@@ -399,6 +403,39 @@ def _missing_as_none(query: Callable[..., float], *args: object) -> float | None
         return None
 
 
+def _source_queries(
+    backend: "ModelBackend", ctx: TaskContext, channels: Sequence[str]
+) -> list[Callable[[], float | None]]:
+    """One query per source channel; reflection's second pass may go unanswered, as None."""
+    query = backend.source_confidence
+    return [
+        (lambda ch=channel: _missing_as_none(query, ctx, ch))
+        if channel.startswith("relevance2:")
+        else (lambda ch=channel: query(ctx, ch))
+        for channel in channels
+    ]
+
+
+# The candidates every task has, in candidate order, by whether the tags
+# call the task trivial: only STOP's utility differs. Actions are immutable,
+# so every task shares them; LoadSkill candidates follow them.
+_BASE_CANDIDATES: Mapping[bool, tuple[Action, ...]] = {
+    trivial: (
+        Action(ActionVariant.DIRECT, cost=COST_TABLE[ActionVariant.DIRECT]),
+        Action(
+            ActionVariant.STOP,
+            utility_direct=1.0 if trivial else 0.0,
+            cost=COST_TABLE[ActionVariant.STOP],
+        ),
+        Action(ActionVariant.CALL_TOOL, cost=COST_TABLE[ActionVariant.CALL_TOOL]),
+        Action(ActionVariant.VERIFY, cost=COST_TABLE[ActionVariant.VERIFY]),
+    )
+    for trivial in (False, True)
+}
+_BASE_KEYS = tuple(map(score_key, _BASE_CANDIDATES[False]))
+_LOAD_SKILL_COST = COST_TABLE[ActionVariant.LOAD_SKILL]
+
+
 def build_candidates(
     ctx: TaskContext,
     registry: CardRegistry,
@@ -408,6 +445,7 @@ def build_candidates(
     allowed_card_ids: Sequence[str] | None = None,
     *,
     vigilance_enabled: bool = True,
+    relevance_passes: int = 0,
 ) -> tuple[list[Action], ConfidenceVector, tuple[ProbeState, ...]]:
     """Assemble the candidate set, confidence vector, and probe traces.
 
@@ -426,9 +464,18 @@ def build_candidates(
     MissingSignalError rather than score the card from an invented source;
     build them with vigilance_enabled=False for that.
 
-    The backend sees two waves: self-confidence, tags, the probe of every
-    matched card and the tool source; then the verify source (when the trap
-    tag asks for it) and the source of every loaded card that is read.
+    relevance_passes builds for a relevance scorer instead (1 for baseline,
+    2 for reflection), which reads no tool, verify or card source: the only
+    source channels asked are relevance:<key> for each candidate and, on a
+    second pass, relevance2:<key>. The vector's source confidences are then
+    the relevance values answered.
+
+    Each query goes out in the first wave that has its inputs. Wave 1 holds
+    self-confidence, tags, every matched card's probe and the tool source.
+    With the probe off the candidate set needs no backend answer, so wave 1
+    also holds the candidates' own queries: the sources of the cards read,
+    or the relevance passes. Wave 2 holds the verify source (when the trap
+    tag asks for it) and, with the probe on, the sources of the cards read.
     """
     if allowed_card_ids is None:
         active = registry.candidates(ctx)
@@ -436,86 +483,74 @@ def build_candidates(
         active = [registry.get(card_id) for card_id in allowed_card_ids]
     matching = [card for card in active if eval_predicate(card.apply_when, ctx)]
 
-    wave = [lambda: backend.self_confidence(ctx), lambda: backend.self_report_tags(ctx)]
+    head = [lambda: backend.self_confidence(ctx), lambda: backend.self_report_tags(ctx)]
+    # The source channels not asked yet.
+    channels = [] if relevance_passes else [TOOL_CHANNEL]
+    sources: dict[str, float | None] = {}
     if probe_enabled:
-        for card in matching:
-            wave.append(lambda card=card: run_probe(ctx, card, backend, cfg))
-    wave.append(lambda: backend.source_confidence(ctx, TOOL_CHANNEL))
-    p_self, tags, *probed, tool_source = _gather(backend, wave)
+        # Which cards load, and so what the candidates ask, waits on the probes.
+        probes = [lambda card=card: run_probe(ctx, card, backend, cfg) for card in matching]
+        p_self, tags, *values = _gather(
+            backend, head + probes + _source_queries(backend, ctx, channels)
+        )
+        traces = tuple(values[: len(matching)])
+        sources.update(zip(channels, values[len(matching) :]))
+        channels = []
+    else:
+        traces = tuple(ProbeState(card.id, ProbeStage.LOADED) for card in matching)
 
-    # Wave 2 asks the verify source (when the trap tag calls for it) and
-    # the source of every loaded card the gate lets through.
-    channels = [VERIFY_CHANNEL] if "trap" in tags and cfg.trap_verify else []
-    traces: list[ProbeState] = []
-    loaded = []
-    for index, card in enumerate(matching):
-        state = probed[index] if probe_enabled else ProbeState(card.id, ProbeStage.LOADED)
-        traces.append(state)
+    skills = []
+    for card, state in zip(matching, traces):
         if state.stage is ProbeStage.LOADED:
-            loaded.append(card)
+            skills.append(
+                Action(ActionVariant.LOAD_SKILL, card_id=card.id, cost=_LOAD_SKILL_COST)
+            )
             if not vigilance_enabled or _trust_past_gate(card, cfg) is not None:
                 registry.read_body(card.id)
-                channels.append(card.id)
+                if not relevance_passes:
+                    channels.append(card.id)
+    if relevance_passes:
+        keys = [*_BASE_KEYS, *map(score_key, skills)]
+        channels.extend(f"relevance:{key}" for key in keys)
+        if relevance_passes > 1:
+            channels.extend(f"relevance2:{key}" for key in keys)
 
-    stop_utility = 1.0 if "trivial" in tags else 0.0
-    candidates = [
-        Action(ActionVariant.DIRECT, cost=COST_TABLE[ActionVariant.DIRECT]),
-        Action(
-            ActionVariant.STOP,
-            utility_direct=stop_utility,
-            cost=COST_TABLE[ActionVariant.STOP],
-        ),
-        Action(ActionVariant.CALL_TOOL, cost=COST_TABLE[ActionVariant.CALL_TOOL]),
-        Action(ActionVariant.VERIFY, cost=COST_TABLE[ActionVariant.VERIFY]),
-    ]
-    candidates.extend(
-        Action(
-            ActionVariant.LOAD_SKILL,
-            card_id=card.id,
-            cost=COST_TABLE[ActionVariant.LOAD_SKILL],
-        )
-        for card in loaded
-    )
-
-    sources: dict[str, float] = {TOOL_CHANNEL: tool_source, VERIFY_CHANNEL: VERIFY_BASELINE}
-    if channels:
-        values = _gather(
-            backend, [lambda ch=channel: backend.source_confidence(ctx, ch) for channel in channels]
-        )
+    if not probe_enabled:
+        p_self, tags, *values = _gather(backend, head + _source_queries(backend, ctx, channels))
         sources.update(zip(channels, values))
+        channels = []
+    if not relevance_passes and "trap" in tags and cfg.trap_verify:
+        channels.insert(0, VERIFY_CHANNEL)
+    if channels:
+        sources.update(zip(channels, _gather(backend, _source_queries(backend, ctx, channels))))
 
+    if relevance_passes > 1:
+        sources = {channel: value for channel, value in sources.items() if value is not None}
+    elif not relevance_passes:
+        sources.setdefault(VERIFY_CHANNEL, VERIFY_BASELINE)
     cv = ConfidenceVector(p_self=p_self, source_confidences=sources)
-    return candidates, cv, tuple(traces)
+    return [*_BASE_CANDIDATES["trivial" in tags], *skills], cv, traces
 
 
 def _score_relevance(
-    ctx: TaskContext,
-    candidates: Sequence[Action],
-    backend: "ModelBackend",
-    reflect: bool,
+    candidates: Sequence[Action], answered: Mapping[str, float], passes: int
 ) -> list[Decision]:
-    """Baseline decisions from relevance queries, sent as one wave.
+    """Baseline decisions from the relevance values build_candidates asked.
 
-    Reflection adds a second pass whose missing values fall back, key by
-    key, to the first pass.
+    Reflection's second pass falls back, key by key, to the first pass
+    where it went unanswered.
     """
     keys = [score_key(action) for action in candidates]
-    query = backend.source_confidence
-    calls = [lambda key=key: query(ctx, f"relevance:{key}") for key in keys]
-    if reflect:
-        calls.extend(
-            lambda key=key: _missing_as_none(query, ctx, f"relevance2:{key}") for key in keys
-        )
-    values = _gather(backend, calls)
-    relevance = dict(zip(keys, values))
+    relevance = {key: answered[f"relevance:{key}"] for key in keys}
     decisions = [score_baseline(candidates, relevance)]
-    if reflect:
-        second_pass = {
-            key: relevance[key] if value is None else value
-            for key, value in zip(keys, values[len(keys):])
-        }
+    if passes > 1:
+        second_pass = {key: answered.get(f"relevance2:{key}", relevance[key]) for key in keys}
         decisions.append(score_baseline(candidates, second_pass))
     return decisions
+
+
+# Relevance passes of each relevance scorer; the dual scorer asks none.
+_RELEVANCE_PASSES = {"baseline": 1, "reflection": 2}
 
 
 def decide(
@@ -530,8 +565,10 @@ def decide(
 
     Returns the scorer's decisions, the last of which is final (reflection
     makes two; the first carries the probe traces), and the confidence
-    vector they were scored from.
+    vector they were scored from. A relevance scorer reads no source
+    confidence, so its vector carries p_self only.
     """
+    passes = _RELEVANCE_PASSES.get(condition.scorer, 0)
     candidates, cv, traces = build_candidates(
         ctx,
         registry,
@@ -540,11 +577,11 @@ def decide(
         condition.probe_enabled,
         allowed_card_ids,
         vigilance_enabled=condition.vigilance_enabled,
+        relevance_passes=passes,
     )
-    if condition.scorer in ("baseline", "reflection"):
-        decisions = _score_relevance(
-            ctx, candidates, backend, reflect=condition.scorer == "reflection"
-        )
+    if passes:
+        decisions = _score_relevance(candidates, cv.source_confidences, passes)
+        cv = ConfidenceVector(p_self=cv.p_self)
     else:
         decisions = [
             select_action(
@@ -672,61 +709,19 @@ def _run_trajectory(
 # Serialization (used by the failure bank and report tooling)
 
 
-_Record = TypeVar("_Record")
-
-
-class Codec(Generic[_Record]):
-    """A record's JSON object: one key per field of its dataclass.
-
-    special maps a field name to an (encode, decode) pair; it is needed only
-    for a field whose value is not a plain JSON value (an enum, a nested
-    record, a tuple, a mapping). decode reads exactly the declared keys: a
-    missing key raises KeyError, extra keys are ignored, and the record's
-    own __post_init__ checks run.
-    """
-
-    def __init__(self, cls: type[_Record], **special: tuple[Callable, Callable]) -> None:
-        self._cls = cls
-        self._fields = tuple((f.name, *special.get(f.name, (None, None))) for f in fields(cls))
-
-    def encode(self, obj: _Record) -> dict:
-        return {
-            name: getattr(obj, name) if enc is None else enc(getattr(obj, name))
-            for name, enc, _ in self._fields
-        }
-
-    def decode(self, raw: Mapping) -> _Record:
-        return self._cls(
-            **{name: raw[name] if dec is None else dec(raw[name]) for name, _, dec in self._fields}
-        )
-
-    def many(self) -> tuple[Callable, Callable]:
-        """The (encode, decode) pair of a tuple of these records."""
-        encode, decode = self.encode, self.decode
-        return (
-            lambda objs: [encode(obj) for obj in objs],
-            lambda raws: tuple(decode(raw) for raw in raws),
-        )
-
-
-def _enum_field(enum: type[Enum]) -> tuple[Callable, Callable]:
-    """The (encode, decode) pair of an enum field: its value and back."""
-    return attrgetter("value"), enum
-
-
-_ACTION = Codec(Action, variant=_enum_field(ActionVariant))
+_ACTION = Codec(Action, variant=enum_field(ActionVariant))
 _DECISION = Codec(
     Decision,
     chosen=(_ACTION.encode, _ACTION.decode),
-    scores=(dict, dict),
-    gated_cards=(list, tuple),
-    probe_traces=Codec(ProbeState, stage=_enum_field(ProbeStage)).many(),
+    scores=NUMBER_DICT,
+    gated_cards=STRING_TUPLE,
+    probe_traces=Codec(ProbeState, stage=enum_field(ProbeStage)).many(),
 )
 _TRAJECTORY = Codec(
     TrajectoryRecord,
     decisions=_DECISION.many(),
-    final_answer_class=_enum_field(FinalAnswerClass),
-    outcome=_enum_field(Outcome),
+    final_answer_class=enum_field(FinalAnswerClass),
+    outcome=enum_field(Outcome),
 )
 trajectory_to_dict = _TRAJECTORY.encode
 trajectory_from_dict = _TRAJECTORY.decode

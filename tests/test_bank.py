@@ -193,6 +193,36 @@ def test_sequence_mismatch_is_corruption(bank_path):
         read_bank(bank_path)
 
 
+def _damage(bank_path, path, value):
+    """Set one field, named by its key path, of the bank's only record."""
+    raw = json.loads(bank_path.read_text(encoding="utf-8"))
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bank_path.write_text(json.dumps(raw) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("recorded_at",), True, "field recorded_at: expected int, got bool"),
+        (("trajectory", "terminal_confidence"), "0.9", "field trajectory.terminal_confidence:"),
+        (("trajectory", "answer"), 42, "field trajectory.answer: expected str or null, got int"),
+        (("trajectory", "decisions", 0, "chosen", "cost"), None, r"decisions\[0\]\.chosen\.cost"),
+        (("trajectory", "decisions", 0, "gated_cards"), "c", r"decisions\[0\]\.gated_cards"),
+        (("trajectory", "decisions", 0, "scores", "LOAD_SKILL:c"), "high", r"decisions\[0\]\.scores"),
+        (("trajectory", "decisions", 0, "chosen", "variant"), "fly", r"chosen\.variant: 'fly'"),
+        (("trajectory", "decisions"), {}, "field trajectory.decisions: expected a list"),
+    ],
+)
+def test_a_field_of_the_wrong_type_is_corruption_naming_it(bank_path, path, value, message):
+    record(make_entry(), bank_path)
+    _damage(bank_path, path, value)
+    with pytest.raises(BankCorruptionError, match=f"line 0: .*{message}"):
+        read_bank(bank_path)
+
+
 # ---------------------------------------------------------------------------
 # Hypercorrection rule
 

@@ -518,6 +518,36 @@ def test_bank_show_corrupt_file(tmp_path, capsys):
     assert "damaged record" in err
 
 
+@pytest.mark.parametrize("command", ["show", "correct"])
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        (None, ["c0"], "implicated_card"),
+        (None, 5, "implicated_card"),
+        ("p_self_pre", "zz", "trajectory.p_self_pre"),
+        ("item_id", 7, "trajectory.item_id"),
+    ],
+)
+def test_bank_commands_reject_a_field_of_the_wrong_type(tmp_path, capsys, command, key, value, field):
+    bank = _seed_bank(tmp_path, count=1)
+    raw = json.loads(bank.read_text(encoding="utf-8"))
+    if key is None:
+        raw["implicated_card"] = value
+    else:
+        raw["trajectory"][key] = value
+    bank.write_text(json.dumps(raw) + "\n", encoding="utf-8")
+    if command == "show":
+        argv = ["bank", "show", str(bank)]
+    else:
+        cards = _bank_cards(tmp_path)
+        argv = ["bank", "correct", "--bank", str(bank), "--cards", str(cards), "--dry-run"]
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"damaged record at line 0: field {field}: expected " in err
+
+
 def test_bank_correct_dry_run_leaves_cards_alone(tmp_path, capsys):
     bank = _seed_bank(tmp_path, count=1)
     cards = _bank_cards(tmp_path)

@@ -21,6 +21,7 @@ from mesa.dsl import (
     Not,
     Or,
     PredicateExpr,
+    PredicateIndex,
     eval_predicate,
     parse_predicate,
     triggers,
@@ -312,6 +313,25 @@ def test_body_loader_copy_builds_the_index_once(monkeypatch):
     assert copy.candidates(ctx) == registry.candidates(ctx) == list(registry.cards)
     assert registry.with_body_loader(lambda card: "again").candidates(ctx) == list(registry.cards)
     assert builds == [1]
+
+
+def test_index_walks_each_shared_tree_once(monkeypatch):
+    import mesa.dsl
+
+    walked = []
+    real = mesa.dsl.triggers
+
+    def counting(expr):
+        walked.append(expr)
+        return real(expr)
+
+    monkeypatch.setattr(mesa.dsl, "triggers", counting)
+    shared, other = parse_predicate('contains:"task"'), parse_predicate("kind:doc")
+    equal_but_distinct = parse_predicate('contains:"task"')
+    index = PredicateIndex([shared, other, shared, equal_but_distinct, shared])
+    assert sorted(map(id, walked)) == sorted(map(id, [shared, other, equal_but_distinct]))
+    assert index.candidates(make_ctx()) == [0, 1, 2, 3, 4]
+    assert index.candidates(make_ctx(prompt="none", kind_tags=())) == []
 
 
 def test_eval_matrix_never_builds_the_index(monkeypatch, shipped_suite, shipped_script):

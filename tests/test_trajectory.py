@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import math
+import shutil
+from pathlib import Path
+
 import pytest
 
 import mesa.bench
-from mesa.backend import ScriptedBackend
-from mesa.bench import BenchmarkItem, SliceName, condition_by_name, emit_report, run_matrix
+from mesa.backend import CachedBackend, RemoteConfig, ScriptedBackend
+from mesa.bench import (
+    CONDITIONS,
+    BenchmarkItem,
+    SliceName,
+    condition_by_name,
+    emit_report,
+    run_matrix,
+)
 from mesa.cards import CardRegistry
 from mesa.errors import MesaError
 from mesa.probe import ProbeStage
@@ -423,7 +434,7 @@ def test_wave_failure_diagnostic_is_the_in_order_one():
     assert reordered.diagnostic == in_order.diagnostic
 
 
-@pytest.mark.parametrize("condition", ["full", "reflection"])
+@pytest.mark.parametrize("condition", ["full", "reflection", "baseline", "no_probe"])
 def test_waves_ask_the_in_order_queries(condition):
     def setup():
         card, backend, item = _skill_setup(source_trust=0.95)
@@ -442,6 +453,117 @@ def test_waves_ask_the_in_order_queries(condition):
     assert in_order.diagnostic is None
     assert reordered == in_order
     assert sorted(wave_backend.calls, key=repr) == sorted(backend.calls, key=repr)
+
+
+class RoundTrips:
+    """A backend that counts the round trips a remote backend would wait on.
+
+    A wave of n queries takes ceil(n / max_concurrent) round trips, at
+    RemoteConfig's default of requests in flight; a query outside a wave
+    takes one. Every source channel asked is kept.
+    """
+
+    IN_FLIGHT = RemoteConfig(endpoint="", auth_env="", model="").max_concurrent
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.round_trips = 0
+        self.channels: list[str] = []
+        self._in_wave = False
+
+    def __getattr__(self, op):  # the five queries
+        query = getattr(self._inner, op)
+
+        def counted(ctx, *args):
+            self.round_trips += not self._in_wave
+            if op == "source_confidence":
+                self.channels.append(args[0])
+            return query(ctx, *args)
+
+        return counted
+
+    def gather(self, calls):
+        self.round_trips += math.ceil(len(calls) / self.IN_FLIGHT)
+        self._in_wave = True
+        try:
+            return [call() for call in calls]
+        finally:
+            self._in_wave = False
+
+
+# The most round trips any shipped trajectory waits on, per condition.
+ROUND_TRIP_BUDGET = {
+    "baseline": 4,
+    "reflection": 5,
+    "no_probe": 3,
+    "no_vigilance": 4,
+    "no_decontam": 3,
+    "no_dualconf": 3,
+    "full": 3,
+}
+
+
+def _route_shipped(suite, registry, script):
+    """Each shipped (condition, item) routed through a RoundTrips backend."""
+    for condition in CONDITIONS:
+        scripted = ScriptedBackend(script, suite, condition.name.value)
+        for item in suite:
+            backend = RoundTrips(scripted)
+            record = run_trajectory(item, registry, backend, CFG, condition)
+            assert record.diagnostic is None
+            yield condition, item, backend
+
+
+def test_round_trips_per_condition_stay_within_budget(
+    shipped_suite, shipped_registry, shipped_script
+):
+    worst: dict[str, int] = {}
+    for condition, _, backend in _route_shipped(shipped_suite, shipped_registry, shipped_script):
+        name = condition.name.value
+        worst[name] = max(worst.get(name, 0), backend.round_trips)
+    assert worst == ROUND_TRIP_BUDGET
+
+
+def test_relevance_scorers_ask_only_relevance_channels(
+    shipped_suite, shipped_registry, shipped_script
+):
+    # The dual scorer on the same items asks the tool, verify and card sources,
+    # so the relevance scorers' silence on them is not vacuous.
+    dual_asked: set[str] = set()
+    for condition, item, backend in _route_shipped(
+        shipped_suite, shipped_registry, shipped_script
+    ):
+        if condition.scorer == "dual":
+            dual_asked.update(backend.channels)
+            continue
+        passes = ("relevance:", "relevance2:")[: 2 if condition.scorer == "reflection" else 1]
+        unread = [ch for ch in backend.channels if not ch.startswith(passes)]
+        assert unread == [], f"{condition.name.value}/{item.id} asked {unread}"
+    assert {"__tool__", "__verify__"} <= dual_asked
+    assert any(ch in shipped_registry for ch in dual_asked)
+
+
+def test_a_cache_recorded_with_every_source_still_replays_strictly(
+    tmp_path, shipped_suite, shipped_registry, shipped_script
+):
+    # Recorded over every condition while the relevance scorers still asked
+    # the tool, verify and card sources, so it holds more keys than a route
+    # asks now; one item of each suite group.
+    cache = tmp_path / "cache.jsonl"
+    shutil.copyfile(Path(__file__).parent / "data" / "replay_cache_all_sources.jsonl", cache)
+    recorded_ids = {"a_fact_00", "a_live_00", "b_gate_00", "b_html_00", "b_belt_00",
+                    "c_triv_00", "c_trap_00"}
+    items = [item for item in shipped_suite if item.id in recorded_ids]
+    assert len(items) == len(recorded_ids)
+    before = cache.read_bytes()
+    replay = CachedBackend(None, cache)
+    for condition in CONDITIONS:
+        scripted = ScriptedBackend(shipped_script, shipped_suite, condition.name.value)
+        for item in items:
+            replayed = run_trajectory(item, shipped_registry, replay, CFG, condition)
+            assert replayed.diagnostic is None
+            assert replayed == run_trajectory(item, shipped_registry, scripted, CFG, condition)
+    assert cache.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def read_bank(path: str | Path) -> list[BankEntry]:
         try:
             raw = json.loads(line.decode("utf-8"))
             entry = _ENTRY.decode(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
             raise BankCorruptionError(f"{path}: damaged record at line {index}: {exc}") from exc
         if entry.recorded_at != index:
             raise BankCorruptionError(

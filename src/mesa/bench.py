@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -107,16 +107,7 @@ def condition_by_name(name: str) -> Condition:
 # ---------------------------------------------------------------------------
 # Suite loading
 
-_ITEM_FIELDS = {
-    "id",
-    "slice",
-    "prompt",
-    "kind_tags",
-    "attachments",
-    "injected_card_ids",
-    "gold_action",
-    "gold_answer",
-}
+_ITEM_FIELDS = {f.name for f in fields(BenchmarkItem)}
 
 
 def _parse_attachment(raw: object, where: str) -> Attachment:
@@ -461,6 +452,6 @@ def parse_report(document: str) -> ResultsTable:
         raise SuiteFormatError(f"{REPORT_FORMAT_TAG}: items must be a list")
     try:
         items = tuple(_ITEM.decode(raw) for raw in doc["items"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SuiteFormatError(f"{REPORT_FORMAT_TAG}: bad item: {type(exc).__name__}: {exc}") from exc
+    except TypeError as exc:
+        raise SuiteFormatError(f"{REPORT_FORMAT_TAG}: bad item: {exc}") from exc
     return ResultsTable(conditions=tuple(conditions), cells=cells, items=items)

@@ -4,8 +4,8 @@ Codec(cls, **special) takes its keys from the dataclass fields of cls. A
 field whose value is a plain JSON value (a string, a number, a bool or null)
 needs no declaration: decode checks it against the field's type hint. Any
 other field (an enum, a nested record, a tuple, a mapping) is declared with
-an (encode, decode) pair. A value of the wrong type raises a TypeError that
-names the field's path from the record down, for example
+an (encode, decode) pair. A missing key or a value of the wrong type raises a
+TypeError that names the field's path from the record down, for example
 "field decisions[0].chosen.cost: expected number, got str".
 """
 
@@ -20,18 +20,18 @@ from typing import Callable, Generic, Mapping, TypeVar, Union, get_args, get_ori
 _Record = TypeVar("_Record")
 
 
-class _FieldTypeError(TypeError):
-    """A decoded record field whose JSON value does not have the declared type."""
+class _FieldError(TypeError):
+    """A decoded record field that is missing or does not have the declared type."""
 
     def __init__(self, field: str, problem: str) -> None:
         super().__init__(f"field {field}: {problem}")
         self.field = field
         self.problem = problem
 
-    def under(self, parent: str) -> "_FieldTypeError":
+    def under(self, parent: str) -> "_FieldError":
         """The same problem, with the field named from parent down."""
         joint = "" if self.field.startswith("[") else "."
-        return _FieldTypeError(f"{parent}{joint}{self.field}", self.problem)
+        return _FieldError(f"{parent}{joint}{self.field}", self.problem)
 
 
 def _plain_type(hint: object) -> tuple[tuple[type, ...], str]:
@@ -50,11 +50,11 @@ class Codec(Generic[_Record]):
 
     special maps a field name to an (encode, decode) pair; it is needed only
     for a field whose value is not a plain JSON value. decode reads exactly
-    the declared keys: a missing key raises KeyError, extra keys are
-    ignored, and the record's own __post_init__ checks run. A plain field
-    must hold a value of its declared type (a bool is no number) and a
-    special one must decode; otherwise decode raises a TypeError naming the
-    field's path.
+    the declared keys, extra keys are ignored, and the record's own
+    __post_init__ checks run. Each key must be present, a plain field must
+    hold a value of its declared type (a bool is no number) and a special
+    one must decode; otherwise decode raises a TypeError naming the field's
+    path.
     """
 
     def __init__(self, cls: type[_Record], **special: tuple[Callable, Callable]) -> None:
@@ -80,19 +80,22 @@ class Codec(Generic[_Record]):
             )
         values = {}
         for name, dec, accepted, expected in self._decoders:
-            value = raw[name]
+            try:
+                value = raw[name]
+            except KeyError:
+                raise _FieldError(name, "missing") from None
             if dec is not None:
                 try:
                     value = dec(value)
-                except _FieldTypeError as exc:
+                except _FieldError as exc:
                     raise exc.under(name) from None
                 except (TypeError, ValueError) as exc:
-                    raise _FieldTypeError(name, str(exc)) from exc
+                    raise _FieldError(name, str(exc)) from exc
             elif not isinstance(value, accepted) or (
                 type(value) is bool and bool not in accepted
             ):
                 got = "null" if value is None else type(value).__name__
-                raise _FieldTypeError(name, f"expected {expected}, got {got}")
+                raise _FieldError(name, f"expected {expected}, got {got}")
             values[name] = value
         return self._cls(**values)
 
@@ -105,7 +108,7 @@ class Codec(Generic[_Record]):
             for index, raw in enumerate(_json_list(raws)):
                 try:
                     records.append(decode(raw))
-                except _FieldTypeError as exc:
+                except _FieldError as exc:
                     raise exc.under(f"[{index}]") from None
             return tuple(records)
 

@@ -2,9 +2,9 @@
 
 A matched card does not become a LoadSkill candidate until a cheap probe says
 the load is worth it. The probe is one decision per matched card, load or
-skip, and it is a conjunction: the card's cheap_probe predicate must hold on
-the context AND the backend's probe signal must report parametric
-insufficiency (probe confidence below self_low + PROBE_SLACK).
+skip, and it is a short-circuit conjunction: the card's cheap_probe predicate
+must hold on the context, and only then is the backend's probe signal asked
+whether it reports parametric insufficiency (below self_low + PROBE_SLACK).
 
 run_probe returns the card's terminal state, Loaded or Skipped, charged
 PROBE_COST. Conditions that disable the probe load every matched card
@@ -66,12 +66,12 @@ def run_probe(
     """Probe one matched card: Loaded if it passes, else Skipped; charges PROBE_COST.
 
     Passes only when the card's cheap_probe predicate holds and the backend's
-    probe signal reports parametric insufficiency for this card. The signal is
-    queried even when the predicate fails.
+    probe signal then reports parametric insufficiency for this card. A failed
+    predicate already decides Skipped, so its card's signal is never asked.
     """
-    predicate_holds = eval_predicate(card.cheap_probe, ctx)
-    probe_p_self = backend.probe_signal(ctx, card.id)
-    passed = predicate_holds and probe_p_self < cfg.self_low + PROBE_SLACK
+    passed = eval_predicate(card.cheap_probe, ctx) and (
+        backend.probe_signal(ctx, card.id) < cfg.self_low + PROBE_SLACK
+    )
     return ProbeState(
         card_id=card.id,
         stage=ProbeStage.LOADED if passed else ProbeStage.SKIPPED,

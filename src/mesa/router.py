@@ -26,14 +26,14 @@ decontamination, and outcome grading against the item's gold label.
 
 Each backend query goes out in the first wave that has its inputs (see
 _gather), and a scorer is asked only what it reads. Wave 1 holds
-self-confidence, tags, every matched card's probe and, for the dual
-scorer, the tool source. With the probe off the candidate set needs no
-backend answer, so wave 1 also holds the candidates' own queries: the
-sources of the loaded cards that pass the gate, or, for a relevance scorer,
-its relevance passes. Wave 2 holds the verify source when the trap tag asks
-for it and, with the probe on, the loaded cards' sources. The last wave is
-the post-offload confidence with the answer. A backend without gather asks
-the concatenated waves in order.
+self-confidence, tags, every matched card's probe (which asks the backend only
+when the card's cheap_probe holds) and, for the dual scorer, the tool source.
+With the probe off the candidate set needs no backend answer, so wave 1 also
+holds the candidates' own queries: the sources of the loaded cards that pass
+the gate, or, for a relevance scorer, its relevance passes. Wave 2 holds the
+verify source when the trap tag asks for it and, with the probe on, the loaded
+cards' sources. The last wave is the post-offload confidence with the answer.
+A backend without gather asks the concatenated waves in order.
 
 Codecs (mesa.codec) declare, once per record type, the JSON object that the
 failure bank and the machine report write and read back.
@@ -471,7 +471,8 @@ def build_candidates(
     the relevance values answered.
 
     Each query goes out in the first wave that has its inputs. Wave 1 holds
-    self-confidence, tags, every matched card's probe and the tool source.
+    self-confidence, tags, every matched card's probe and the tool source;
+    run_probe asks a probe signal only of a card whose cheap_probe holds.
     With the probe off the candidate set needs no backend answer, so wave 1
     also holds the candidates' own queries: the sources of the cards read,
     or the relevance passes. Wave 2 holds the verify source (when the trap

@@ -933,6 +933,33 @@ def test_wave_stops_sending_after_the_first_failure(auth_env, no_sleep):
     assert str(waves.value) == str(in_order.value)
 
 
+def test_a_failed_cheap_probe_sends_no_request_from_its_wave(auth_env):
+    # Both cards match; only "html_fix"'s cheap_probe fails on this context,
+    # so its probe finishes in wave 1 without a request.
+    item = BenchmarkItem(
+        id="w2",
+        slice=SliceName.A,
+        prompt="please do the task",
+        kind_tags=frozenset({"doc"}),
+        attachments=(),
+        injected_card_ids=("helper", "html_fix"),
+        gold_action=GoldAction.DIRECT,
+        gold_answer="ok",
+    )
+    registry = CardRegistry(
+        cards=(make_card("helper"), make_card("html_fix", cheap_probe="mime:html"))
+    )
+    transport = InFlightTransport(hold=1, wait_s=0.0)
+    record = run_trajectory(item, registry, _remote(transport), RoutingConfig(),
+                            condition_by_name("full"))
+    assert record.diagnostic is None
+    probes = [prompt for prompt in transport.prompts if "Without loading the skill" in prompt]
+    assert len(probes) == 1 and "'helper'" in probes[0]
+    assert [(t.card_id, t.passed) for t in record.decisions[0].probe_traces] == [
+        ("helper", True), ("html_fix", False)
+    ]
+
+
 def test_gather_under_contention_keeps_the_in_order_failure(auth_env):
     backend = _remote(lambda *a: _ok_response("confidence: 0.5"), max_concurrent=8)
     interval = sys.getswitchinterval()

@@ -11,6 +11,7 @@ import pytest
 from mesa.backend import CachedBackend
 from mesa.bank import BankEntry, record
 from mesa.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _load_settings, dispatch
+from mesa.dsl import eval_predicate
 from mesa.fixtures import fixture_path
 from mesa.router import context_for_item
 
@@ -374,6 +375,34 @@ def test_eval_coverage_gap_is_domain_error(capsys):
     assert "coverage check failed" in err
 
 
+def test_eval_coverage_still_requires_the_probe_row_of_a_card_never_probed(
+    tmp_path, capsys, shipped_suite, shipped_registry
+):
+    # A card whose cheap_probe fails on its item is Skipped without its probe
+    # signal being asked, yet the coverage check still requires that row, so
+    # a gap in the script fails every run rather than only the ones that ask.
+    item, card_id = next(
+        (item, card_id)
+        for item in shipped_suite
+        for card_id in item.injected_card_ids
+        if not eval_predicate(shipped_registry.get(card_id).cheap_probe, context_for_item(item))
+    )
+    doc = json.loads(fixture_path("script.json").read_text(encoding="utf-8"))
+    kept = [
+        row for row in doc["rows"]
+        if not (row["item"] == item.id and row["key"] == f"probe:{card_id}")
+    ]
+    assert len(kept) < len(doc["rows"])
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"rows": kept}), encoding="utf-8")
+    code, out, err = run_cli("eval", "--suite", SUITE, "--cards", CARDS, "--script", str(script),
+                             capsys=capsys)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "coverage check failed" in err
+    assert f"{item.id}/full: probe:{card_id}" in err
+
+
 def test_eval_mini_suite_decontamination_contrast(capsys):
     args = (
         "eval",
@@ -546,6 +575,30 @@ def test_bank_commands_reject_a_field_of_the_wrong_type(tmp_path, capsys, comman
     assert out == ""
     assert err.count("\n") == 1
     assert f"damaged record at line 0: field {field}: expected " in err
+
+
+@pytest.mark.parametrize(
+    "path, field",
+    [
+        (("trajectory", "decisions", 0, "chosen", "cost"), "trajectory.decisions[0].chosen.cost"),
+        (("trajectory", "decisions", 0, "probe_traces"), "trajectory.decisions[0].probe_traces"),
+        (("trajectory", "outcome"), "trajectory.outcome"),
+        (("implicated_card",), "implicated_card"),
+    ],
+)
+def test_bank_show_names_a_missing_field(tmp_path, capsys, path, field):
+    bank = _seed_bank(tmp_path, count=1)
+    raw = json.loads(bank.read_text(encoding="utf-8"))
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    bank.write_text(json.dumps(raw) + "\n", encoding="utf-8")
+    code, out, err = run_cli("bank", "show", str(bank), capsys=capsys)
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.endswith(f"damaged record at line 0: field {field}: missing\n")
 
 
 def test_bank_correct_dry_run_leaves_cards_alone(tmp_path, capsys):

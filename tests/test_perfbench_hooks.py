@@ -14,12 +14,16 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from mesa import bench, probe, router
-from mesa.backend import CachedBackend
+from mesa.backend import CachedBackend, ScriptedBackend, load_script
 from mesa.bank import record
-from mesa.cards import CardRegistry
+from mesa.bench import load_suite
+from mesa.cards import CardRegistry, load_registry
 from mesa.fixtures import fixture_path
 
 from conftest import DictBackend, make_card, make_ctx
@@ -127,26 +131,60 @@ def test_setup_probe_loads_and_checks_shipped_fixtures():
     assert "missing_keys_ms" in proc.stdout
 
 
-def test_setup_probe_digests_routes_over_the_generated_10k_registry(tmp_path):
+@pytest.fixture(scope="module")
+def seed1_registry_dir(tmp_path_factory):
+    """registry_gen.py's seed-1 output: 10,000 cards and 100 prompts."""
+    out = tmp_path_factory.mktemp("route10k")
+    gen = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "registry_gen.py"), "--seed", "1",
+         "--out", str(out)],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert gen.returncode == 0, gen.stderr
+    return out
+
+
+def test_setup_probe_digests_routes_over_the_generated_10k_registry(seed1_registry_dir):
     # The seed-1 registry shares 7,048 parsed trees among its 20,000
     # predicates; the digest calls build_candidates and select_action
     # positionally, as the route_registry_10k workload does. Its value pins
     # the decisions, scores, gated cards and probe traces of the prompts it
     # routes, so a change that alters routing must change it on purpose.
-    env = _src_env()
-    gen = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "registry_gen.py"), "--seed", "1",
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert gen.returncode == 0, gen.stderr
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "setup_probe.py"),
-         *(str(tmp_path / name) for name in ("cards.json", "suite.json", "script.json")),
+         *(str(seed1_registry_dir / name) for name in ("cards.json", "suite.json", "script.json")),
          "--digest"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["digest"] == (
         "017489d07b85ae431d2e50b935481510c2227dc224d28ba1adaa48c6ceea743e"
     )
+
+
+def test_whole_registry_routes_ask_only_the_probe_signals_that_can_load(seed1_registry_dir):
+    # Routing the 100 seed-1 prompts as `mesa route` does matches 28,541
+    # cards; only the 19,173 whose cheap_probe holds have their signal asked.
+    registry = load_registry(seed1_registry_dir / "cards.json")
+    suite = load_suite(seed1_registry_dir / "suite.json", registry, expected_per_slice=None)
+    scripted = ScriptedBackend(load_script(seed1_registry_dir / "script.json"), suite, "full")
+    calls: Counter = Counter()
+
+    class Counting:
+        def __getattr__(self, op):
+            query = getattr(scripted, op)
+
+            def counted(*args):
+                calls[op] += 1
+                return query(*args)
+
+            return counted
+
+    cfg = router.RoutingConfig()
+    for item in suite:
+        ctx = router.context_for_item(item)
+        candidates, cv, _ = router.build_candidates(ctx, registry, Counting(), cfg, True, None)
+        router.select_action(ctx, candidates, cv, cfg, registry)
+    assert len(suite) == 100
+    assert calls["probe_signal"] == 19_173
+    assert sum(calls.values()) == 22_313

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mesa.cards import CardRegistry
 from mesa.confidence import TOOL_CHANNEL
 from mesa.context import Attachment
+from mesa.dsl import eval_predicate
 from mesa.errors import MissingSignalError
-from mesa.probe import PROBE_COST, PROBE_SLACK, ProbeStage, run_probe
+from mesa.probe import PROBE_COST, PROBE_SLACK, ProbeStage, ProbeState, run_probe
 from mesa.router import RoutingConfig, build_candidates
 
 from conftest import DictBackend, make_card, make_ctx
+from test_trajectory import ReversedGather
 
 
 CFG = RoutingConfig()
@@ -52,13 +56,63 @@ def test_probe_threshold_band_is_self_low_plus_slack():
     assert at.passed is False
 
 
-def test_probe_signal_always_queried():
-    # The insufficiency signal is consulted even when the predicate already
-    # failed, so signal coverage problems surface deterministically.
+def test_probe_signal_asked_only_when_the_predicate_holds():
+    # A failed predicate already decides Skipped, so the signal could not
+    # change the verdict and is not asked; a holding one asks it once.
     card = make_card("c1", cheap_probe="mime:html")
     backend = DictBackend(probes={"c1": 0.1})
-    run_probe(make_ctx(attachments=()), card, backend, CFG)
-    assert ("probe_signal", "c1") in backend.calls
+    skipped = run_probe(make_ctx(attachments=()), card, backend, CFG)
+    assert backend.calls == []
+    assert (skipped.stage, skipped.passed, skipped.probe_cost_charged) == (
+        ProbeStage.SKIPPED, False, PROBE_COST
+    )
+    loaded = run_probe(make_ctx(attachments=(Attachment("html"),)), card, backend, CFG)
+    assert backend.calls == [("probe_signal", "c1")]
+    assert loaded.stage is ProbeStage.LOADED
+
+
+def _old_rule(ctx, card, backend, cfg):
+    """The probe as it was: the signal asked whether or not the predicate held."""
+    predicate_holds = eval_predicate(card.cheap_probe, ctx)
+    signal = backend.probe_signal(ctx, card.id)
+    passed = predicate_holds and signal < cfg.self_low + PROBE_SLACK
+    stage = ProbeStage.LOADED if passed else ProbeStage.SKIPPED
+    return ProbeState(card.id, stage, passed, PROBE_COST)
+
+
+_WORDS = ["task", "report", "html", "csv"]
+_TAGS = ["doc", "code", "html", "csv"]
+_probe_atoms = st.one_of(
+    st.sampled_from(_TAGS).map("kind:{}".format),
+    st.sampled_from(_TAGS).map("mime:{}".format),
+    st.sampled_from(_WORDS).map('contains:"{}"'.format),
+)
+_probe_texts = st.recursive(
+    _probe_atoms,
+    lambda children: st.one_of(
+        children.map("NOT ({})".format),
+        st.tuples(children, children).map(lambda lr: f"({lr[0]}) AND ({lr[1]})"),
+        st.tuples(children, children).map(lambda lr: f"({lr[0]}) OR ({lr[1]})"),
+    ),
+    max_leaves=4,
+)
+_probe_contexts = st.builds(
+    make_ctx,
+    prompt=st.lists(st.sampled_from(_WORDS + ["please"]), min_size=1, max_size=3).map(" ".join),
+    kind_tags=st.lists(st.sampled_from(_TAGS), max_size=2).map(tuple),
+    attachments=st.lists(st.sampled_from(_TAGS).map(Attachment), max_size=2).map(tuple),
+)
+_THRESHOLD = CFG.self_low + PROBE_SLACK
+
+
+@settings(max_examples=300, deadline=None)
+@given(_probe_texts, _probe_contexts, st.floats(min_value=0.0, max_value=1.0))
+@example("kind:doc", make_ctx(), _THRESHOLD)
+@example("kind:code", make_ctx(), 0.0)
+def test_short_circuit_probe_equals_the_old_rule(text, ctx, signal):
+    card = make_card("c1", cheap_probe=text)
+    new = run_probe(ctx, card, DictBackend(probes={"c1": signal}), CFG)
+    assert new == _old_rule(ctx, card, DictBackend(probes={"c1": signal}), CFG)
 
 
 def test_probe_missing_signal_raises():
@@ -116,3 +170,33 @@ def test_cost_charged_exactly_once():
     for signal in (0.1, 0.99):
         state = run_probe(make_ctx(), card, DictBackend(probes={"c1": signal}), CFG)
         assert state.probe_cost_charged == PROBE_COST
+
+
+@pytest.mark.parametrize("gathering", [False, True], ids=["in-order", "gather"])
+def test_build_candidates_asks_probes_only_of_cards_whose_predicate_holds(gathering):
+    cards = (
+        make_card("holds", cheap_probe="kind:doc"),
+        make_card("fails", cheap_probe="mime:html"),
+        make_card("holds_too", cheap_probe='contains:"task" OR kind:code'),
+        make_card("fails_too", cheap_probe="NOT kind:doc"),
+        make_card("unmatched", apply_when='contains:"absent"'),
+    )
+    inner = DictBackend(
+        probes={card.id: 0.1 for card in cards},
+        sources={TOOL_CHANNEL: 0.5, "holds": 0.9, "holds_too": 0.9},
+    )
+    backend = ReversedGather(inner) if gathering else inner
+    _, _, traces = build_candidates(
+        make_ctx(), CardRegistry(cards=cards), backend, CFG, probe_enabled=True
+    )
+    probed = [card_id for op, card_id in inner.calls if op == "probe_signal"]
+    assert sorted(probed) == ["holds", "holds_too"]
+    assert [(t.card_id, t.stage) for t in traces] == [
+        ("holds", ProbeStage.LOADED),
+        ("fails", ProbeStage.SKIPPED),
+        ("holds_too", ProbeStage.LOADED),
+        ("fails_too", ProbeStage.SKIPPED),
+    ]
+    if gathering:
+        # Wave 1 still holds every matched card's probe, asked or not.
+        assert backend.waves[0] == 2 + len(traces) + 1

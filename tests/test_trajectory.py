@@ -460,7 +460,8 @@ class RoundTrips:
 
     A wave of n queries takes ceil(n / max_concurrent) round trips, at
     RemoteConfig's default of requests in flight; a query outside a wave
-    takes one. Every source channel asked is kept.
+    takes one. Every source channel asked is kept, and the probe signals
+    asked are counted.
     """
 
     IN_FLIGHT = RemoteConfig(endpoint="", auth_env="", model="").max_concurrent
@@ -469,6 +470,7 @@ class RoundTrips:
         self._inner = inner
         self.round_trips = 0
         self.channels: list[str] = []
+        self.probes = 0
         self._in_wave = False
 
     def __getattr__(self, op):  # the five queries
@@ -478,6 +480,7 @@ class RoundTrips:
             self.round_trips += not self._in_wave
             if op == "source_confidence":
                 self.channels.append(args[0])
+            self.probes += op == "probe_signal"
             return query(ctx, *args)
 
         return counted
@@ -522,6 +525,26 @@ def test_round_trips_per_condition_stay_within_budget(
         name = condition.name.value
         worst[name] = max(worst.get(name, 0), backend.round_trips)
     assert worst == ROUND_TRIP_BUDGET
+
+
+def test_probe_conditions_ask_the_signal_only_where_the_cheap_probe_holds(
+    shipped_suite, shipped_registry, shipped_script
+):
+    # Each probe condition matches 50 cards over the suite; 15 of them fail
+    # their cheap_probe and are Skipped without a signal.
+    asked: dict[str, int] = {}
+    for condition, _, backend in _route_shipped(shipped_suite, shipped_registry, shipped_script):
+        name = condition.name.value
+        asked[name] = asked.get(name, 0) + backend.probes
+    assert asked == {
+        "baseline": 0,
+        "reflection": 0,
+        "no_probe": 0,
+        "no_vigilance": 35,
+        "no_decontam": 35,
+        "no_dualconf": 35,
+        "full": 35,
+    }
 
 
 def test_relevance_scorers_ask_only_relevance_channels(

@@ -362,6 +362,7 @@ def two_prop_ztest(k1: int, n1: int, k2: int, n2: int) -> ZTestResult:
 REPORT_FORMAT_TAG = "routing-bench-results-v1"
 
 _ITEM = Codec(ItemOutcome)
+_ENCODE_ITEMS, _DECODE_ITEMS = _ITEM.many()
 _CELL_KEYS = {s.value for s in SliceName} | {"overall"}
 
 
@@ -397,7 +398,7 @@ def _machine_report(table: ResultsTable) -> str:
         "format": REPORT_FORMAT_TAG,
         "conditions": list(table.conditions),
         "cells": {cond: dict(row) for cond, row in table.cells.items()},
-        "items": [_ITEM.encode(it) for it in table.items],
+        "items": _ENCODE_ITEMS(table.items),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -451,7 +452,7 @@ def parse_report(document: str) -> ResultsTable:
     if not isinstance(doc["items"], list):
         raise SuiteFormatError(f"{REPORT_FORMAT_TAG}: items must be a list")
     try:
-        items = tuple(_ITEM.decode(raw) for raw in doc["items"])
+        items = _DECODE_ITEMS(doc["items"])
     except TypeError as exc:
         raise SuiteFormatError(f"{REPORT_FORMAT_TAG}: bad item: {exc}") from exc
     return ResultsTable(conditions=tuple(conditions), cells=cells, items=items)

@@ -19,6 +19,15 @@ the gate is still probed and still becomes a LoadSkill candidate (so
 select_action lists it among the gated cards), but its body is never read
 and its source confidence is never queried.
 
+A loaded card is also not paid for when it cannot win. With the probe on,
+the dual scorer knows after wave 1 the scores of Direct, Stop, CallTool and,
+unless the trap tag asks for the verify source, Verify. A card whose score
+with a source confidence of 1.0 (its upper bound) is no higher than the best
+of those is dominated: LoadSkill loses every tie, so it is never chosen.
+build_candidates drops it before its body is read or its source asked, so it
+is no candidate and Decision.scores holds no score for it. The bound and the
+known scores come from _dual_score, the formula select_action scores with.
+
 decide turns one task context into decisions: signal collection, probe
 escalation, candidate assembly and selection. run_trajectory wires one
 benchmark item end to end on top of it: offload execution with confidence
@@ -31,8 +40,9 @@ when the card's cheap_probe holds) and, for the dual scorer, the tool source.
 With the probe off the candidate set needs no backend answer, so wave 1 also
 holds the candidates' own queries: the sources of the loaded cards that pass
 the gate, or, for a relevance scorer, its relevance passes. Wave 2 holds the
-verify source when the trap tag asks for it and, with the probe on, the loaded
-cards' sources. The last wave is the post-offload confidence with the answer.
+verify source when the trap tag asks for it and, with the probe on, the
+sources of the loaded cards that are not dominated. The last wave is the
+post-offload confidence with the answer.
 A backend without gather asks the concatenated waves in order.
 
 Codecs (mesa.codec) declare, once per record type, the JSON object that the
@@ -72,6 +82,14 @@ class ActionVariant(Enum):
     VERIFY = "verify"
     STOP = "stop"
 
+    def __init__(self, value: str) -> None:
+        # Plain attributes for the scoring loop, where the name property and
+        # a lookup keyed by the member (Enum.__hash__) are Python-level calls:
+        # the score-map key of a fixed action and the source channel of a
+        # fixed offload (a LoadSkill's channel is its card id).
+        self.key = self._name_
+        self.channel = {"call_tool": TOOL_CHANNEL, "verify": VERIFY_CHANNEL}.get(value)
+
 
 # Cheapest-first order used to break exact score ties.
 TIE_BREAK_ORDER: tuple[ActionVariant, ...] = (
@@ -92,12 +110,6 @@ COST_TABLE: Mapping[ActionVariant, float] = {
 
 # Verifier source confidence when the trap heuristic is not in play.
 VERIFY_BASELINE = 0.1
-
-# Source channel of each fixed offload; a LoadSkill's channel is its card id.
-_SOURCE_CHANNELS: Mapping[ActionVariant, str] = {
-    ActionVariant.CALL_TOOL: TOOL_CHANNEL,
-    ActionVariant.VERIFY: VERIFY_CHANNEL,
-}
 
 # Terminal confidence at or above which a post-offload claim is committed
 # rather than hedged. Matches the failure bank's high-confidence threshold.
@@ -127,7 +139,7 @@ def score_key(action: Action) -> str:
     """Stable score-map key: variant name, card-qualified for LoadSkill."""
     if action.variant is ActionVariant.LOAD_SKILL:
         return f"LOAD_SKILL:{action.card_id}"
-    return action.variant.name
+    return action.variant.key
 
 
 @dataclass(frozen=True)
@@ -159,7 +171,12 @@ class RoutingConfig:
 
 @dataclass(frozen=True)
 class Decision:
-    """Selection result: the chosen action plus full scoring evidence."""
+    """Selection result: the chosen action plus its scoring evidence.
+
+    scores holds the score of every candidate the gate keeps. A loaded card
+    that build_candidates dropped as dominated was no candidate, so it has
+    no score and is not among the gated cards; its probe trace stays.
+    """
 
     chosen: Action
     scores: Mapping[str, float]
@@ -177,8 +194,15 @@ def _trust_past_gate(card: SkillCard, cfg: RoutingConfig) -> float | None:
     return trust if trust >= cfg.trust_gate else None
 
 
-def _source_confidence_for(action: Action, cv: ConfidenceVector) -> float:
-    channel = _SOURCE_CHANNELS.get(action.variant, action.card_id)
+_SELF_SCORED = (ActionVariant.DIRECT, ActionVariant.STOP)
+
+
+def _confidence_for(action: Action, cv: ConfidenceVector) -> float:
+    """What an action is scored by: p_self for Direct and Stop, else its source's confidence."""
+    variant = action.variant
+    if variant in _SELF_SCORED:
+        return cv.p_self
+    channel = variant.channel or action.card_id
     assert channel is not None
     try:
         return cv.source_confidences[channel]
@@ -189,13 +213,17 @@ def _source_confidence_for(action: Action, cv: ConfidenceVector) -> float:
 
 
 def _dual_score(
-    action: Action, cv: ConfidenceVector, alpha: float, cost_lambda: float, vigilance: float
+    action: Action, confidence: float, alpha: float, cost_lambda: float, vigilance: float
 ) -> float:
-    if action.variant in (ActionVariant.DIRECT, ActionVariant.STOP):
-        base = alpha * cv.p_self * action.utility_direct
+    """The dual score of an action given the confidence it is scored by (_confidence_for).
+
+    Rounding is monotone, so an offload's score never exceeds its score at
+    confidence 1.0: build_candidates prunes on that bound.
+    """
+    if action.variant in _SELF_SCORED:
+        base = alpha * confidence * action.utility_direct
     else:
-        p_source = _source_confidence_for(action, cv)
-        base = (1.0 - alpha) * vigilance * p_source * action.utility_offload
+        base = (1.0 - alpha) * vigilance * confidence * action.utility_offload
     return base - cost_lambda * action.cost
 
 
@@ -280,7 +308,7 @@ def select_action(
                     gated.append(action.card_id)
                     continue
                 vigilance = trust
-        value = _dual_score(action, cv, alpha, cfg.cost_lambda, vigilance)
+        value = _dual_score(action, _confidence_for(action, cv), alpha, cfg.cost_lambda, vigilance)
         scored.append((action, value))
         scores[score_key(action)] = value
 
@@ -446,6 +474,7 @@ def build_candidates(
     *,
     vigilance_enabled: bool = True,
     relevance_passes: int = 0,
+    dualconf_enabled: bool = True,
 ) -> tuple[list[Action], ConfidenceVector, tuple[ProbeState, ...]]:
     """Assemble the candidate set, confidence vector, and probe traces.
 
@@ -455,14 +484,23 @@ def build_candidates(
     ids) and is scanned in full; None means the whole registry is active,
     and its atom index picks the cards whose apply_when is evaluated.
 
-    Each Loaded card that passes the trust gate has its body read exactly
-    once and its source confidence queried. With vigilance_enabled (the
-    default), a Loaded card below the gate is neither read nor
-    source-queried: it stays a LoadSkill candidate with a Loaded trace, and
-    select_action with vigilance gates it. Its source is absent from the
-    confidence vector, so scoring these candidates with vigilance off raises
-    MissingSignalError rather than score the card from an invented source;
-    build them with vigilance_enabled=False for that.
+    Each Loaded card that passes the trust gate and is not dominated has its
+    body read exactly once and its source confidence queried. With
+    vigilance_enabled (the default), a Loaded card below the gate is neither
+    read nor source-queried: it stays a LoadSkill candidate with a Loaded
+    trace, and select_action with vigilance gates it. Its source is absent
+    from the confidence vector, so scoring these candidates with vigilance
+    off raises MissingSignalError rather than score the card from an
+    invented source; build them with vigilance_enabled=False for that.
+
+    With the probe on, the dual scorer prunes after wave 1: a Loaded card
+    past the gate (any Loaded card, with vigilance off) whose score at a
+    source confidence of 1.0 is no higher than the best known score of
+    Direct, Stop, CallTool and (unless the verify source is still to be
+    asked) Verify is dominated. It keeps its Loaded trace but is no
+    candidate; its body is not read and its source is not asked. The scores
+    use alpha as select_action does, so dualconf_enabled must match the
+    select_action call (False pins alpha to 0.5).
 
     relevance_passes builds for a relevance scorer instead (1 for baseline,
     2 for reflection), which reads no tool, verify or card source: the only
@@ -488,6 +526,8 @@ def build_candidates(
     # The source channels not asked yet.
     channels = [] if relevance_passes else [TOOL_CHANNEL]
     sources: dict[str, float | None] = {}
+    alpha = cfg.alpha if dualconf_enabled else 0.5
+    best_known = -math.inf  # until wave 1 fixes a score, no card is dominated
     if probe_enabled:
         # Which cards load, and so what the candidates ask, waits on the probes.
         probes = [lambda card=card: run_probe(ctx, card, backend, cfg) for card in matching]
@@ -497,19 +537,33 @@ def build_candidates(
         traces = tuple(values[: len(matching)])
         sources.update(zip(channels, values[len(matching) :]))
         channels = []
+        if not relevance_passes:
+            # The confidences of Direct, Stop, CallTool and Verify, in
+            # _BASE_CANDIDATES order. When the trap tag leaves the verify
+            # source to wave 2, Verify's score is unknown and zip omits it.
+            known = [p_self, p_self, sources[TOOL_CHANNEL]]
+            if not ("trap" in tags and cfg.trap_verify):
+                known.append(VERIFY_BASELINE)
+            best_known = max(
+                _dual_score(action, confidence, alpha, cfg.cost_lambda, 1.0)
+                for action, confidence in zip(_BASE_CANDIDATES["trivial" in tags], known)
+            )
     else:
         traces = tuple(ProbeState(card.id, ProbeStage.LOADED) for card in matching)
 
     skills = []
     for card, state in zip(matching, traces):
-        if state.stage is ProbeStage.LOADED:
-            skills.append(
-                Action(ActionVariant.LOAD_SKILL, card_id=card.id, cost=_LOAD_SKILL_COST)
-            )
-            if not vigilance_enabled or _trust_past_gate(card, cfg) is not None:
-                registry.read_body(card.id)
-                if not relevance_passes:
-                    channels.append(card.id)
+        if state.stage is not ProbeStage.LOADED:
+            continue
+        action = Action(ActionVariant.LOAD_SKILL, card_id=card.id, cost=_LOAD_SKILL_COST)
+        trust = _trust_past_gate(card, cfg) if vigilance_enabled else 1.0
+        if trust is not None:
+            if _dual_score(action, 1.0, alpha, cfg.cost_lambda, trust) <= best_known:
+                continue  # dominated: cannot be chosen, so not paid for
+            registry.read_body(card.id)
+            if not relevance_passes:
+                channels.append(card.id)
+        skills.append(action)
     if relevance_passes:
         keys = [*_BASE_KEYS, *map(score_key, skills)]
         channels.extend(f"relevance:{key}" for key in keys)
@@ -579,6 +633,7 @@ def decide(
         allowed_card_ids,
         vigilance_enabled=condition.vigilance_enabled,
         relevance_passes=passes,
+        dualconf_enabled=condition.dualconf_enabled,
     )
     if passes:
         decisions = _score_relevance(candidates, cv.source_confidences, passes)

@@ -294,18 +294,23 @@ def test_gate_soundness(matrix_run, shipped_registry):
 
 
 def test_probe_laziness(matrix_run):
-    """5: a body is read once per Loaded card the gate passes, never if gated; NoProbe pays."""
+    """5: a body is read once per Loaded card scored past the gate, never if gated; NoProbe pays.
+
+    A Loaded card that cannot win (dominated) is neither read nor scored; no
+    shipped card is dominated, so every Loaded card past the gate is read.
+    """
     passed_loads = gated_loads = 0
     for rec, reads in zip(matrix_run.records, matrix_run.reads_per_record, strict=True):
         first = rec.decisions[0]
         gated = set(first.gated_cards)
         loaded = [t.card_id for t in first.probe_traces if t.stage is ProbeStage.LOADED]
-        assert reads == [card_id for card_id in loaded if card_id not in gated]
+        scored = [card_id for card_id in loaded if f"LOAD_SKILL:{card_id}" in first.scores]
+        assert reads == scored
+        assert scored == [card_id for card_id in loaded if card_id not in gated]
         assert gated.isdisjoint(reads)
         passed_loads += len(reads)
         gated_loads += len(loaded) - len(reads)
-    assert len(matrix_run.reads) == passed_loads
-    assert passed_loads > 0
+    assert len(matrix_run.reads) == passed_loads == 135
     assert gated_loads > 0
 
     no_probe_b_failures = {

@@ -8,12 +8,13 @@ import sys
 
 import pytest
 
-from mesa.backend import CachedBackend
+from mesa.backend import CachedBackend, ScriptedBackend, load_script
 from mesa.bank import BankEntry, record
+from mesa.bench import CONDITIONS, condition_by_name
 from mesa.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _load_settings, dispatch
 from mesa.dsl import eval_predicate
 from mesa.fixtures import fixture_path
-from mesa.router import context_for_item
+from mesa.router import RoutingConfig, context_for_item, decide
 
 from conftest import DictBackend
 from test_bank import make_record
@@ -403,6 +404,50 @@ def test_eval_coverage_still_requires_the_probe_row_of_a_card_never_probed(
     assert f"{item.id}/full: probe:{card_id}" in err
 
 
+def test_eval_coverage_still_requires_the_source_row_of_a_dominated_card(
+    tmp_path, capsys, shipped_suite, shipped_registry, shipped_script
+):
+    # With the probe on, a loaded card whose best possible score cannot beat
+    # Direct's is dropped before its source is asked. A script whose item is
+    # certain (p_self 1.0) makes a card that no_vigilance loads and scores
+    # dominated; the coverage check still requires that card's source row.
+    condition = condition_by_name("no_vigilance")
+    item = card_id = None
+    for candidate in shipped_suite:
+        backend = ScriptedBackend(shipped_script, shipped_suite, "no_vigilance")
+        (decision,), _ = decide(context_for_item(candidate), shipped_registry, backend,
+                                RoutingConfig(), condition, candidate.injected_card_ids)
+        scored = [key.partition(":")[2] for key in decision.scores if key.startswith("LOAD_SKILL:")]
+        if scored:
+            item, card_id = candidate, scored[0]
+            break
+    assert item is not None
+    doc = json.loads(fixture_path("script.json").read_text(encoding="utf-8"))
+    rows = [
+        {**row, "value": 1.0} if row["item"] == item.id and row["key"] == "p_self" else row
+        for row in doc["rows"]
+        if not (row["item"] == item.id and row["key"] == f"source:{card_id}")
+    ]
+    assert len(rows) < len(doc["rows"])
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"rows": rows}), encoding="utf-8")
+
+    backend = ScriptedBackend(load_script(script), shipped_suite, "no_vigilance")
+    (decision,), _ = decide(context_for_item(item), shipped_registry, backend, RoutingConfig(),
+                            condition, item.injected_card_ids)
+    assert card_id in [t.card_id for t in decision.probe_traces if t.passed]
+    assert f"LOAD_SKILL:{card_id}" not in decision.scores
+    assert load_script(script).missing_keys(shipped_suite, [c.name.value for c in CONDITIONS]) == [
+        f"{item.id}/{c.name.value}: source:{card_id}" for c in CONDITIONS
+    ]
+    code, out, err = run_cli("eval", "--suite", SUITE, "--cards", CARDS, "--script", str(script),
+                             capsys=capsys)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "coverage check failed" in err
+    assert f"{item.id}/no_vigilance: source:{card_id}" in err
+
+
 def test_eval_mini_suite_decontamination_contrast(capsys):
     args = (
         "eval",
@@ -477,6 +522,20 @@ def test_report_rejects_a_malformed_v1_document(tmp_path, capsys, doc, message):
     assert err.startswith("mesa: routing-bench-results-v1: ")
     assert message in err
     assert err.count("\n") == 1
+
+
+def test_report_names_the_index_of_a_damaged_item(tmp_path, capsys):
+    saved = tmp_path / "results.json"
+    code, _, _ = run_cli(*EVAL_ARGS, "--format", "machine", "--out", str(saved), capsys=capsys)
+    assert code == EXIT_OK
+    doc = json.loads(saved.read_text(encoding="utf-8"))
+    assert len(doc["items"]) == 1050
+    del doc["items"][836]["item_id"]
+    saved.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli("report", "--in", str(saved), capsys=capsys)
+    assert code == EXIT_IO
+    assert out == ""
+    assert err == "mesa: routing-bench-results-v1: bad item: field [836].item_id: missing\n"
 
 
 def test_report_missing_file(capsys):

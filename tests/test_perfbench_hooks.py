@@ -158,15 +158,23 @@ def test_setup_probe_digests_routes_over_the_generated_10k_registry(seed1_regist
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["digest"] == (
-        "017489d07b85ae431d2e50b935481510c2227dc224d28ba1adaa48c6ceea743e"
+        "300d8f94c87351a3fd1fe323e06f068af839f8651d462e17c373400e266a454c"
     )
 
 
-def test_whole_registry_routes_ask_only_the_probe_signals_that_can_load(seed1_registry_dir):
+def test_whole_registry_routes_ask_only_what_can_change_the_decision(seed1_registry_dir):
     # Routing the 100 seed-1 prompts as `mesa route` does matches 28,541
     # cards; only the 19,173 whose cheap_probe holds have their signal asked.
+    # Of the 2,816 loaded cards past the gate, only the 718 whose best
+    # possible score beats the best known base action are read and have
+    # their source asked: 718 card sources, 100 tool sources and 24 verify
+    # sources.
+    reads: list[str] = []
     registry = load_registry(seed1_registry_dir / "cards.json")
     suite = load_suite(seed1_registry_dir / "suite.json", registry, expected_per_slice=None)
+    registry = registry.with_body_loader(
+        lambda card, read=registry.body_loader: (reads.append(card.id), read(card))[1]
+    )
     scripted = ScriptedBackend(load_script(seed1_registry_dir / "script.json"), suite, "full")
     calls: Counter = Counter()
 
@@ -187,4 +195,6 @@ def test_whole_registry_routes_ask_only_the_probe_signals_that_can_load(seed1_re
         router.select_action(ctx, candidates, cv, cfg, registry)
     assert len(suite) == 100
     assert calls["probe_signal"] == 19_173
-    assert sum(calls.values()) == 22_313
+    assert calls["source_confidence"] == 842
+    assert len(reads) == 718
+    assert sum(calls.values()) == 20_215

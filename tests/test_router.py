@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mesa.bench import CONDITIONS
+from mesa.bench import CONDITIONS, condition_by_name
 from mesa.cards import CardRegistry, Provenance, effective_trust
 from mesa.confidence import TOOL_CHANNEL, VERIFY_CHANNEL, ConfidenceVector
 from mesa.errors import MissingSignalError, RegistryLookupError
@@ -17,6 +17,7 @@ from mesa.probe import ProbeStage
 from mesa.router import (
     COST_TABLE,
     TIE_BREAK_ORDER,
+    VERIFY_BASELINE,
     Action,
     ActionVariant,
     Decision,
@@ -489,9 +490,12 @@ def test_score_key_formats():
 
 
 # ---------------------------------------------------------------------------
-# Gate before read: below-gate cards cost no body read and no source query
+# Gate before read and dominance pruning: a below-gate or dominated card costs
+# no body read and no source query, and the choice stays the one made over
+# every loaded card
 
 _VIGILANT_CONDITIONS = [c for c in CONDITIONS if c.scorer == "dual" and c.vigilance_enabled]
+_PROBED_DUAL_CONDITIONS = [c for c in CONDITIONS if c.scorer == "dual" and c.probe_enabled]
 
 
 class _GateGuardBackend(DictBackend):
@@ -505,6 +509,53 @@ class _GateGuardBackend(DictBackend):
         if channel in self.below_gate:
             raise AssertionError(f"source of below-gate card {channel} queried")
         return super().source_confidence(ctx, channel)
+
+
+def _reference(ctx, cards, traces, p_self, sources, tags, cfg, condition) -> Decision:
+    """select_action over every Loaded card, with every source filled in."""
+    verify = sources[VERIFY_CHANNEL] if "trap" in tags and cfg.trap_verify else VERIFY_BASELINE
+    cv = ConfidenceVector(p_self, {**sources, VERIFY_CHANNEL: verify})
+    candidates = _basic_candidates(1.0 if "trivial" in tags else 0.0) + [
+        Action(ActionVariant.LOAD_SKILL, card_id=t.card_id, cost=0.5)
+        for t in traces
+        if t.stage is ProbeStage.LOADED
+    ]
+    return select_action(
+        ctx,
+        candidates,
+        cv,
+        cfg,
+        CardRegistry(cards=tuple(cards)),
+        vigilance_enabled=condition.vigilance_enabled,
+        dualconf_enabled=condition.dualconf_enabled,
+    )
+
+
+def _dominated(reference, cards, tags, cfg, condition) -> set[str]:
+    """The cards the reference scores whose bound cannot beat a known base score.
+
+    A card's bound is its score at source confidence 1.0. With the probe on,
+    the known scores are Direct's, Stop's, CallTool's and, unless a trap
+    makes the verify source a query, Verify's.
+    """
+    if not condition.probe_enabled:
+        return set()
+    known = ["DIRECT", "STOP", "CALL_TOOL"]
+    if not ("trap" in tags and cfg.trap_verify):
+        known.append("VERIFY")
+    best_known = max(reference.scores[key] for key in known)
+    alpha = cfg.alpha if condition.dualconf_enabled else 0.5
+    dominated = set()
+    for card in cards:
+        if f"LOAD_SKILL:{card.id}" in reference.scores:
+            vig = effective_trust(card) if condition.vigilance_enabled else 1.0
+            if (1.0 - alpha) * vig * 1.0 * 1.0 - cfg.cost_lambda * 0.5 <= best_known:
+                dominated.add(card.id)
+    return dominated
+
+
+def _without(scores, card_ids) -> dict[str, float]:
+    return {key: value for key, value in scores.items() if key.partition(":")[2] not in card_ids}
 
 
 @settings(max_examples=200, deadline=None)
@@ -548,31 +599,115 @@ def test_lazy_gate_matches_eager_gate_and_never_touches_gated_cards(data):
         )
         (lazy,), _ = decide(ctx, lazy_registry, lazy_backend, cfg, condition, allowed)
 
-        eager_registry = CardRegistry(cards=tuple(cards))
+        # The eager gate: probe as a vigilance-off build does, then let
+        # select_action gate every Loaded card, each read and source-queried.
         eager_backend = DictBackend(p_self=p_self, sources=sources, probes=probes, tags=tags)
-        candidates, cv, traces = build_candidates(
+        _, _, traces = build_candidates(
             ctx,
-            eager_registry,
+            CardRegistry(cards=tuple(cards)),
             eager_backend,
             cfg,
             condition.probe_enabled,
             allowed,
             vigilance_enabled=False,
         )
-        eager = select_action(
-            ctx,
-            candidates,
-            cv,
-            cfg,
-            eager_registry,
-            vigilance_enabled=True,
-            dualconf_enabled=condition.dualconf_enabled,
-        )
+        eager = _reference(ctx, cards, traces, p_self, sources, tags, cfg, condition)
+        dominated = _dominated(eager, cards, tags, cfg, condition)
 
-        assert lazy == Decision(eager.chosen, eager.scores, eager.gated_cards, traces)
+        assert (lazy.chosen, lazy.gated_cards, lazy.probe_traces) == (
+            eager.chosen,
+            eager.gated_cards,
+            traces,
+        )
+        # Only a dominated card's score may be missing.
+        assert lazy.scores == _without(eager.scores, dominated)
         loaded = [t.card_id for t in traces if t.stage is ProbeStage.LOADED]
-        assert reads == [card_id for card_id in loaded if card_id not in below_gate]
+        assert reads == [c for c in loaded if c not in below_gate and c not in dominated]
         assert set(lazy.gated_cards) == set(loaded) & below_gate
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pruned_choice_equals_the_choice_over_every_loaded_card(data):
+    # Drawn values include 0, 0.5 and 1, where a card's bound can tie the
+    # best known score exactly.
+    unit = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+    cfg = RoutingConfig(
+        alpha=data.draw(unit),
+        cost_lambda=data.draw(
+            st.one_of(st.sampled_from([0.0, 0.1]), st.floats(min_value=0.0, max_value=2.0))
+        ),
+        trust_gate=data.draw(unit),
+        trap_verify=data.draw(st.booleans()),
+    )
+    cards = []
+    probes: dict[str, float] = {}
+    sources = {TOOL_CHANNEL: data.draw(unit), VERIFY_CHANNEL: data.draw(unit)}
+    for i in range(data.draw(st.integers(min_value=1, max_value=5))):
+        card_id = f"c{i}"
+        cards.append(
+            make_card(
+                card_id,
+                cheap_probe=data.draw(st.sampled_from(["kind:doc", "kind:absent"])),
+                source_trust=data.draw(unit),
+                stale=data.draw(st.booleans()),
+            )
+        )
+        probes[card_id] = data.draw(st.sampled_from([0.1, 0.9]))
+        sources[card_id] = data.draw(unit)
+    tags = frozenset(data.draw(st.sets(st.sampled_from(["trap", "trivial"]))))
+    p_self = data.draw(unit)
+    allowed = data.draw(st.sampled_from([None, [c.id for c in cards]]))
+    ctx = make_ctx()
+
+    for condition in _PROBED_DUAL_CONDITIONS:
+        reads: list[str] = []
+        registry = CardRegistry(
+            cards=tuple(cards), body_loader=lambda card: (reads.append(card.id), "body")[1]
+        )
+        backend = DictBackend(p_self=p_self, sources=sources, probes=probes, tags=tags)
+        (decision,), _ = decide(ctx, registry, backend, cfg, condition, allowed)
+
+        reference = _reference(
+            ctx, cards, decision.probe_traces, p_self, sources, tags, cfg, condition
+        )
+        dominated = _dominated(reference, cards, tags, cfg, condition)
+        asked = [
+            channel
+            for op, channel in backend.calls
+            if op == "source_confidence" and channel not in (TOOL_CHANNEL, VERIFY_CHANNEL)
+        ]
+        assert decision.chosen == reference.chosen
+        assert decision.gated_cards == reference.gated_cards
+        assert decision.scores == _without(reference.scores, dominated)
+        assert dominated.isdisjoint(reads) and dominated.isdisjoint(asked)
+        scored = [c.id for c in cards if f"LOAD_SKILL:{c.id}" in reference.scores]
+        assert reads == asked == [c for c in scored if c not in dominated]
+
+
+@pytest.mark.parametrize("trap_verify", [True, False])
+def test_only_a_known_verify_score_can_dominate_a_card(trap_verify):
+    # The card's bound, 0.5 * 0.1 at source confidence 1.0, ties Verify's
+    # baseline score exactly. On a trap task that asks the verify source,
+    # Verify's score is unknown after wave 1, so the card is paid for, and
+    # it wins once the source comes back 0. Otherwise the tie dominates it.
+    cfg = RoutingConfig(alpha=0.5, cost_lambda=0.0, trust_gate=0.0, trap_verify=trap_verify)
+    backend = DictBackend(
+        p_self=0.0,
+        sources={TOOL_CHANNEL: 0.0, VERIFY_CHANNEL: 0.0, "c": 1.0},
+        probes={"c": 0.1},
+        tags=frozenset({"trap"}),
+    )
+    registry = _registry(make_card("c", source_trust=0.1))
+    (decision,), _ = decide(make_ctx(), registry, backend, cfg, condition_by_name("full"))
+    assert [t.card_id for t in decision.probe_traces if t.passed] == ["c"]
+    if trap_verify:
+        assert decision.chosen == Action(ActionVariant.LOAD_SKILL, card_id="c", cost=0.5)
+        assert ("source_confidence", "c") in backend.calls
+    else:
+        assert decision.chosen.variant is ActionVariant.VERIFY
+        assert "LOAD_SKILL:c" not in decision.scores
+        assert ("source_confidence", "c") not in backend.calls
 
 
 def test_vigilance_off_over_vigilant_candidates_fails_closed():

@@ -139,26 +139,24 @@ def load_script(path: str | Path) -> BehaviorScript:
         raise MissingSignalError(f'script {path}: expected top-level {{"rows": [...]}}')
     rows: dict[tuple[str, str, str], ScriptValue] = {}
     for i, raw in enumerate(doc["rows"]):
+        # Exactly four keys: a missing one reads as None, which no check accepts.
+        if type(raw) is not dict or len(raw) != 4:
+            raise MissingSignalError(f"script {path}: malformed row #{i}: {raw!r}")
+        triple = item, condition, key = raw.get("item"), raw.get("condition"), raw.get("key")
+        value = raw.get("value")
+        kind = type(value)
         if (
-            not isinstance(raw, dict)
-            or set(raw) != {"item", "condition", "key", "value"}
-            or not isinstance(raw["item"], str)
-            or not isinstance(raw["condition"], str)
-            or not isinstance(raw["key"], str)
-            or not isinstance(raw["value"], (int, float, str))
-            or isinstance(raw["value"], bool)
-            or (
-                not isinstance(raw["value"], str)
-                and _is_confidence_key(raw["key"])
-                and not 0.0 <= raw["value"] <= 1.0
-            )
+            type(item) is not str
+            or type(condition) is not str
+            or type(key) is not str
+            or kind is not str and kind is not float and kind is not int
+            or kind is not str and not 0.0 <= value <= 1.0 and _is_confidence_key(key)
         ):
             raise MissingSignalError(f"script {path}: malformed row #{i}: {raw!r}")
-        triple = (raw["item"], raw["condition"], raw["key"])
-        if triple in rows:
+        size = len(rows)
+        rows[triple] = float(value) if kind is int else value
+        if len(rows) == size:
             raise MissingSignalError(f"script {path}: duplicate row for {triple}")
-        value = raw["value"]
-        rows[triple] = float(value) if isinstance(value, (int, float)) else value
     return BehaviorScript(rows=rows)
 
 

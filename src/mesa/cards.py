@@ -48,7 +48,7 @@ TRUST_CEILINGS: Mapping[Provenance, float] = {
 STALE_TRUST_FACTOR = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkillCard:
     id: str
     name: str
@@ -84,7 +84,7 @@ def _default_body_loader(card: SkillCard) -> str:
     return f"<skill body at {card.body_ref}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CardRegistry:
     """Ordered, immutable card collection with id lookup and lazy body reads."""
 
@@ -143,59 +143,57 @@ class CardRegistry:
         return clone
 
 
-_CARD_FIELDS = {f.name for f in fields(SkillCard)}
+_CARD_FIELDS = frozenset(f.name for f in fields(SkillCard))
+_STRING_FIELDS = ("id", "name", "description", "apply_when", "cheap_probe", "body_ref")
+_OFFLOADING_TYPES = {member.value: member for member in OffloadingType}
+_PROVENANCES = {member.value: member for member in Provenance}
+
+
+def _card_error(raw: dict, index: int, problem: str) -> CardFileError:
+    """The problem, prefixed by the card's id if it has one, else by its index."""
+    where = f"card {raw['id']!r}" if raw.get("id") else f"card #{index}"
+    return CardFileError(f"{where}: {problem}")
 
 
 def _parse_card(raw: object, index: int, trees: dict[str, PredicateExpr]) -> SkillCard:
-    where = f"card #{index}"
-    if not isinstance(raw, dict):
-        raise CardFileError(f"{where}: expected an object")
-    if raw.get("id"):
-        where = f"card {raw['id']!r}"
-    unknown = set(raw) - _CARD_FIELDS
-    if unknown:
-        raise CardFileError(f"{where}: unknown field(s) {sorted(unknown)}")
-    missing = _CARD_FIELDS - set(raw)
-    if missing:
-        raise CardFileError(f"{where}: missing field(s) {sorted(missing)}")
-    for name in ("id", "name", "description", "apply_when", "cheap_probe", "body_ref"):
-        if not isinstance(raw[name], str):
-            raise CardFileError(f"{where}: {name} must be a string")
-    try:
-        for name in ("apply_when", "cheap_probe"):
-            if raw[name] not in trees:
-                trees[raw[name]] = parse_predicate(raw[name])
-    except PredicateSyntaxError as exc:
-        raise CardFileError(f"{where}: bad predicate: {exc}") from exc
-    try:
-        offloading = OffloadingType(raw["offloading_type"])
-    except ValueError:
-        raise CardFileError(
-            f"{where}: bad offloading_type {raw['offloading_type']!r}"
-        ) from None
-    try:
-        provenance = Provenance(raw["provenance"])
-    except ValueError:
-        raise CardFileError(f"{where}: bad provenance {raw['provenance']!r}") from None
-    if not isinstance(raw["stale"], bool):
-        raise CardFileError(f"{where}: stale must be a boolean")
-    if not isinstance(raw["source_trust"], (int, float)) or isinstance(raw["source_trust"], bool):
-        raise CardFileError(f"{where}: source_trust must be a number")
-    try:
-        return SkillCard(
-            id=raw["id"],
-            name=raw["name"],
-            description=raw["description"],
-            apply_when=trees[raw["apply_when"]],
-            cheap_probe=trees[raw["cheap_probe"]],
-            offloading_type=offloading,
-            source_trust=float(raw["source_trust"]),
-            provenance=provenance,
-            stale=bool(raw["stale"]),
-            body_ref=raw["body_ref"],
-        )
-    except ValueError as exc:
-        raise CardFileError(f"{where}: {exc}") from exc
+    """Check a card's fields one at a time, in a fixed order; the first failure names it."""
+    if type(raw) is not dict:
+        raise CardFileError(f"card #{index}: expected an object")
+    if raw.keys() != _CARD_FIELDS:
+        unknown = raw.keys() - _CARD_FIELDS
+        if unknown:
+            raise _card_error(raw, index, f"unknown field(s) {sorted(unknown)}")
+        raise _card_error(raw, index, f"missing field(s) {sorted(_CARD_FIELDS - raw.keys())}")
+    for name in _STRING_FIELDS:
+        if type(raw[name]) is not str:
+            raise _card_error(raw, index, f"{name} must be a string")
+    apply_when, cheap_probe = raw["apply_when"], raw["cheap_probe"]
+    for text in (apply_when, cheap_probe):
+        if text not in trees:
+            try:
+                trees[text] = parse_predicate(text)
+            except PredicateSyntaxError as exc:
+                raise _card_error(raw, index, f"bad predicate: {exc}") from exc
+    offloading = raw["offloading_type"]
+    if type(offloading) is not str or offloading not in _OFFLOADING_TYPES:
+        raise _card_error(raw, index, f"bad offloading_type {offloading!r}")
+    provenance = raw["provenance"]
+    if type(provenance) is not str or provenance not in _PROVENANCES:
+        raise _card_error(raw, index, f"bad provenance {provenance!r}")
+    if type(raw["stale"]) is not bool:
+        raise _card_error(raw, index, "stale must be a boolean")
+    trust = raw["source_trust"]
+    if type(trust) is not float and type(trust) is not int:
+        raise _card_error(raw, index, "source_trust must be a number")
+    if not raw["id"]:
+        raise _card_error(raw, index, "card id must be non-empty")
+    if not 0.0 <= trust <= 1.0:
+        raise _card_error(raw, index, "source_trust must be in [0, 1]")
+    return SkillCard(
+        raw["id"], raw["name"], raw["description"], trees[apply_when], trees[cheap_probe],
+        _OFFLOADING_TYPES[offloading], float(trust), _PROVENANCES[provenance], raw["stale"],
+        raw["body_ref"],
+    )
 
 
 def load_registry(path: str | Path) -> CardRegistry:

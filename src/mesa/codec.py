@@ -110,6 +110,8 @@ class Codec(Generic[_Record]):
                     records.append(decode(raw))
                 except _FieldError as exc:
                     raise exc.under(f"[{index}]") from None
+                except TypeError as exc:  # the element is not a JSON object
+                    raise _FieldError(f"[{index}]", str(exc)) from None
             return tuple(records)
 
         return lambda objs: [encode(obj) for obj in objs], decode_all

@@ -12,8 +12,10 @@ Grammar (operators uppercase, atom names lowercase):
     TAG     := [A-Za-z0-9_.-]+
 
 Precedence NOT > AND > OR; AND/OR associate left; parentheses override.
-The lexer works on the UTF-8 byte encoding so every syntax error carries a
-0-based byte offset plus the set of tokens that would have been legal there.
+One regex pass lexes the str itself, not its UTF-8 bytes, and one loop
+parses the tokens by precedence. Every syntax error still carries a 0-based
+byte offset into the UTF-8 encoding of the text, worked out only when the
+error is raised, plus the set of tokens that would have been legal there.
 At most MAX_OPERATORS NOT/AND/OR/( tokens bound the depth of every tree.
 
 Evaluation semantics: `contains` is a case-insensitive substring test on the
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Union
 
 from mesa.context import TaskContext
@@ -43,12 +45,13 @@ _TAG_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 _ATOM_NAMES = ("contains", "matches", "kind", "mime")
 _EXPR_START = frozenset(_ATOM_NAMES) | {"NOT", "("}
 _AFTER_OPERAND = frozenset(_ATOM_NAMES) | {")", "end of input"}
-# Shipped cards use at most 8; the parser takes 3 frames per parenthesis, so
-# it and every walk over a tree stay far from the recursion limit.
+_AFTER_EXPRESSION = frozenset({"AND", "OR", "end of input"})
+# Shipped cards use at most 8; every recursive walk over a tree stays far
+# from the recursion limit.
 MAX_OPERATORS = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Contains:
     """Case-insensitive substring test against the prompt, lowered once when built."""
 
@@ -59,7 +62,7 @@ class Contains:
         object.__setattr__(self, "lowered_text", self.text.lower())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matches:
     """Regex search against the prompt, compiled once when the atom is built."""
 
@@ -73,7 +76,7 @@ class Matches:
             raise ValueError(f"invalid regex pattern {self.pattern!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Kind:
     """Exact membership test against the context kind tags."""
 
@@ -84,7 +87,7 @@ class Kind:
             raise ValueError(f"invalid kind tag {self.tag!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mime:
     """Exact match test against any attachment mime tag."""
 
@@ -95,18 +98,18 @@ class Mime:
             raise ValueError(f"invalid mime tag {self.tag!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     child: "PredicateExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     left: "PredicateExpr"
     right: "PredicateExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     left: "PredicateExpr"
     right: "PredicateExpr"
@@ -125,146 +128,141 @@ def is_vacuous(expr: PredicateExpr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Lexer: a token is (kind, byte offset, atom), kind one of ( ) NOT AND OR ATOM EOF
+# Parser: one regex pass lexes the whole text, then one loop parses the tokens
 
-_WORD = rb"[A-Za-z0-9_.-]+"
-# Whitespace, then a parenthesis, a word or any other byte; no group at the end.
-_TOKEN_RE = re.compile(rb"[ \t\r\n]*(?:([()])|(" + _WORD + rb")|(.))?", re.S)
-_WORD_RE = re.compile(_WORD)
-_STRING_BODY_RE = re.compile(rb'(?:[^"\\]|\\["\\])*')
-_ESCAPE_RE = re.compile(rb"\\(.)")
+_WORD = r"[A-Za-z0-9_.\-]+"
+# After whitespace, one token as (operator, string atom name, its raw body,
+# tag atom name, its tag, anything else); every group is empty at the end.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:([()]|(?:AND|OR|NOT)(?![A-Za-z0-9_.\-]))"
+    r'|(contains|matches):"([^"\\]*(?:\\["\\][^"\\]*)*)"'
+    rf"|(kind|mime):({_WORD})|({_WORD}|.))?",
+    re.S,
+)
+_BINARY = {"AND": And, "OR": Or}
 
 
-def _lex(data: bytes) -> list[tuple[str, int, PredicateExpr | None]]:
-    tokens: list[tuple[str, int, PredicateExpr | None]] = []
+def _error(text: str, index: int, message: str, expected: frozenset[str]) -> PredicateSyntaxError:
+    """The error at a character index of text, located by its UTF-8 byte offset."""
+    return PredicateSyntaxError(message, len(text[:index].encode()), expected)
+
+
+def _token_start(text: str, k: int) -> int:
+    """The character index where token k of text starts (its end for the last token)."""
+    m = next(islice(_TOKEN_RE.finditer(text), k, None))
+    return m.end() - len(m[0].lstrip(" \t\r\n"))
+
+
+def _lex_error(text: str, start: int, token: str) -> PredicateSyntaxError:
+    """The error for a token at start that is neither an operator nor a whole atom."""
+    if token not in _ATOM_NAMES:
+        if _TAG_RE.match(token):
+            return _error(text, start, f"unknown name {token!r}", _EXPR_START | {"AND", "OR"})
+        return _error(text, start, f"unexpected character {token!r}", _EXPR_START)
+    i = start + len(token)
+    if text[i : i + 1] != ":":
+        return _error(text, i, f"expected ':' after {token!r}", frozenset({":"}))
+    if token in ("kind", "mime"):
+        return _error(text, i + 1, f"expected tag after '{token}:'", frozenset({"tag"}))
+    if text[i + 1 : i + 2] != '"':
+        return _error(text, i + 1, "expected string literal", frozenset({'"'}))
+    end = re.compile(r'(?:[^"\\]|\\["\\])*').match(text, i + 2).end()
+    if end + 1 < len(text):  # a backslash before anything but " or \
+        return _error(text, end, "invalid escape sequence", frozenset({'\\"', "\\\\"}))
+    return _error(text, len(text), "unterminated string literal", frozenset({'"'}))
+
+
+def _lex(text: str) -> list:
+    """The tokens of text: "(" ")" "AND" "OR" "NOT", atoms, and None at the end."""
+    tokens: list = []
     operators = 0
-    i = 0
-    while True:
-        m = _TOKEN_RE.match(data, i)
-        i, group = m.end(), m.lastindex
-        if group is None:
-            tokens.append(("EOF", i, None))
-            return tokens
-        start = m.start(group)
-        if group == 3:
-            char = data[start : start + 4].decode("utf-8", "ignore")[0]
-            raise PredicateSyntaxError(f"unexpected character {char!r}", start, _EXPR_START)
-        word = m[group].decode()
-        if group == 1 or word in ("AND", "OR", "NOT"):
-            operators += word != ")"
+    for op, string_name, body, tag_name, tag, other in _TOKEN_RE.findall(text):
+        if op:
+            operators += op != ")"
             if operators > MAX_OPERATORS:
-                raise PredicateSyntaxError(
-                    f"more than {MAX_OPERATORS} NOT/AND/OR/( tokens", start, _AFTER_OPERAND
-                )
-            tokens.append((word, start, None))
-        elif word in _ATOM_NAMES:
-            atom, i = _lex_atom(word, data, i, start)
-            tokens.append(("ATOM", start, atom))
+                message = f"more than {MAX_OPERATORS} NOT/AND/OR/( tokens"
+                raise _error(text, _token_start(text, len(tokens)), message, _AFTER_OPERAND)
+            tokens.append(op)
+        elif string_name:
+            if "\\" in body:
+                body = re.sub(r"\\(.)", r"\1", body)
+            try:
+                tokens.append(Contains(body) if string_name == "contains" else Matches(body))
+            except ValueError as exc:  # a pattern that does not compile
+                raise _error(text, _token_start(text, len(tokens)), str(exc), frozenset()) from exc
+        elif tag_name:
+            tokens.append(Kind(tag) if tag_name == "kind" else Mime(tag))
+        elif other:
+            raise _lex_error(text, _token_start(text, len(tokens)), other)
         else:
-            raise PredicateSyntaxError(
-                f"unknown name {word!r}", start, _EXPR_START | {"AND", "OR"}
-            )
+            tokens.append(None)
+            break
+    return tokens
 
 
-def _lex_atom(name: str, data: bytes, i: int, word_start: int) -> tuple[PredicateExpr, int]:
-    """Lex the ':' and value following an atom name; returns (atom, next index)."""
-    if data[i : i + 1] != b":":
-        raise PredicateSyntaxError(f"expected ':' after {name!r}", i, frozenset({":"}))
-    i += 1
-    if name in ("kind", "mime"):
-        m = _WORD_RE.match(data, i)
-        if m is None:
-            raise PredicateSyntaxError(f"expected tag after '{name}:'", i, frozenset({"tag"}))
-        tag = m[0].decode()
-        return (Kind(tag) if name == "kind" else Mime(tag)), m.end()
-    if data[i : i + 1] != b'"':
-        raise PredicateSyntaxError("expected string literal", i, frozenset({'"'}))
-    end = _STRING_BODY_RE.match(data, i + 1).end()
-    if data[end : end + 1] != b'"':
-        if end + 1 < len(data):  # a backslash before anything but " or \
-            raise PredicateSyntaxError("invalid escape sequence", end, frozenset({'\\"', "\\\\"}))
-        raise PredicateSyntaxError("unterminated string literal", len(data), frozenset({'"'}))
-    value = _ESCAPE_RE.sub(rb"\1", data[i + 1 : end]).decode("utf-8")
-    if name == "contains":
-        return Contains(value), end + 1
-    try:
-        return Matches(value), end + 1
-    except ValueError as exc:
-        raise PredicateSyntaxError(str(exc), word_start, frozenset()) from exc
-
-
-# ---------------------------------------------------------------------------
-# Parser
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, int, PredicateExpr | None]]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-
-    def take(self, kind: str) -> tuple[str, int, PredicateExpr | None] | None:
-        """Consume and return the next token if it is of this kind."""
-        token = self.tokens[self.pos]
-        if token[0] != kind:
-            return None
-        self.pos += 1
-        return token
-
-    def parse_or(self) -> PredicateExpr:
-        node = self.parse_and()
-        while self.take("OR"):
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self) -> PredicateExpr:
-        node = self.parse_unary()
-        while self.take("AND"):
-            node = And(node, self.parse_unary())
-        return node
-
-    def parse_unary(self) -> PredicateExpr:
-        if self.take("NOT"):
-            return Not(self.parse_unary())
-        if self.take("("):
-            node = self.parse_or()
-            if not self.take(")"):
-                raise PredicateSyntaxError(
-                    "expected closing parenthesis", self.tokens[self.pos][1], frozenset({")"})
-                )
-            return node
-        token = self.take("ATOM")
-        if token is None:
-            raise PredicateSyntaxError(
-                "expected expression", self.tokens[self.pos][1], _EXPR_START
-            )
-        return token[2]
+def _parse(text: str, tokens: list) -> PredicateExpr:
+    """The tree of a token list, by operator precedence (NOT > AND > OR)."""
+    operands: list[PredicateExpr] = []  # the left sides of the pending ANDs and ORs
+    pending: list[str] = []  # "(", "NOT", "AND" and "OR" still waiting for their right side
+    depth = k = 0
+    while True:
+        # An operand: any NOTs and opening parentheses, then an atom.
+        token = tokens[k]
+        while type(token) is str and (token == "(" or token == "NOT"):
+            depth += token == "("
+            pending.append(token)
+            k += 1
+            token = tokens[k]
+        if token is None or type(token) is str:
+            raise _error(text, _token_start(text, k), "expected expression", _EXPR_START)
+        node = token
+        # Then any closing parentheses, up to an AND, an OR or the end.
+        while True:
+            while pending and pending[-1] == "NOT":
+                pending.pop()
+                node = Not(node)
+            k += 1
+            token = tokens[k]
+            if token == ")" and depth:
+                op = pending.pop()
+                while op != "(":
+                    node = _BINARY[op](operands.pop(), node)
+                    op = pending.pop()
+                depth -= 1
+            elif token == "AND" or token == "OR":
+                # First apply the pending operators that bind at least as tightly.
+                while pending and pending[-1] != "(" and (token == "OR" or pending[-1] == "AND"):
+                    node = _BINARY[pending.pop()](operands.pop(), node)
+                operands.append(node)
+                pending.append(token)
+                k += 1
+                break
+            elif depth:
+                message, expected = "expected closing parenthesis", frozenset({")"})
+                raise _error(text, _token_start(text, k), message, expected)
+            elif token is not None:
+                message = f"unexpected {token if type(token) is str else 'ATOM'!r} after expression"
+                raise _error(text, _token_start(text, k), message, _AFTER_EXPRESSION)
+            else:
+                while pending:
+                    node = _BINARY[pending.pop()](operands.pop(), node)
+                return node
 
 
 def parse_predicate(text: str) -> PredicateExpr:
     """Parse DSL source into an AST.
 
-    Raises PredicateSyntaxError with a 0-based byte offset and the set of
-    tokens that would have been legal at that point. The whole input is
-    encoded, then lexed, before parsing, so a lone surrogate anywhere wins
-    over a lexing error, and a lexing error anywhere over a parse error.
+    Raises PredicateSyntaxError with a 0-based UTF-8 byte offset and the set
+    of tokens that would have been legal at that point. A lone surrogate
+    anywhere wins over a lexing error, and a lexing error anywhere over a
+    parse error: the whole text is checked, then lexed, before parsing.
     """
-    try:
-        data = text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        offset = len(text[: exc.start].encode("utf-8"))
-        raise PredicateSyntaxError(
-            f"lone surrogate {text[exc.start]!r}", offset, frozenset({"a valid character"})
-        ) from None
-    parser = _Parser(_lex(data))
-    node = parser.parse_or()
-    kind, offset, _ = parser.tokens[parser.pos]
-    if kind != "EOF":
-        raise PredicateSyntaxError(
-            f"unexpected {kind!r} after expression",
-            offset,
-            frozenset({"AND", "OR", "end of input"}),
-        )
-    return node
+    if not text.isascii():
+        surrogate = re.search("[\ud800-\udfff]", text)
+        if surrogate:
+            message = f"lone surrogate {surrogate[0]!r}"
+            raise _error(text, surrogate.start(), message, frozenset({"a valid character"}))
+    return _parse(text, _lex(text))
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,24 @@ def test_a_field_of_the_wrong_type_is_corruption_naming_it(bank_path, path, valu
         read_bank(bank_path)
 
 
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("trajectory", "decisions"), ["x"], "trajectory.decisions[0]"),
+        (("trajectory", "decisions", 0, "probe_traces"), [7], "trajectory.decisions[0].probe_traces[0]"),
+    ],
+)
+def test_a_list_element_that_is_no_object_is_named_by_its_index(bank_path, path, value, field):
+    record(make_entry(), bank_path)
+    _damage(bank_path, path, value)
+    with pytest.raises(BankCorruptionError) as err:
+        read_bank(bank_path)
+    kind = type(value[0]).__name__
+    assert str(err.value) == (
+        f"{bank_path}: damaged record at line 0: field {field}: expected a JSON object, got {kind}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Hypercorrection rule
 

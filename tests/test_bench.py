@@ -542,7 +542,7 @@ def _report_doc(**changes):
         (_report_doc(cells={"baseline": [], "full": {"overall": 1.0}}), r"cells\['baseline'\]"),
         (_report_doc(items={"condition": "full"}), "items must be a list"),
         (_report_doc(items=[{"condition": "full"}]), r"bad item: field \[0\]\.item_id: missing$"),
-        (_report_doc(items=["full"]), "bad item: expected a JSON object, got str$"),
+        (_report_doc(items=["full"]), r"bad item: field \[0\]: expected a JSON object, got str$"),
     ],
     ids=[
         "no-items", "conditions-text", "conditions-number", "row-missing", "duplicate-condition",

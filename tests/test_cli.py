@@ -538,6 +538,21 @@ def test_report_names_the_index_of_a_damaged_item(tmp_path, capsys):
     assert err == "mesa: routing-bench-results-v1: bad item: field [836].item_id: missing\n"
 
 
+def test_report_names_the_index_of_an_item_that_is_no_object(tmp_path, capsys):
+    saved = tmp_path / "results.json"
+    code, _, _ = run_cli(*EVAL_ARGS, "--format", "machine", "--out", str(saved), capsys=capsys)
+    assert code == EXIT_OK
+    doc = json.loads(saved.read_text(encoding="utf-8"))
+    doc["items"][836] = "x"
+    saved.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli("report", "--in", str(saved), capsys=capsys)
+    assert code == EXIT_IO
+    assert out == ""
+    assert err == (
+        "mesa: routing-bench-results-v1: bad item: field [836]: expected a JSON object, got str\n"
+    )
+
+
 def test_report_missing_file(capsys):
     code, _, err = run_cli("report", "--in", "/nonexistent/report.json", capsys=capsys)
     assert code == EXIT_IO

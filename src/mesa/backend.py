@@ -7,8 +7,12 @@ script keyed by (item, condition, key) with "*" as the any-condition default,
 so whole benchmark runs are pure functions of committed fixtures. The cache
 wrapper records any live backend into the same deterministic shape and can
 replay with no inner backend at all; it appends through mesa.journal, as the
-failure bank does. The remote backend speaks a minimal chat-completions style
-HTTP protocol with retry, clamping, and redaction.
+failure bank does. Every cached query takes one path: build its key, look
+it up, else ask the inner backend, check the value's shape and record it.
+The remote backend speaks a minimal chat-completions style HTTP protocol
+with retry, clamping, and redaction. Every prompt it sends has one frame of
+three lines: "Task: <prompt>", the query's request, and "Reply with one
+line: <reply>"; only the request and the reply format differ by query.
 
 A backend may also offer gather(calls), which runs independent zero-argument
 queries (possibly concurrently) and returns their results in list order. The
@@ -26,7 +30,7 @@ import time
 import urllib.error
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, Sequence
 
 from mesa import journal
 from mesa.context import TaskContext
@@ -154,7 +158,10 @@ def load_script(path: str | Path) -> BehaviorScript:
         ):
             raise MissingSignalError(f"script {path}: malformed row #{i}: {raw!r}")
         size = len(rows)
-        rows[triple] = float(value) if kind is int else value
+        try:
+            rows[triple] = float(value) if kind is int else value
+        except OverflowError:  # an integer too large for a float
+            raise MissingSignalError(f"script {path}: malformed row #{i}: {raw!r}") from None
         if len(rows) == size:
             raise MissingSignalError(f"script {path}: duplicate row for {triple}")
     return BehaviorScript(rows=rows)
@@ -213,15 +220,19 @@ class ScriptedBackend:
         return str(self._lookup(ctx, f"answer:{variant_key}"))
 
     def self_report_tags(self, ctx: TaskContext) -> frozenset[str]:
-        raw = str(self._lookup(ctx, "tags"))
-        return frozenset(tag for tag in (part.strip() for part in raw.split(",")) if tag)
+        return _tag_set(str(self._lookup(ctx, "tags")))
+
+
+def _tag_set(raw: str) -> frozenset[str]:
+    """The stripped, non-empty entries of a comma-separated tag list."""
+    return frozenset(tag for tag in (part.strip() for part in raw.split(",")) if tag)
 
 
 # ---------------------------------------------------------------------------
 # Record / replay cache
 
 
-def _cache_key(op: str, ctx: TaskContext, arg: str | None) -> str:
+def _cache_key(op: str, ctx: TaskContext, arg: str | None = None) -> str:
     payload = {
         "op": op,
         "prompt": ctx.prompt,
@@ -283,8 +294,9 @@ class CachedBackend:
                     f"cache {self._path} line {line_no} is damaged: {exc}"
                 ) from exc
 
-    def _resolve(self, op: str, ctx: TaskContext, arg: str | None, call: Callable[[], object]) -> object:
-        key = _cache_key(op, ctx, arg)
+    def _resolve(self, op: str, ctx: TaskContext, *args: str) -> Any:
+        """Answer query op from the cache, else from the inner backend, recording it."""
+        key = _cache_key(op, ctx, *args)
         what, valid = _SHAPES[op]
         with self._lock:
             if key in self._entries:
@@ -292,7 +304,9 @@ class CachedBackend:
             elif self._inner is None:
                 raise ReplayMissError(f"replay cache has no entry for key {key}")
             else:
-                value = call()
+                value = getattr(self._inner, op)(ctx, *args)
+                if isinstance(value, (set, frozenset)):  # JSON has no sets
+                    value = sorted(value)
                 if valid(value):
                     value = self._record(key, value)
             if not valid(value):
@@ -311,42 +325,19 @@ class CachedBackend:
         return self._entries.setdefault(key, value)
 
     def self_confidence(self, ctx: TaskContext) -> float:
-        return float(
-            self._resolve(
-                "self_confidence", ctx, None, lambda: self._inner.self_confidence(ctx)
-            )
-        )
+        return float(self._resolve("self_confidence", ctx))
 
     def source_confidence(self, ctx: TaskContext, channel: str) -> float:
-        return float(
-            self._resolve(
-                "source_confidence",
-                ctx,
-                channel,
-                lambda: self._inner.source_confidence(ctx, channel),
-            )
-        )
+        return float(self._resolve("source_confidence", ctx, channel))
 
     def probe_signal(self, ctx: TaskContext, card_id: str) -> float:
-        return float(
-            self._resolve(
-                "probe_signal", ctx, card_id, lambda: self._inner.probe_signal(ctx, card_id)
-            )
-        )
+        return float(self._resolve("probe_signal", ctx, card_id))
 
     def answer(self, ctx: TaskContext, variant_key: str) -> str:
-        return self._resolve(  # type: ignore[return-value]
-            "answer", ctx, variant_key, lambda: self._inner.answer(ctx, variant_key)
-        )
+        return self._resolve("answer", ctx, variant_key)
 
     def self_report_tags(self, ctx: TaskContext) -> frozenset[str]:
-        value = self._resolve(
-            "self_report_tags",
-            ctx,
-            None,
-            lambda: sorted(self._inner.self_report_tags(ctx)),
-        )
-        return frozenset(value)  # type: ignore[arg-type]
+        return frozenset(self._resolve("self_report_tags", ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +397,19 @@ def _redact(headers: dict[str, str]) -> dict[str, str]:
 
 class _ParseFailure(Exception):
     """A response arrived but lacked the requested structured field."""
+
+
+def _parse_answer(text: str) -> str:
+    match = _ANSWER_RE.search(text)
+    return (match.group(1) if match else text).strip()
+
+
+def _parse_tags(text: str) -> frozenset[str]:
+    """The first line after `tags:`; a missing or empty line, or `none`, is no tags."""
+    match = _TAGS_RE.search(text)
+    lines = match.group(1).strip().splitlines() if match else []
+    line = lines[0] if lines else ""
+    return frozenset() if line.lower() == "none" else _tag_set(line)
 
 
 class RemoteBackend:
@@ -477,7 +481,11 @@ class RemoteBackend:
             )
         return token
 
-    def _request(self, prompt: str, parse: Callable[[str], object], what: str) -> object:
+    def _request(
+        self, ctx: TaskContext, request: str, reply: str, parse: Callable[[str], Any], what: str
+    ) -> Any:
+        """Ask one query in the shared prompt frame; parse raises _ParseFailure to ask again."""
+        prompt = f"Task: {ctx.prompt}\n{request}\nReply with one line: {reply}"
         headers = {
             "Content-Type": "application/json",
             "Authorization": f"Bearer {self._auth_token()}",
@@ -502,13 +510,6 @@ class RemoteBackend:
                         self._config.endpoint, headers, body, self._config.timeout_s
                     )
                 content = json.loads(raw)["choices"][0]["message"]["content"]
-                if not isinstance(content, str):
-                    raise _ParseFailure("response content is not text")
-                log.debug("response: %s", content)
-                return parse(content)
-            except _ParseFailure as exc:
-                last_error = exc
-                log.debug("attempt %d/%d unparseable: %s", attempt + 1, attempts, exc)
             except (OSError, urllib.error.URLError, json.JSONDecodeError, KeyError,
                     IndexError, TypeError) as exc:
                 if _is_permanent(exc):
@@ -517,6 +518,15 @@ class RemoteBackend:
                     ) from exc
                 last_error = exc
                 log.debug("attempt %d/%d failed: %s", attempt + 1, attempts, exc)
+                continue
+            try:
+                if not isinstance(content, str):
+                    raise _ParseFailure("response content is not text")
+                log.debug("response: %s", content)
+                return parse(content)
+            except _ParseFailure as exc:
+                last_error = exc
+                log.debug("attempt %d/%d unparseable: %s", attempt + 1, attempts, exc)
         if isinstance(last_error, _ParseFailure):
             raise MissingSignalError(
                 f"{last_error} for {what} after {attempts} attempt(s)"
@@ -525,22 +535,19 @@ class RemoteBackend:
             f"endpoint failed after {attempts} attempt(s): {last_error}"
         ) from last_error
 
-    def _parse_confidence(self, text: str, what: str) -> float:
-        match = _CONFIDENCE_RE.search(text)
-        if not match:
-            raise _ParseFailure(f"no parseable confidence in response for {what}")
-        value = float(match.group(1))
-        if not 0.0 <= value <= 1.0:
-            clamped = min(1.0, max(0.0, value))
-            log.warning("clamping out-of-range confidence %s to %s for %s", value, clamped, what)
-            value = clamped
-        return value
+    def _confidence(self, ctx: TaskContext, request: str, what: str) -> float:
+        def parse(text: str) -> float:
+            match = _CONFIDENCE_RE.search(text)
+            if not match:
+                raise _ParseFailure(f"no parseable confidence in response for {what}")
+            value = float(match.group(1))
+            if not 0.0 <= value <= 1.0:
+                clamped = min(1.0, max(0.0, value))
+                log.warning("clamping out-of-range confidence %s to %s for %s", value, clamped, what)
+                value = clamped
+            return value
 
-    def _confidence(self, prompt: str, what: str) -> float:
-        value = self._request(
-            prompt, lambda text: self._parse_confidence(text, what), what
-        )
-        return float(value)  # type: ignore[arg-type]
+        return self._request(ctx, request, "confidence: <number between 0 and 1>", parse, what)
 
     def self_confidence(self, ctx: TaskContext) -> float:
         stage = (
@@ -549,62 +556,41 @@ class RemoteBackend:
             else "before using any external source"
         )
         return self._confidence(
-            f"Task: {ctx.prompt}\n"
-            f"Rate your certainty ({stage}) that your own knowledge suffices.\n"
-            'Reply with one line: confidence: <number between 0 and 1>',
+            ctx,
+            f"Rate your certainty ({stage}) that your own knowledge suffices.",
             "self_confidence",
         )
 
     def source_confidence(self, ctx: TaskContext, channel: str) -> float:
         return self._confidence(
-            f"Task: {ctx.prompt}\n"
+            ctx,
             f"Rate how likely the external source {channel!r} is to produce a "
-            "correct result for this task.\n"
-            'Reply with one line: confidence: <number between 0 and 1>',
+            "correct result for this task.",
             f"source_confidence:{channel}",
         )
 
     def probe_signal(self, ctx: TaskContext, card_id: str) -> float:
         return self._confidence(
-            f"Task: {ctx.prompt}\n"
+            ctx,
             f"Without loading the skill {card_id!r}, rate your certainty that "
-            "you could complete the task from your own knowledge.\n"
-            'Reply with one line: confidence: <number between 0 and 1>',
+            "you could complete the task from your own knowledge.",
             f"probe:{card_id}",
         )
 
     def answer(self, ctx: TaskContext, variant_key: str) -> str:
-        def parse(text: str) -> str:
-            match = _ANSWER_RE.search(text)
-            return (match.group(1) if match else text).strip()
-
-        return str(
-            self._request(
-                f"Task: {ctx.prompt}\n"
-                f"Respond in mode {variant_key!r}.\n"
-                "Reply with one line: answer: <your answer>",
-                parse,
-                f"answer:{variant_key}",
-            )
+        return self._request(
+            ctx,
+            f"Respond in mode {variant_key!r}.",
+            "answer: <your answer>",
+            _parse_answer,
+            f"answer:{variant_key}",
         )
 
     def self_report_tags(self, ctx: TaskContext) -> frozenset[str]:
-        def parse(text: str) -> frozenset[str]:
-            match = _TAGS_RE.search(text)
-            if not match:
-                return frozenset()
-            raw = match.group(1).strip().splitlines()[0]
-            if raw.lower() in ("", "none"):
-                return frozenset()
-            return frozenset(
-                tag for tag in (part.strip() for part in raw.split(",")) if tag
-            )
-
-        value = self._request(
-            f"Task: {ctx.prompt}\n"
-            "List applicable tags from: trivial, trap.\n"
-            "Reply with one line: tags: <comma-separated list, or none>",
-            parse,
+        return self._request(
+            ctx,
+            "List applicable tags from: trivial, trap.",
+            "tags: <comma-separated list, or none>",
+            _parse_tags,
             "tags",
         )
-        return frozenset(value)  # type: ignore[arg-type]

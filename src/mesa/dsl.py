@@ -72,7 +72,7 @@ class Matches:
     def __post_init__(self) -> None:
         try:
             object.__setattr__(self, "regex", re.compile(self.pattern))
-        except re.error as exc:
+        except (re.error, OverflowError) as exc:  # OverflowError: a repeat count too large
             raise ValueError(f"invalid regex pattern {self.pattern!r}: {exc}") from exc
 
 

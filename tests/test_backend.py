@@ -764,6 +764,75 @@ def test_remote_tag_parsing(auth_env):
     assert silent.self_report_tags(make_ctx()) == frozenset()
 
 
+@pytest.mark.parametrize("reply", ["tags:", "tags:  \n", "Nothing applies.\nTags =   "])
+def test_remote_empty_tags_line_is_no_tags_on_the_first_attempt(auth_env, no_sleep, reply):
+    attempts = []
+
+    def transport(url, headers, body, timeout):
+        attempts.append(1)
+        return _ok_response(reply)
+
+    assert _remote(transport).self_report_tags(make_ctx()) == frozenset()
+    assert len(attempts) == 1
+    assert no_sleep == []
+
+
+def test_remote_parser_bug_is_not_retried_as_an_endpoint_failure(auth_env, no_sleep, monkeypatch):
+    attempts = []
+
+    def transport(url, headers, body, timeout):
+        attempts.append(1)
+        return _ok_response("answer: ok")
+
+    def broken_parse(text):
+        raise IndexError("parser bug")
+
+    monkeypatch.setattr("mesa.backend._parse_answer", broken_parse)
+    with pytest.raises(IndexError, match="parser bug"):
+        _remote(transport).answer(make_ctx(), "direct")
+    assert len(attempts) == 1
+    assert no_sleep == []
+
+
+def test_remote_prompt_texts_are_exact(auth_env):
+    """Every query's prompt, byte for byte: a remote endpoint parses these."""
+    prompts = []
+
+    def transport(url, headers, body, timeout):
+        prompts.append(json.loads(body)["messages"][0]["content"])
+        return _ok_response("confidence: 0.5\nanswer: ok\ntags: none")
+
+    backend = _remote(transport)
+    ctx = make_ctx(prompt="Convert 3 km to miles.")
+    backend.self_confidence(ctx)
+    backend.self_confidence(make_ctx(prompt="Convert 3 km to miles.", pre_offload_p_self=0.4))
+    backend.source_confidence(ctx, "__tool__")
+    backend.probe_signal(ctx, "unit-convert")
+    backend.answer(ctx, "skill:unit-convert:commit")
+    backend.self_report_tags(ctx)
+    reply = "Reply with one line: confidence: <number between 0 and 1>"
+    assert prompts == [
+        "Task: Convert 3 km to miles.\n"
+        "Rate your certainty (before using any external source) that your own knowledge "
+        f"suffices.\n{reply}",
+        "Task: Convert 3 km to miles.\n"
+        "Rate your certainty (after consulting the external source) that your own knowledge "
+        f"suffices.\n{reply}",
+        "Task: Convert 3 km to miles.\n"
+        "Rate how likely the external source '__tool__' is to produce a correct result for "
+        f"this task.\n{reply}",
+        "Task: Convert 3 km to miles.\n"
+        "Without loading the skill 'unit-convert', rate your certainty that you could complete "
+        f"the task from your own knowledge.\n{reply}",
+        "Task: Convert 3 km to miles.\n"
+        "Respond in mode 'skill:unit-convert:commit'.\n"
+        "Reply with one line: answer: <your answer>",
+        "Task: Convert 3 km to miles.\n"
+        "List applicable tags from: trivial, trap.\n"
+        "Reply with one line: tags: <comma-separated list, or none>",
+    ]
+
+
 def test_remote_config_validation():
     with pytest.raises(ValueError):
         RemoteConfig("https://x", "TOKEN", "m", max_retries=-1)

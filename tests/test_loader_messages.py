@@ -152,6 +152,12 @@ def _card(**changes) -> dict:
             "card 'a': source_trust must be in [0, 1]",
             id="trust-too-large-for-a-float",
         ),
+        pytest.param(
+            _card(apply_when='matches:"a{99999999999}"'),
+            "card 'a': bad predicate: invalid regex pattern 'a{99999999999}': the repetition "
+            "number is too large at byte 0 (expected: nothing)",
+            id="regex-repeat-too-large",
+        ),
     ],
 )
 def test_load_registry_names_the_first_broken_rule(tmp_path, card, message):
@@ -214,6 +220,7 @@ _ROW = {"item": "i1", "condition": "*", "key": "p_self", "value": 0.5}
         pytest.param(dict(_ROW, key="source:__tool__", value=float("nan")), id="nan-source"),
         pytest.param(dict(_ROW, key="source:relevance:DIRECT", value=2), id="int-relevance"),
         pytest.param(dict(_ROW, key="probe:c1", value=float("inf")), id="infinite-probe"),
+        pytest.param(dict(_ROW, key="answer:direct", value=10**400), id="huge-int-answer"),
     ],
 )
 def test_load_script_names_a_malformed_row(tmp_path, row):

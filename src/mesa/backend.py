@@ -370,7 +370,7 @@ _BACKOFF_FACTOR = 2.0
 _RETRYABLE_4XX = (408, 429)
 
 _CONFIDENCE_RE = re.compile(r"confidence\s*[:=]\s*(-?[0-9]+(?:\.[0-9]+)?)", re.IGNORECASE)
-_TAGS_RE = re.compile(r"tags\s*[:=]\s*(.{0,200})", re.IGNORECASE)
+_TAGS_RE = re.compile(r"tags\s*[:=][ \t]*(.{0,200})", re.IGNORECASE)
 _ANSWER_RE = re.compile(r"answer\s*[:=]\s*(.*)", re.IGNORECASE | re.DOTALL)
 
 
@@ -539,7 +539,7 @@ class RemoteBackend:
         def parse(text: str) -> float:
             match = _CONFIDENCE_RE.search(text)
             if not match:
-                raise _ParseFailure(f"no parseable confidence in response for {what}")
+                raise _ParseFailure("no parseable confidence in response")
             value = float(match.group(1))
             if not 0.0 <= value <= 1.0:
                 clamped = min(1.0, max(0.0, value))

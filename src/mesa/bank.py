@@ -30,6 +30,7 @@ from mesa.cards import CardRegistry
 from mesa.codec import Codec
 from mesa.errors import BankCorruptionError, RegistryLookupError, StaleTrustError
 from mesa.router import (
+    CLAIM_THRESHOLD,
     Outcome,
     TrajectoryRecord,
     trajectory_from_dict,
@@ -41,7 +42,7 @@ from mesa.router import (
 class BankConfig:
     """Hypercorrection parameters: threshold tau and decrement kappa."""
 
-    high_confidence_threshold: float = 0.8
+    high_confidence_threshold: float = CLAIM_THRESHOLD
     decrement_factor: float = 0.5
 
     def __post_init__(self) -> None:

@@ -23,7 +23,6 @@ from typing import Callable, Mapping, Sequence
 from mesa.backend import BehaviorScript, ScriptedBackend
 from mesa.cards import CardRegistry
 from mesa.codec import Codec
-from mesa.confidence import DecontaminationConfig
 from mesa.context import Attachment
 from mesa.errors import CoverageError, MesaError, SuiteFormatError
 from mesa.router import (
@@ -253,7 +252,6 @@ def run_matrix(
     script: BehaviorScript,
     conditions: Sequence[Condition] = CONDITIONS,
     cfg: RoutingConfig = RoutingConfig(),
-    dc_cfg: DecontaminationConfig | None = None,
     on_record: Callable[[TrajectoryRecord], None] | None = None,
 ) -> ResultsTable:
     """Run every item under every condition and fold into a ResultsTable.
@@ -276,7 +274,7 @@ def run_matrix(
         totals: dict[str, int] = {s: 0 for s in slice_values}
         for item in suite:
             try:
-                rec = run_trajectory(item, registry, backend, cfg, cond, dc_cfg)
+                rec = run_trajectory(item, registry, backend, cfg, cond)
                 if on_record is not None:
                     on_record(rec)
                 outcome = ItemOutcome(

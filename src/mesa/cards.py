@@ -236,7 +236,7 @@ class Diagnostic:
         return f"{self.card_id}:{self.code}:{self.message}"
 
 
-def lint_cards(registry: CardRegistry, trust_gate: float = 0.7) -> list[Diagnostic]:
+def lint_cards(registry: CardRegistry, trust_gate: float) -> list[Diagnostic]:
     """Diagnose suspicious cards. Diagnostics, never failures."""
     findings: list[Diagnostic] = []
     for card in registry:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from mesa.backend import (
@@ -37,7 +37,6 @@ from mesa.bench import (
     run_matrix,
 )
 from mesa.cards import CardRegistry, lint_cards, load_registry
-from mesa.confidence import DecontaminationConfig
 from mesa.context import Attachment, TaskContext
 from mesa.errors import (
     ConfigFileError,
@@ -76,16 +75,11 @@ class _Parser(argparse.ArgumentParser):
 # Configuration file
 
 
-@dataclass(frozen=True)
-class Settings:
-    routing: RoutingConfig
-    bank: BankConfig
-    decontam: DecontaminationConfig
-
-
-_CONFIGS = (RoutingConfig, BankConfig, DecontaminationConfig)  # Settings' field order
+_CONFIGS = (RoutingConfig, BankConfig)  # _load_settings' result order
 # Every config field is a key; its annotation ("float" or "bool") says how to parse it.
 _KEY_TYPES = {f.name: f.type for cls in _CONFIGS for f in fields(cls)}
+# mesa route's --alpha, --lambda and --trust-gate: each dest is a RoutingConfig field.
+_ROUTE_OVERRIDES = ("alpha", "cost_lambda", "trust_gate")
 
 
 def _parse_config_file(path: str) -> dict[str, object]:
@@ -122,16 +116,15 @@ def _parse_config_file(path: str) -> dict[str, object]:
     return values
 
 
-def _load_settings(config_path: str | None) -> Settings:
+def _load_settings(config_path: str | None) -> tuple[RoutingConfig, BankConfig]:
     values = _parse_config_file(config_path) if config_path else {}
     try:
-        configs = [
+        return tuple(
             cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
             for cls in _CONFIGS
-        ]
+        )
     except ValueError as exc:
         raise ConfigFileError(f"{config_path}: {exc}") from exc
-    return Settings(*configs)
 
 
 def _use_color(mode: str, stream) -> bool:
@@ -152,8 +145,8 @@ def _paint(text: str, code: str, enabled: bool) -> str:
 
 def _cmd_cards_lint(args: argparse.Namespace) -> int:
     registry = load_registry(args.path)
-    settings = _load_settings(args.config)
-    findings = lint_cards(registry, trust_gate=settings.routing.trust_gate)
+    routing, _ = _load_settings(args.config)
+    findings = lint_cards(registry, trust_gate=routing.trust_gate)
     color = _use_color(args.color, sys.stdout)
     for diag in findings:
         line = diag.render()
@@ -189,20 +182,12 @@ def _build_backend(
 
 
 def _cmd_route(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    settings = _load_settings(args.config)
-    cfg = settings.routing
-    overrides = {}
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.cost_lambda is not None:
-        overrides["cost_lambda"] = args.cost_lambda
-    if args.trust_gate is not None:
-        overrides["trust_gate"] = args.trust_gate
-    if overrides:
-        try:
-            cfg = replace(cfg, **overrides)
-        except ValueError as exc:
-            parser.error(str(exc))
+    cfg, _ = _load_settings(args.config)
+    flags = vars(args)
+    try:
+        cfg = replace(cfg, **{k: flags[k] for k in _ROUTE_OVERRIDES if flags[k] is not None})
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         condition: Condition = condition_by_name(args.condition)
     except ValueError as exc:
@@ -273,18 +258,18 @@ def _cmd_route(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    settings = _load_settings(args.config)
+    cfg, _ = _load_settings(args.config)
     if args.conditions:
+        names = [name.strip() for name in args.conditions.split(",") if name.strip()]
         try:
-            conditions = tuple(
-                condition_by_name(name.strip())
-                for name in args.conditions.split(",")
-                if name.strip()
-            )
+            conditions = tuple(condition_by_name(name) for name in names)
         except ValueError as exc:
             parser.error(str(exc))
         if not conditions:
             parser.error("--conditions must name at least one condition")
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            parser.error(f"--conditions names {repeated[0]!r} more than once")
     else:
         conditions = CONDITIONS
 
@@ -292,14 +277,7 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     expected = args.expected_per_slice if args.expected_per_slice > 0 else None
     suite = load_suite(args.suite, registry, expected_per_slice=expected)
     script = load_script(args.script)
-    table = run_matrix(
-        suite,
-        registry,
-        script,
-        conditions,
-        settings.routing,
-        settings.decontam,
-    )
+    table = run_matrix(suite, registry, script, conditions, cfg)
     rendered = emit_report(table, args.format)
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
@@ -345,10 +323,10 @@ def _cmd_bank_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_bank_correct(args: argparse.Namespace) -> int:
-    settings = _load_settings(args.config)
+    _, bank_cfg = _load_settings(args.config)
     entries = read_bank(args.bank)
     registry = load_registry(args.cards)
-    updates = hypercorrection_updates(entries, settings.bank, registry)
+    updates = hypercorrection_updates(entries, bank_cfg, registry)
     for update in updates:
         print(
             f"{update.card_id}: {update.old_trust:.6f} -> {update.new_trust:.6f} "
@@ -453,7 +431,10 @@ def _build_parser() -> _Parser:
         "--auth-env", default=None, help="environment variable holding the API token"
     )
     route.add_argument(
-        "--timeout", type=float, default=30.0, help="remote request timeout seconds"
+        "--timeout",
+        type=float,
+        default=RemoteConfig.timeout_s,
+        help="remote request timeout seconds",
     )
 
     evaluate = commands.add_parser("eval", help="run the benchmark matrix")

@@ -9,7 +9,8 @@ confidences; every other key is a card id.
 Decontamination guards against post-offload confidence inflation: after
 consuming external content, a raised p_self is clamped back to its pre-offload
 value unless verification succeeded or the source's trust clears a strict
-threshold. Decreases are always accepted.
+threshold. Decreases are always accepted. The threshold is a routing setting,
+RoutingConfig.trust_override_threshold, which the router passes in.
 """
 
 from __future__ import annotations
@@ -39,32 +40,22 @@ class ConfidenceVector:
             _check_unit(f"source_confidences[{channel!r}]", value)
 
 
-@dataclass(frozen=True)
-class DecontaminationConfig:
-    """Threshold above which source trust alone lets a raise stand."""
-
-    trust_override_threshold: float = 0.9
-
-    def __post_init__(self) -> None:
-        _check_unit("trust_override_threshold", self.trust_override_threshold)
-
-
 def decontaminate(
     pre_offload_p_self: float,
     post_offload_p_self: float,
     source_trust: float,
     verified: bool,
-    cfg: DecontaminationConfig = DecontaminationConfig(),
+    trust_override_threshold: float,
 ) -> float:
     """Accept or clamp a post-offload self-confidence.
 
     Returns post_offload_p_self when verified or when source_trust clears
-    cfg.trust_override_threshold; otherwise min(pre, post). Never raises the
+    trust_override_threshold; otherwise min(pre, post). Never raises the
     result above an unverified, low-trust post-offload reading's pre value.
     """
     _check_unit("pre_offload_p_self", pre_offload_p_self)
     _check_unit("post_offload_p_self", post_offload_p_self)
     _check_unit("source_trust", source_trust)
-    if verified or source_trust >= cfg.trust_override_threshold:
+    if verified or source_trust >= trust_override_threshold:
         return post_offload_p_self
     return min(pre_offload_p_self, post_offload_p_self)

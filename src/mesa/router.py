@@ -62,7 +62,6 @@ from mesa.confidence import (
     TOOL_CHANNEL,
     VERIFY_CHANNEL,
     ConfidenceVector,
-    DecontaminationConfig,
     decontaminate,
 )
 from mesa.context import TaskContext
@@ -112,7 +111,7 @@ COST_TABLE: Mapping[ActionVariant, float] = {
 VERIFY_BASELINE = 0.1
 
 # Terminal confidence at or above which a post-offload claim is committed
-# rather than hedged. Matches the failure bank's high-confidence threshold.
+# rather than hedged. BankConfig's high-confidence threshold defaults to it.
 CLAIM_THRESHOLD = 0.8
 
 
@@ -144,12 +143,13 @@ def score_key(action: Action) -> str:
 
 @dataclass(frozen=True)
 class RoutingConfig:
-    """Scorer and gate parameters.
+    """Scorer, gate and decontamination parameters.
 
     alpha weighs self-confidence against source-confidence, cost_lambda is
     the cost penalty weight, trust_gate the minimum effective trust for
     LoadSkill candidacy, self_low the parametric-certainty threshold below
-    which epistemic offloading pressure starts.
+    which epistemic offloading pressure starts, trust_override_threshold the
+    source trust at which decontamination lets an unverified raise stand.
     """
 
     alpha: float = 0.6
@@ -157,6 +157,7 @@ class RoutingConfig:
     trust_gate: float = 0.7
     self_low: float = 0.45
     trap_verify: bool = True
+    trust_override_threshold: float = 0.9
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -167,6 +168,10 @@ class RoutingConfig:
             raise ValueError("cost_lambda must be finite and >= 0")
         if not 0.0 <= self.self_low <= 1.0:
             raise ValueError("self_low must be in [0, 1]")
+        if not 0.0 <= self.trust_override_threshold <= 1.0:
+            raise ValueError(
+                f"trust_override_threshold must be in [0, 1], got {self.trust_override_threshold!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -667,16 +672,14 @@ def run_trajectory(
     backend: "ModelBackend",
     cfg: RoutingConfig,
     condition: "Condition",
-    dc_cfg: DecontaminationConfig | None = None,
 ) -> TrajectoryRecord:
     """Route one benchmark item under one condition and grade the result.
 
     A missing backend signal never propagates: the trajectory fails closed
     as a Stopped, Incorrect record carrying the diagnostic.
     """
-    dc_cfg = dc_cfg or DecontaminationConfig()
     try:
-        return _run_trajectory(item, registry, backend, cfg, condition, dc_cfg)
+        return _run_trajectory(item, registry, backend, cfg, condition)
     except MissingSignalError as exc:
         fail_stop = Action(ActionVariant.STOP, utility_direct=0.0)
         return TrajectoryRecord(
@@ -698,7 +701,6 @@ def _run_trajectory(
     backend: "ModelBackend",
     cfg: RoutingConfig,
     condition: "Condition",
-    dc_cfg: DecontaminationConfig,
 ) -> TrajectoryRecord:
     ctx = context_for_item(item)
     decisions, cv = decide(ctx, registry, backend, cfg, condition, item.injected_card_ids)
@@ -739,7 +741,9 @@ def _run_trajectory(
                 [lambda: backend.self_confidence(post_ctx), lambda: backend.answer(ctx, mode)],
             )
         if condition.decontam_enabled:
-            terminal = decontaminate(p_self, post, source_trust, verified, dc_cfg)
+            terminal = decontaminate(
+                p_self, post, source_trust, verified, cfg.trust_override_threshold
+            )
         else:
             terminal = post
         if chosen.variant is ActionVariant.LOAD_SKILL:

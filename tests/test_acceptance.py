@@ -19,7 +19,7 @@ import pytest
 from mesa.bank import BankConfig, BankEntry, TrustUpdate, apply_updates, hypercorrection_updates
 from mesa.bench import condition_by_name, emit_report, normal_cdf, run_matrix, two_prop_ztest
 from mesa.cards import CardRegistry, effective_trust
-from mesa.confidence import ConfidenceVector, DecontaminationConfig, decontaminate
+from mesa.confidence import ConfidenceVector, decontaminate
 from mesa.dsl import And, Contains, Kind, Matches, Mime, Not, Or, parse_predicate, print_predicate
 from mesa.errors import PredicateSyntaxError, StaleTrustError
 from mesa.probe import ProbeStage
@@ -329,14 +329,14 @@ def test_probe_laziness(matrix_run):
 def test_decontamination_properties(mini_suite, mini_registry, mini_script):
     """6: monotone safety and idempotence; the mini-suite flips an outcome."""
     rng = random.Random(6021023)
-    cfg = DecontaminationConfig()
+    threshold = RoutingConfig().trust_override_threshold
     for _ in range(10_000):
         pre, post, trust = rng.random(), rng.random(), rng.random()
         verified = rng.random() < 0.5
-        result = decontaminate(pre, post, trust, verified, cfg)
-        if not verified and trust < cfg.trust_override_threshold:
+        result = decontaminate(pre, post, trust, verified, threshold)
+        if not verified and trust < threshold:
             assert result <= pre
-        again = decontaminate(pre, result, trust, verified, cfg)
+        again = decontaminate(pre, result, trust, verified, threshold)
         assert again == result
 
     conditions = (condition_by_name("full"), condition_by_name("no_decontam"))

@@ -764,7 +764,9 @@ def test_remote_tag_parsing(auth_env):
     assert silent.self_report_tags(make_ctx()) == frozenset()
 
 
-@pytest.mark.parametrize("reply", ["tags:", "tags:  \n", "Nothing applies.\nTags =   "])
+@pytest.mark.parametrize(
+    "reply", ["tags:", "tags:  \n", "Nothing applies.\nTags =   ", "tags:\nconfidence: 0.2"]
+)
 def test_remote_empty_tags_line_is_no_tags_on_the_first_attempt(auth_env, no_sleep, reply):
     attempts = []
 
@@ -775,6 +777,15 @@ def test_remote_empty_tags_line_is_no_tags_on_the_first_attempt(auth_env, no_sle
     assert _remote(transport).self_report_tags(make_ctx()) == frozenset()
     assert len(attempts) == 1
     assert no_sleep == []
+
+
+def test_remote_missing_confidence_names_the_query_once(auth_env, no_sleep):
+    backend = _remote(lambda *a: _ok_response("no numeric field here"), max_retries=0)
+    with pytest.raises(MissingSignalError) as raised:
+        backend.probe_signal(make_ctx(), "c1")
+    assert str(raised.value) == (
+        "no parseable confidence in response for probe:c1 after 1 attempt(s)"
+    )
 
 
 def test_remote_parser_bug_is_not_retried_as_an_endpoint_failure(auth_env, no_sleep, monkeypatch):

@@ -22,6 +22,7 @@ from mesa.cards import (
 )
 from mesa.dsl import eval_predicate
 from mesa.errors import CardFileError, RegistryLookupError
+from mesa.router import RoutingConfig
 
 from conftest import make_card, make_ctx
 
@@ -219,8 +220,11 @@ def test_effective_trust_never_exceeds_source_trust(trust, stale):
 # Lint
 
 
+GATE = RoutingConfig().trust_gate
+
+
 def _lint_codes(cards) -> list[tuple[str, str]]:
-    findings = lint_cards(CardRegistry(cards=tuple(cards)))
+    findings = lint_cards(CardRegistry(cards=tuple(cards)), GATE)
     return [(d.card_id, d.code) for d in findings]
 
 
@@ -253,7 +257,7 @@ def test_lint_stale_high_trust():
 
 def test_lint_render_format():
     card = make_card("sketchy", source_trust=0.9, provenance=Provenance.UNKNOWN)
-    findings = lint_cards(CardRegistry(cards=(card,)))
+    findings = lint_cards(CardRegistry(cards=(card,)), GATE)
     line = findings[0].render()
     card_id, code, message = line.split(":", 2)
     assert card_id == "sketchy"
@@ -262,7 +266,7 @@ def test_lint_render_format():
 
 
 def test_lint_shipped_fixture_registry(shipped_registry):
-    findings = lint_cards(shipped_registry)
+    findings = lint_cards(shipped_registry, GATE)
     by_code: dict[str, int] = {}
     for diag in findings:
         by_code[diag.code] = by_code.get(diag.code, 0) + 1

@@ -350,6 +350,15 @@ def test_eval_unknown_condition(capsys):
     assert "unknown condition" in err
 
 
+def test_eval_rejects_a_repeated_condition(capsys):
+    # A repeated name would run the condition twice and print a report that
+    # `mesa report --in` rejects.
+    code, out, err = run_cli(*EVAL_ARGS, "--conditions", "full,baseline, full", capsys=capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--conditions names 'full' more than once" in err
+
+
 def test_eval_wrong_slice_count_is_domain_error(capsys):
     code, _, err = run_cli(
         "eval",
@@ -464,6 +473,33 @@ def test_eval_mini_suite_decontamination_contrast(capsys):
     )
     assert rows["full,overall"] == "1.000000"
     assert float(rows["no_decontam,overall"]) < 1.0
+
+
+def _mini_eval_rows(capsys, *config_args):
+    code, out, _ = run_cli(
+        *config_args,
+        "eval",
+        "--suite", MINI_SUITE,
+        "--cards", MINI_CARDS,
+        "--script", str(fixture_path("script_mini.json")),
+        "--expected-per-slice", "0",
+        "--conditions", "full,no_decontam",
+        capsys=capsys,
+    )
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
+    assert lines[0].split() == ["condition", "slice_B", "slice_C", "overall"]
+    return {name: cells for name, *cells in (line.split() for line in lines[1:])}
+
+
+def test_configured_trust_override_threshold_reaches_decontamination(tmp_path, capsys):
+    # tz_playbook's source trust is 0.75. Below the default threshold of 0.9
+    # its inflated post-offload reading is clamped; a 0.5 threshold lets the
+    # reading stand, exactly as no_decontam does.
+    assert _mini_eval_rows(capsys)["full"] == ["1.000", "1.000", "1.000"]
+    cfg = _config(tmp_path, "# decontamination\ntrust_override_threshold = 0.5\n")
+    rows = _mini_eval_rows(capsys, "--config", cfg)
+    assert rows["full"] == rows["no_decontam"] == ["0.500", "1.000", "0.750"]
 
 
 def test_report_round_trips_eval_output(tmp_path, capsys):
@@ -753,11 +789,11 @@ def test_config_file_reaches_every_config(tmp_path, capsys):
         "self_low = 0.3\ntrap_verify = false\ndecrement_factor = 0.25\n"
         "trust_override_threshold = 0.95\n",
     )
-    settings = _load_settings(cfg)
-    assert settings.routing.self_low == 0.3
-    assert settings.routing.trap_verify is False
-    assert settings.bank.decrement_factor == 0.25
-    assert settings.decontam.trust_override_threshold == 0.95
+    routing, bank = _load_settings(cfg)
+    assert routing.self_low == 0.3
+    assert routing.trap_verify is False
+    assert bank.decrement_factor == 0.25
+    assert routing.trust_override_threshold == 0.95
 
     bad = _config(tmp_path, "trap_verify = maybe\n")
     code, _, err = run_cli("--config", bad, "cards", "lint", CARDS, capsys=capsys)

@@ -3,8 +3,32 @@
 from __future__ import annotations
 
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import mesa
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs with -I -S: no site-packages, no PYTHONPATH, no user site. Only the
+# standard library and src are importable, so any third-party import fails.
+_STDLIB_ONLY_RUN = """
+import importlib, pkgutil, sys
+sys.path.insert(0, {src!r})
+import mesa
+for module in pkgutil.iter_modules(mesa.__path__):
+    importlib.import_module("mesa." + module.name)
+from mesa.cli import dispatch
+from mesa.fixtures import fixture_path
+raise SystemExit(dispatch([
+    "eval",
+    "--suite", str(fixture_path("suite_mini.json")),
+    "--cards", str(fixture_path("cards_mini.json")),
+    "--script", str(fixture_path("script_mini.json")),
+    "--expected-per-slice", "0",
+]))
+"""
 
 
 def test_every_export_resolves_once_in_sorted_order():
@@ -21,3 +45,24 @@ def test_every_public_name_is_exported():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public == set(mesa.__all__)
+
+
+def test_every_module_imports_and_eval_runs_with_the_standard_library_only():
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _STDLIB_ONLY_RUN.format(src=str(SRC))],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = {name: cells for name, *cells in map(str.split, proc.stdout.splitlines()[1:])}
+    assert proc.stdout.splitlines()[0].split() == ["condition", "slice_B", "slice_C", "overall"]
+    assert rows == {
+        "baseline": ["0.500", "0.000", "0.250"],
+        "reflection": ["0.500", "0.000", "0.250"],
+        "no_probe": ["1.000", "1.000", "1.000"],
+        "no_vigilance": ["1.000", "1.000", "1.000"],
+        "no_decontam": ["0.500", "1.000", "0.750"],
+        "no_dualconf": ["1.000", "1.000", "1.000"],
+        "full": ["1.000", "1.000", "1.000"],
+    }

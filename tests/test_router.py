@@ -92,8 +92,24 @@ def test_config_defaults_and_validation():
         ({"self_low": math.nan}, "self_low must be in \\[0, 1\\]"),
         ({"self_low": -0.1}, "self_low must be in \\[0, 1\\]"),
         ({"self_low": 1.5}, "self_low must be in \\[0, 1\\]"),
+        (
+            {"trust_override_threshold": 1.5},
+            "trust_override_threshold must be in \\[0, 1\\], got 1.5",
+        ),
+        (
+            {"trust_override_threshold": math.nan},
+            "trust_override_threshold must be in \\[0, 1\\], got nan",
+        ),
     ],
-    ids=["lambda-nan", "lambda-inf", "self-low-nan", "self-low-negative", "self-low-above-1"],
+    ids=[
+        "lambda-nan",
+        "lambda-inf",
+        "self-low-nan",
+        "self-low-negative",
+        "self-low-above-1",
+        "trust-override-above-1",
+        "trust-override-nan",
+    ],
 )
 def test_config_rejects_non_finite_lambda_and_out_of_range_self_low(overrides, message):
     with pytest.raises(ValueError, match=message):

@@ -369,7 +369,15 @@ _BACKOFF_FACTOR = 2.0
 # Client errors a retry can cure: request timeout and too many requests.
 _RETRYABLE_4XX = (408, 429)
 
-_CONFIDENCE_RE = re.compile(r"confidence\s*[:=]\s*(-?[0-9]+(?:\.[0-9]+)?)", re.IGNORECASE)
+# A plain decimal, with an optional leading dot and exponent (.7, 5e-1). The
+# lookahead stops a match cut short of its digits or exponent, and makes a
+# number followed by `%` or `/` (70%, 7/10) no match: a parse failure, asked
+# again.
+_CONFIDENCE_RE = re.compile(
+    r"confidence\s*[:=]\s*(-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[-+]?[0-9]+)?)"
+    r"(?![0-9]|\.[0-9]|e[-+]?[0-9]|[ \t]*[%/])",
+    re.IGNORECASE,
+)
 _TAGS_RE = re.compile(r"tags\s*[:=][ \t]*(.{0,200})", re.IGNORECASE)
 _ANSWER_RE = re.compile(r"answer\s*[:=]\s*(.*)", re.IGNORECASE | re.DOTALL)
 

@@ -60,12 +60,28 @@ class SkillCard:
     provenance: Provenance
     stale: bool
     body_ref: str
+    # Values that depend on this card alone, shared by every route that
+    # matches it: slots 0-2 hold the probe traces (mesa.probe), slot 3 the
+    # LoadSkill action (mesa.router). None until a route first needs one.
+    _memo: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("card id must be non-empty")
         if not 0.0 <= self.source_trust <= 1.0:
             raise ValueError(f"card {self.id!r}: source_trust must be in [0, 1]")
+
+    def memo(self) -> list:
+        """The card's four shared-value slots, empty (None) until each is first built.
+
+        Two threads may create the slots at once and one list is lost; its
+        values equal the kept list's, so no lock is needed.
+        """
+        memo = self._memo
+        if memo is None:
+            memo = [None] * 4
+            object.__setattr__(self, "_memo", memo)
+        return memo
 
 
 def effective_trust(card: SkillCard) -> float:
@@ -143,7 +159,7 @@ class CardRegistry:
         return clone
 
 
-_CARD_FIELDS = frozenset(f.name for f in fields(SkillCard))
+_CARD_FIELDS = frozenset(f.name for f in fields(SkillCard) if f.init)
 _STRING_FIELDS = ("id", "name", "description", "apply_when", "cheap_probe", "body_ref")
 _OFFLOADING_TYPES = {member.value: member for member in OffloadingType}
 _PROVENANCES = {member.value: member for member in Provenance}

@@ -8,8 +8,11 @@ whether it reports parametric insufficiency (below self_low + PROBE_SLACK).
 
 run_probe returns the card's terminal state, Loaded or Skipped, charged
 PROBE_COST. Conditions that disable the probe load every matched card
-uncharged, with passed left None. ProbeStates are immutable values owned by
-one trajectory.
+uncharged, with passed left None (unprobed_trace). A ProbeState depends on
+its card and verdict alone, so it is an immutable value shared per card:
+each of a card's three traces is built the first time a route needs it,
+kept in the card's memo slots, and reused by every later route and
+trajectory that matches the card.
 """
 
 from __future__ import annotations
@@ -57,6 +60,30 @@ class ProbeState:
             raise ValueError("probe_cost_charged must be >= 0")
 
 
+# Where SkillCard.memo keeps the trace of each probe verdict; None: no probe ran.
+_TRACE_SLOT = {True: 0, False: 1, None: 2}
+
+
+def _trace(card: SkillCard, passed: bool | None) -> ProbeState:
+    """The card's shared trace for a probe verdict (None: no probe ran)."""
+    memo = card.memo()
+    slot = _TRACE_SLOT[passed]
+    state = memo[slot]
+    if state is None:
+        if passed is None:
+            state = ProbeState(card.id, ProbeStage.LOADED)
+        else:
+            stage = ProbeStage.LOADED if passed else ProbeStage.SKIPPED
+            state = ProbeState(card.id, stage, passed, PROBE_COST)
+        memo[slot] = state
+    return state
+
+
+def unprobed_trace(card: SkillCard) -> ProbeState:
+    """A card loaded with the probe disabled: Loaded, passed None, uncharged."""
+    return _trace(card, None)
+
+
 def run_probe(
     ctx: TaskContext,
     card: SkillCard,
@@ -72,9 +99,4 @@ def run_probe(
     passed = eval_predicate(card.cheap_probe, ctx) and (
         backend.probe_signal(ctx, card.id) < cfg.self_low + PROBE_SLACK
     )
-    return ProbeState(
-        card_id=card.id,
-        stage=ProbeStage.LOADED if passed else ProbeStage.SKIPPED,
-        passed=passed,
-        probe_cost_charged=PROBE_COST,
-    )
+    return _trace(card, passed)

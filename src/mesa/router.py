@@ -67,7 +67,7 @@ from mesa.confidence import (
 from mesa.context import TaskContext
 from mesa.dsl import eval_predicate
 from mesa.errors import MissingSignalError
-from mesa.probe import ProbeStage, ProbeState, run_probe
+from mesa.probe import ProbeStage, ProbeState, run_probe, unprobed_trace
 
 if TYPE_CHECKING:
     from mesa.backend import ModelBackend
@@ -181,6 +181,10 @@ class Decision:
     scores holds the score of every candidate the gate keeps. A loaded card
     that build_candidates dropped as dominated was no candidate, so it has
     no score and is not among the gated cards; its probe trace stays.
+    probe_traces holds one trace per matched card, in match order. Each is
+    its card's shared value (mesa.probe), not a copy owned by this decision:
+    every decision that matched the card with the same verdict holds the
+    same object, and a chosen LoadSkill action is likewise its card's own.
     """
 
     chosen: Action
@@ -466,7 +470,20 @@ _BASE_CANDIDATES: Mapping[bool, tuple[Action, ...]] = {
     for trivial in (False, True)
 }
 _BASE_KEYS = tuple(map(score_key, _BASE_CANDIDATES[False]))
-_LOAD_SKILL_COST = COST_TABLE[ActionVariant.LOAD_SKILL]
+# Where SkillCard.memo keeps the card's LoadSkill action.
+_LOAD_ACTION_SLOT = 3
+
+
+def _load_action(card: SkillCard) -> Action:
+    """The card's LoadSkill action, built by the first route that needs it and then shared."""
+    memo = card.memo()
+    action = memo[_LOAD_ACTION_SLOT]
+    if action is None:
+        action = Action(
+            ActionVariant.LOAD_SKILL, card_id=card.id, cost=COST_TABLE[ActionVariant.LOAD_SKILL]
+        )
+        memo[_LOAD_ACTION_SLOT] = action
+    return action
 
 
 def build_candidates(
@@ -484,10 +501,13 @@ def build_candidates(
     """Assemble the candidate set, confidence vector, and probe traces.
 
     Cards whose apply_when matches the context are probed; only escalated
-    (Loaded) cards become LoadSkill candidates. allowed_card_ids restricts
-    which registry cards are active (the harness passes the item's injected
-    ids) and is scanned in full; None means the whole registry is active,
-    and its atom index picks the cards whose apply_when is evaluated.
+    (Loaded) cards become LoadSkill candidates. A trace or LoadSkill action
+    depends on its card alone, so each is built by the first route that
+    needs it and shared by every later one (SkillCard.memo).
+    allowed_card_ids restricts which registry cards are active (the harness
+    passes the item's injected ids) and is scanned in full; None means the
+    whole registry is active, and its atom index picks the cards whose
+    apply_when is evaluated.
 
     Each Loaded card that passes the trust gate and is not dominated has its
     body read exactly once and its source confidence queried. With
@@ -554,13 +574,13 @@ def build_candidates(
                 for action, confidence in zip(_BASE_CANDIDATES["trivial" in tags], known)
             )
     else:
-        traces = tuple(ProbeState(card.id, ProbeStage.LOADED) for card in matching)
+        traces = tuple(map(unprobed_trace, matching))
 
     skills = []
     for card, state in zip(matching, traces):
         if state.stage is not ProbeStage.LOADED:
             continue
-        action = Action(ActionVariant.LOAD_SKILL, card_id=card.id, cost=_LOAD_SKILL_COST)
+        action = _load_action(card)
         trust = _trust_past_gate(card, cfg) if vigilance_enabled else 1.0
         if trust is not None:
             if _dual_score(action, 1.0, alpha, cfg.cost_lambda, trust) <= best_known:

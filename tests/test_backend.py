@@ -788,6 +788,42 @@ def test_remote_missing_confidence_names_the_query_once(auth_env, no_sleep):
     )
 
 
+@pytest.mark.parametrize(
+    "reply, expected",
+    [
+        ("confidence: .7", 0.7),
+        ("confidence: 5e-1", 0.5),
+        ("confidence: 1e-5", 1e-5),
+        ("Confidence = 2.5E-1.", 0.25),
+        ("confidence: 0.7.", 0.7),
+        ("confidence: 0.7\n/ no ratio on the next line", 0.7),
+        # perfbench/fake_remote.py writes a repr with an exponent as .20f.
+        ("confidence: 0.00000100000000000000", 1e-6),
+        (f"confidence: {0.1 + 0.2!r}", 0.1 + 0.2),
+        ("confidence: 70%", None),
+        ("confidence: 70 %", None),
+        ("confidence: 0.7%", None),
+        ("confidence: 1e-5%", None),
+        ("confidence: 7/10", None),
+        ("confidence: 7 / 10", None),
+    ],
+)
+def test_remote_confidence_reply_parsing(auth_env, no_sleep, reply, expected):
+    attempts = []
+
+    def transport(url, headers, body, timeout):
+        attempts.append(1)
+        return _ok_response(reply)
+
+    backend = _remote(transport, max_retries=0)
+    if expected is None:
+        with pytest.raises(MissingSignalError, match="no parseable confidence"):
+            backend.self_confidence(make_ctx())
+    else:
+        assert backend.self_confidence(make_ctx()) == expected
+    assert len(attempts) == 1
+
+
 def test_remote_parser_bug_is_not_retried_as_an_endpoint_failure(auth_env, no_sleep, monkeypatch):
     attempts = []
 

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import gc
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mesa.cards import CardRegistry
+from mesa.cards import CardRegistry, load_registry
 from mesa.confidence import TOOL_CHANNEL
 from mesa.context import Attachment
 from mesa.dsl import eval_predicate
 from mesa.errors import MissingSignalError
 from mesa.probe import PROBE_COST, PROBE_SLACK, ProbeStage, ProbeState, run_probe
-from mesa.router import RoutingConfig, build_candidates
+from mesa.router import Action, ActionVariant, RoutingConfig, build_candidates
 
 from conftest import DictBackend, make_card, make_ctx
 from test_trajectory import ReversedGather
@@ -200,3 +203,99 @@ def test_build_candidates_asks_probes_only_of_cards_whose_predicate_holds(gather
     if gathering:
         # Wave 1 still holds every matched card's probe, asked or not.
         assert backend.waves[0] == 2 + len(traces) + 1
+
+
+# ---------------------------------------------------------------------------
+# Values shared per card
+
+
+def _shared_value_registry():
+    return CardRegistry(
+        cards=(
+            make_card("loads", apply_when='contains:"task"'),
+            make_card("skips", apply_when='contains:"task"'),
+            make_card("unmatched", apply_when='contains:"absent"'),
+        )
+    )
+
+
+def _route(registry, prompt, probe_enabled):
+    backend = DictBackend(
+        p_self=0.2,
+        probes={"loads": 0.1, "skips": 0.9},
+        sources={TOOL_CHANNEL: 0.1, "loads": 0.8, "skips": 0.8},
+    )
+    candidates, _, traces = build_candidates(
+        make_ctx(prompt=prompt), registry, backend, CFG, probe_enabled
+    )
+    (action,) = [a for a in candidates if a.card_id == "loads"]
+    return action, {trace.card_id: trace for trace in traces}
+
+
+def test_traces_and_load_action_are_shared_by_every_route_that_matches_the_card():
+    registry = _shared_value_registry()
+    action_on, on = _route(registry, "please do the task", True)
+    action_on_again, on_again = _route(registry, "another task, other words", True)
+    action_off, off = _route(registry, "please do the task", False)
+    action_off_again, off_again = _route(registry, "another task, other words", False)
+
+    assert on["loads"] is on_again["loads"]
+    assert on["loads"] == ProbeState("loads", ProbeStage.LOADED, True, PROBE_COST)
+    assert on["skips"] is on_again["skips"]
+    assert on["skips"] == ProbeState("skips", ProbeStage.SKIPPED, False, PROBE_COST)
+    assert off["loads"] is off_again["loads"]
+    assert off["loads"] == ProbeState("loads", ProbeStage.LOADED)
+    assert off["loads"] is not on["loads"]
+    assert action_on is action_on_again is action_off is action_off_again
+    assert action_on == Action(ActionVariant.LOAD_SKILL, card_id="loads", cost=0.5)
+    # A with_body_loader copy holds the same cards, so it shares their values.
+    action_copy, on_copy = _route(registry.with_body_loader(str), "task", True)
+    assert action_copy is action_on
+    assert on_copy["skips"] is on["skips"]
+
+
+def _values_of(card_ids):
+    return [
+        obj
+        for obj in gc.get_objects()
+        if isinstance(obj, (ProbeState, Action)) and obj.card_id in card_ids
+    ]
+
+
+def test_shared_values_are_built_by_routes_not_at_load_and_die_with_their_registry(tmp_path):
+    ids = {"doomed_loads", "doomed_skips"}
+    path = tmp_path / "cards.json"
+    rows = [
+        {
+            "id": card_id,
+            "name": card_id,
+            "description": card_id,
+            "apply_when": 'contains:"task"',
+            "cheap_probe": "kind:doc",
+            "offloading_type": "procedural",
+            "source_trust": 0.9,
+            "provenance": "first_party",
+            "stale": False,
+            "body_ref": "inline:body",
+        }
+        for card_id in sorted(ids)
+    ]
+    path.write_text(json.dumps({"cards": rows}), encoding="utf-8")
+    registry = load_registry(path)
+    gc.collect()
+    assert _values_of(ids) == []
+
+    backend = DictBackend(
+        p_self=0.2,
+        probes={"doomed_loads": 0.1, "doomed_skips": 0.9},
+        sources={TOOL_CHANNEL: 0.1, "doomed_loads": 0.8, "doomed_skips": 0.8},
+    )
+    for probe_enabled in (True, False):
+        build_candidates(make_ctx(), registry, backend, CFG, probe_enabled)
+    # Each card's trace with the probe on and with it off, and its action
+    # (with the probe off both cards load).
+    assert len(_values_of(ids)) == 6
+
+    del registry
+    gc.collect()
+    assert _values_of(ids) == []

@@ -70,22 +70,55 @@ ScriptValue = float | str
 
 @dataclass(frozen=True)
 class BehaviorScript:
-    """Immutable (item, condition, key) -> value table with "*" defaults."""
+    """Immutable (item, condition, key) -> value table with "*" defaults.
+
+    From its rows the script builds, once, one key -> value table per item
+    from the item's "*" rows, and one per (item, condition) that has rows of
+    its own: that condition's rows laid over the item's defaults. An item
+    with no condition rows has the one table for every condition, shared,
+    not copied. lookup, covers, missing_keys and ScriptedBackend all read
+    these tables.
+    """
 
     rows: dict[tuple[str, str, str], ScriptValue] = field(default_factory=dict)
+    _defaults: dict[str, dict[str, ScriptValue]] = field(init=False, repr=False, compare=False)
+    _overrides: dict[tuple[str, str], dict[str, ScriptValue]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        defaults: dict[str, dict[str, ScriptValue]] = {}
+        overrides: dict[tuple[str, str], dict[str, ScriptValue]] = {}
+        for (item_id, condition, key), value in self.rows.items():
+            if condition == "*":
+                table = defaults.get(item_id)
+                if table is None:
+                    table = defaults[item_id] = {}
+                table[key] = value
+            else:
+                overrides.setdefault((item_id, condition), {})[key] = value
+        for pair, table in overrides.items():
+            overrides[pair] = {**defaults.get(pair[0], {}), **table}
+        object.__setattr__(self, "_defaults", defaults)
+        object.__setattr__(self, "_overrides", overrides)
+
+    def table(self, item_id: str, condition: str) -> dict[str, ScriptValue]:
+        """Every key -> value the script gives item_id under condition (do not modify)."""
+        table = self._overrides.get((item_id, condition))
+        if table is None:
+            table = self._defaults.get(item_id, {})
+        return table
 
     def lookup(self, item_id: str, condition: str, key: str) -> ScriptValue:
-        # Most rows are "*" defaults, so the condition-specific miss is the
-        # common case; get() avoids raising a KeyError for it.
-        value = self.rows.get((item_id, condition, key))
-        if value is None:
-            value = self.rows.get((item_id, "*", key))
-        if value is None:
-            raise MissingSignalError(f"script has no value for {item_id}/{condition}: {key}")
-        return value
+        try:
+            return self.table(item_id, condition)[key]
+        except KeyError:
+            raise MissingSignalError(
+                f"script has no value for {item_id}/{condition}: {key}"
+            ) from None
 
     def covers(self, item_id: str, condition: str, key: str) -> bool:
-        return (item_id, condition, key) in self.rows or (item_id, "*", key) in self.rows
+        return key in self.table(item_id, condition)
 
     def missing_keys(
         self, suite: Sequence["BenchmarkItem"], conditions: Iterable[str]
@@ -94,9 +127,10 @@ class BehaviorScript:
         missing: list[str] = []
         condition_names = list(conditions)
         for item in suite:
+            tables = [(name, self.table(item.id, name)) for name in condition_names]
             for key in required_keys(item):
-                for name in condition_names:
-                    if not self.covers(item.id, name, key):
+                for name, table in tables:
+                    if key not in table:
                         missing.append(f"{item.id}/{name}: {key}")
         return missing
 
@@ -171,7 +205,9 @@ class ScriptedBackend:
     """Deterministic backend: every signal is a scripted fixture value.
 
     Items are identified by exact prompt text, so suite prompts must be
-    unique; the constructor enforces that.
+    unique; the constructor enforces that. It maps each prompt to its
+    item's table under the condition (BehaviorScript.table), so each query
+    is answered by one lookup in that table.
     """
 
     def __init__(
@@ -183,6 +219,7 @@ class ScriptedBackend:
         self._script = script
         self._condition = condition
         self._item_by_prompt: dict[str, str] = {}
+        self._table_by_prompt: dict[str, dict[str, ScriptValue]] = {}
         for item in suite:
             if item.prompt in self._item_by_prompt:
                 raise ValueError(
@@ -190,15 +227,17 @@ class ScriptedBackend:
                     f"and {item.id}; scripted lookup needs unique prompts"
                 )
             self._item_by_prompt[item.prompt] = item.id
+            self._table_by_prompt[item.prompt] = script.table(item.id, condition)
 
     def _lookup(self, ctx: TaskContext, key: str) -> ScriptValue:
         try:
-            item_id = self._item_by_prompt[ctx.prompt]
+            return self._table_by_prompt[ctx.prompt][key]
         except KeyError:
-            raise MissingSignalError(
-                f"prompt not in scripted suite: {ctx.prompt[:60]!r}"
-            ) from None
-        return self._script.lookup(item_id, self._condition, key)
+            pass
+        if ctx.prompt not in self._item_by_prompt:
+            raise MissingSignalError(f"prompt not in scripted suite: {ctx.prompt[:60]!r}")
+        # The key is missing: the script's own lookup raises its miss.
+        return self._script.lookup(self._item_by_prompt[ctx.prompt], self._condition, key)
 
     def _number(self, ctx: TaskContext, key: str) -> float:
         value = self._lookup(ctx, key)

@@ -5,8 +5,8 @@ delayed escalation check), an offloading class, and a trust provenance pair
 that feeds the vigilance gate. Registries are immutable after load; card
 bodies stay behind an opaque body_ref and are only fetched through
 CardRegistry.read_body, which makes load laziness observable in tests.
-CardRegistry.candidates prefilters the whole registry for one context
-through an atom index over the apply_when predicates.
+CardRegistry.matching finds the cards whose apply_when holds for one
+context through an exact atom index over the apply_when predicates.
 """
 
 from __future__ import annotations
@@ -102,12 +102,16 @@ def _default_body_loader(card: SkillCard) -> str:
 
 @dataclass(frozen=True, slots=True)
 class CardRegistry:
-    """Ordered, immutable card collection with id lookup and lazy body reads."""
+    """Ordered, immutable card collection with id lookup and lazy body reads.
+
+    matching(ctx) finds the cards whose apply_when holds through an exact
+    atom index, built once per registry on the first call.
+    """
 
     cards: tuple[SkillCard, ...]
     body_loader: BodyLoader = _default_body_loader
     _by_id: dict[str, SkillCard] = field(init=False, repr=False)
-    # One slot for the apply_when index, built on the first candidates call
+    # One slot for the apply_when index, built on the first matching call
     # and shared with every with_body_loader copy.
     _index: list[PredicateIndex | None] = field(init=False, repr=False, compare=False)
 
@@ -139,18 +143,19 @@ class CardRegistry:
         """Fetch a skill body. The only sanctioned path to body content."""
         return self.body_loader(self.get(card_id))
 
-    def candidates(self, ctx: TaskContext) -> list[SkillCard]:
-        """Cards whose apply_when may hold for ctx, in registry order.
+    def matching(self, ctx: TaskContext) -> list[SkillCard]:
+        """Cards whose apply_when holds for ctx, in registry order.
 
-        Every card whose apply_when holds is included, so filtering the
-        result with eval_predicate gives exactly the matching cards.
+        Exactly the cards of a full scan with eval_predicate, found through
+        the atom index over the apply_when predicates (dsl.PredicateIndex),
+        which is built on the first call.
         """
         index = self._index[0]
         if index is None:
             index = PredicateIndex(card.apply_when for card in self.cards)
             self._index[0] = index
         cards = self.cards
-        return [cards[position] for position in index.candidates(ctx)]
+        return [cards[position] for position in index.matching(ctx)]
 
     def with_body_loader(self, loader: BodyLoader) -> "CardRegistry":
         """Same cards and index, different body loader (used by counting test doubles)."""

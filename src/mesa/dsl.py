@@ -25,10 +25,12 @@ tags and attachment mime tags. The needle and the prompt are each lowered
 once, when the atom and the TaskContext are built, so evaluation lowercases
 nothing.
 
-PredicateIndex prefilters many predicates at once: from each predicate's
-triggers (atoms, and pairs of kind/mime atoms that must both hold) it
-finds, per context, a superset of the predicates that hold, without
-walking their trees.
+PredicateIndex matches many predicates at once, exactly: from each
+predicate's triggers (atoms, and pairs of kind/mime atoms that must both
+hold) it finds the triggers that fire for a context, and decides each
+predicate they trigger by its residual, what is left of its tree once the
+trigger's atoms are taken as true: often nothing (TRUE) or one tag test.
+Residuals are worked out the first time their trigger fires.
 """
 
 from __future__ import annotations
@@ -332,7 +334,7 @@ def eval_predicate(expr: PredicateExpr, ctx: TaskContext) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Prefilter index
+# Matching index
 
 # A trigger is an atom, or a frozenset of two distinct kind/mime atoms that
 # holds when both of them do.
@@ -388,30 +390,113 @@ def triggers(expr: PredicateExpr) -> frozenset[Trigger]:
     raise TypeError(f"not a predicate node: {expr!r}")
 
 
-def _fact(atom: Kind | Mime) -> tuple[str, str]:
-    return ("kind" if isinstance(atom, Kind) else "mime", atom.tag)
+def fact(atom: PredicateExpr) -> tuple[str, str]:
+    """What an atom tests: atoms with equal facts hold for the same contexts.
+
+    That covers `contains` atoms whose needles lower alike and `matches`
+    atoms with one pattern, as well as equal tags.
+    """
+    node = type(atom)
+    if node is Contains:
+        return ("contains", atom.lowered_text)
+    if node is Matches:
+        return ("matches", atom.pattern)
+    if node is Kind:
+        return ("kind", atom.tag)
+    if node is Mime:
+        return ("mime", atom.tag)
+    raise TypeError(f"not a predicate atom: {atom!r}")
+
+
+def residual(expr: PredicateExpr, facts: frozenset[tuple[str, str]]) -> PredicateExpr | bool:
+    """expr with every atom whose fact is in facts taken as true, simplified.
+
+    The result is True or False when that alone decides expr, else what is
+    left of the tree: expr itself when none of its atoms has such a fact,
+    and otherwise new nodes only where something was simplified away. In a
+    context where every fact in facts holds, eval_predicate gives the
+    residual (True and False taken as themselves) the value it gives expr.
+    """
+    node = type(expr)
+    if node is And or node is Or:
+        left, right = residual(expr.left, facts), residual(expr.right, facts)
+        if node is And:
+            if left is True or right is False:
+                return right
+            if right is True or left is False:
+                return left
+        else:
+            if left is False or right is True:
+                return right
+            if right is False or left is True:
+                return left
+        if left is expr.left and right is expr.right:
+            return expr
+        return node(left, right)
+    if node is Not:
+        child = residual(expr.child, facts)
+        if child is True or child is False:
+            return not child
+        return expr if child is expr.child else Not(child)
+    return True if fact(expr) in facts else expr
+
+
+def _facts(key: object) -> frozenset[tuple[str, str]]:
+    """The facts that hold when an index key fires (see PredicateIndex)."""
+    if type(key) is str:
+        return frozenset({("contains", key)})
+    if type(key) is frozenset:
+        return key
+    if type(key) is tuple:
+        return frozenset({key})
+    return frozenset({("matches", key.pattern)})
+
+
+def _resolve(hits: list, facts: frozenset[tuple[str, str]]) -> tuple[frozenset[int], tuple]:
+    """Split a key's (position, tree) hits by their residuals for facts.
+
+    Returns the positions decided TRUE and the (position, residual) pairs
+    still to test; positions decided FALSE are dropped.
+    """
+    sure: set[int] = set()
+    check: list[tuple[int, PredicateExpr]] = []
+    last: PredicateExpr | None = None
+    rest: PredicateExpr | bool = False
+    for position, expr in hits:
+        if expr is not last:  # positions that share a tree are adjacent
+            last, rest = expr, residual(expr, facts)
+        if rest is True:
+            sure.add(position)
+        elif rest is not False and not (check and check[-1][0] == position):
+            check.append((position, rest))
+    return frozenset(sure), tuple(check)
 
 
 class PredicateIndex:
-    """Which of many predicates may hold for a context, found by trigger.
+    """Which of many predicates hold for a context, found by trigger.
 
-    Each distinct trigger maps to the positions of the predicates it
-    triggers; predicates with no trigger set are always candidates. Per
-    context each distinct `contains` needle and `matches` pattern is tested
-    once, with eval_predicate's own tests (the needle and the prompt each
-    lowered once, when the atom and the context were built). Tags are
-    facts, ("kind", tag) or ("mime", tag): a single tag is keyed by its
-    fact and a pair by the frozenset of its two facts, and both are looked
-    up from the context's own distinct facts and each unordered pair of
-    them. The result holds every position whose predicate holds, and
-    usually few others.
+    Each distinct trigger is a key: a lowered `contains` needle, a compiled
+    `matches` pattern, a tag fact ("kind", tag) or ("mime", tag), or the
+    frozenset of a pair's two facts. Predicates with no trigger set sit
+    under the empty frozenset, which every context fires. Per context each
+    needle and pattern is tested once, with eval_predicate's own tests, and
+    the tag keys are looked up from the context's distinct facts and each
+    unordered pair of them.
+
+    A key maps to the predicates it triggers. A fired key's facts hold, so
+    each of its predicates holds exactly when its residual for those facts
+    does (dsl.residual), and every predicate that holds has a fired key.
+    A key's residuals are worked out the first time it fires, so building
+    the index walks each tree only for its triggers. Until then its entry
+    is a list of (position, whole tree), and a whole tree is a valid
+    residual of itself; the resolved entry replaces it in one assignment,
+    so two threads that first fire one key at once both get right answers.
     """
 
     def __init__(self, exprs: Iterable[PredicateExpr]) -> None:
-        needles: dict[str, set[int]] = {}
-        patterns: dict[Matches, set[int]] = {}
-        tags: dict[object, set[int]] = {}
-        always: list[int] = []
+        needles: dict[str, list] = {}
+        patterns: dict[re.Pattern[str], list] = {}
+        tags: dict[object, list] = {}
         # Cards with equal predicate texts share one tree. Taken in order of
         # tree identity, a shared tree's positions are adjacent, so each tree
         # is walked once and only its own triggers are held meanwhile (a
@@ -424,39 +509,42 @@ class PredicateIndex:
             expr = exprs[position]
             if expr is not last:
                 last, found = expr, triggers(expr)
+            hit = (position, expr)
             if not found:
-                always.append(position)
+                tags.setdefault(frozenset(), []).append(hit)
             for trigger in found:
                 if isinstance(trigger, Contains):
-                    needles.setdefault(trigger.lowered_text, set()).add(position)
+                    needles.setdefault(trigger.lowered_text, []).append(hit)
                 elif isinstance(trigger, Matches):
-                    patterns.setdefault(trigger, set()).add(position)
+                    patterns.setdefault(trigger.regex, []).append(hit)
                 elif isinstance(trigger, frozenset):
-                    key = frozenset(map(_fact, trigger))
-                    tags.setdefault(key, set()).add(position)
+                    tags.setdefault(frozenset(map(fact, trigger)), []).append(hit)
                 else:
-                    tags.setdefault(_fact(trigger), set()).add(position)
-        self._always = always
-        self._needles = list(needles.items())
-        self._patterns = [(atom.regex, hits) for atom, hits in patterns.items()]
+                    tags.setdefault(fact(trigger), []).append(hit)
+        self._needles = needles
+        self._patterns = patterns
         self._tags = tags
 
-    def candidates(self, ctx: TaskContext) -> list[int]:
-        """Positions, ascending, of every predicate that may hold for ctx."""
-        found = set(self._always)
-        prompt = ctx.prompt
-        lowered = ctx.lowered_prompt
-        for needle, hits in self._needles:
-            if needle in lowered:
-                found |= hits
-        for pattern, hits in self._patterns:
-            if pattern.search(prompt) is not None:
-                found |= hits
+    def matching(self, ctx: TaskContext) -> list[int]:
+        """Positions, ascending, of every predicate that holds for ctx."""
+        needles, patterns, tags = self._needles, self._patterns, self._tags
+        lowered, prompt = ctx.lowered_prompt, ctx.prompt
+        fired = [(needles, needle) for needle in needles if needle in lowered]
+        fired += [(patterns, p) for p in patterns if p.search(prompt) is not None]
         facts = {("kind", tag) for tag in ctx.kind_tags}
         facts.update(("mime", att.mime_tag) for att in ctx.attachments)
-        tags = self._tags
-        for fact in facts:
-            found |= tags.get(fact, frozenset())
-        for pair in combinations(facts, 2):
-            found |= tags.get(frozenset(pair), frozenset())
+        keys = [*facts, *map(frozenset, combinations(facts, 2)), frozenset()]
+        fired += [(tags, key) for key in keys if key in tags]
+        found: set[int] = set()
+        checks = []
+        for table, key in fired:
+            entry = table[key]
+            if type(entry) is list:  # its first fire
+                entry = table[key] = _resolve(entry, _facts(key))
+            found |= entry[0]
+            checks.append(entry[1])
+        for check in checks:
+            for position, rest in check:
+                if position not in found and eval_predicate(rest, ctx):
+                    found.add(position)
         return sorted(found)

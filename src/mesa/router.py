@@ -505,9 +505,9 @@ def build_candidates(
     depends on its card alone, so each is built by the first route that
     needs it and shared by every later one (SkillCard.memo).
     allowed_card_ids restricts which registry cards are active (the harness
-    passes the item's injected ids) and is scanned in full; None means the
-    whole registry is active, and its atom index picks the cards whose
-    apply_when is evaluated.
+    passes the item's injected ids) and is scanned in full with
+    eval_predicate; None means the whole registry is active, and its exact
+    atom index finds the matching cards (CardRegistry.matching).
 
     Each Loaded card that passes the trust gate and is not dominated has its
     body read exactly once and its source confidence queried. With
@@ -542,10 +542,10 @@ def build_candidates(
     tag asks for it) and, with the probe on, the sources of the cards read.
     """
     if allowed_card_ids is None:
-        active = registry.candidates(ctx)
+        matching = registry.matching(ctx)
     else:
-        active = [registry.get(card_id) for card_id in allowed_card_ids]
-    matching = [card for card in active if eval_predicate(card.apply_when, ctx)]
+        active = map(registry.get, allowed_card_ids)
+        matching = [card for card in active if eval_predicate(card.apply_when, ctx)]
 
     head = [lambda: backend.self_confidence(ctx), lambda: backend.self_report_tags(ctx)]
     # The source channels not asked yet.

@@ -291,6 +291,89 @@ def test_scripted_backend_probe_and_answer_keys(tmp_path):
     assert backend.answer(ctx, "skill:c1:hedge") == "7.0"
 
 
+def test_a_condition_row_overrides_the_default_for_that_condition_only():
+    script = BehaviorScript(
+        rows={
+            ("i1", "*", "p_self"): 0.5,
+            ("i1", "*", "tags"): "trap",
+            ("i1", "full", "p_self"): 0.9,
+            ("i2", "*", "p_self"): 0.1,
+        }
+    )
+    assert script.lookup("i1", "full", "p_self") == 0.9
+    assert script.lookup("i1", "full", "tags") == "trap"  # the default shows through
+    assert script.lookup("i1", "baseline", "p_self") == 0.5
+    assert script.lookup("i1", "*", "p_self") == 0.5
+    assert script.lookup("i2", "full", "p_self") == 0.1
+    items = [make_item("i1", prompt="one"), make_item("i2", prompt="two")]
+    full = ScriptedBackend(script, items, "full")
+    baseline = ScriptedBackend(script, items, "baseline")
+    assert full.self_confidence(make_ctx(prompt="one")) == 0.9
+    assert baseline.self_confidence(make_ctx(prompt="one")) == 0.5
+    assert full.self_confidence(make_ctx(prompt="two")) == 0.1
+    assert full.self_report_tags(make_ctx(prompt="one")) == frozenset({"trap"})
+
+
+def test_an_item_without_condition_rows_shares_one_table_across_conditions():
+    script = BehaviorScript(
+        rows={
+            ("i1", "*", "p_self"): 0.5,
+            ("i2", "*", "p_self"): 0.1,
+            ("i2", "*", "tags"): "",
+            ("i2", "full", "p_self"): 0.3,
+        }
+    )
+    shared = script.table("i1", "full")
+    assert shared == {"p_self": 0.5}
+    assert script.table("i1", "baseline") is shared
+    assert script.table("i1", "*") is shared
+    assert script.table("i2", "full") == {"p_self": 0.3, "tags": ""}
+    assert script.table("i2", "baseline") is script.table("i2", "*")
+    assert script.table("i9", "full") == {}
+
+
+def test_scripted_miss_messages_are_pinned(tmp_path):
+    rows = [{"item": "i1", "condition": "full", "key": "p_self", "value": "high"}]
+    backend = _scripted(tmp_path, rows)
+    ctx = make_ctx(prompt="prompt one")
+    with pytest.raises(MissingSignalError) as unknown:
+        backend.self_confidence(make_ctx(prompt="an unscripted prompt " * 4))
+    assert str(unknown.value) == (
+        "prompt not in scripted suite: 'an unscripted prompt an unscripted prompt an unscripted "
+        "prom'"
+    )
+    with pytest.raises(MissingSignalError) as missing:
+        backend.probe_signal(ctx, "c9")
+    assert str(missing.value) == "script has no value for i1/full: probe:c9"
+    with pytest.raises(MissingSignalError) as text:
+        backend.self_confidence(ctx)
+    assert str(text.value) == "script value for p_self is not numeric: 'high'"
+    with pytest.raises(MissingSignalError) as lookup:
+        BehaviorScript(rows={}).lookup("i9", "no_probe", "tags")
+    assert str(lookup.value) == "script has no value for i9/no_probe: tags"
+
+
+def test_missing_keys_lists_the_gaps_item_then_key_then_condition(tmp_path):
+    rows = [row for row in _full_rows("i1") if row["key"] != "tags"]
+    rows.append({"item": "i1", "condition": "full", "key": "tags", "value": ""})
+    rows += _full_rows("i2")
+    for condition, key in [
+        ("full", "probe:c1"),
+        ("*", "source:c1"),
+        ("*", "source:relevance:LOAD_SKILL:c1"),
+        ("*", "answer:skill:c1:commit"),
+    ]:
+        rows.append({"item": "i2", "condition": condition, "key": key, "value": 0.5})
+    script = load_script(write_script(tmp_path, rows))
+    items = [make_item("i1", prompt="one"), make_item("i2", prompt="two", injected=["c1"])]
+    assert script.missing_keys(items, ["full", "baseline"]) == [
+        "i1/baseline: tags",
+        "i2/baseline: probe:c1",
+        "i2/full: answer:skill:c1:hedge",
+        "i2/baseline: answer:skill:c1:hedge",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # CachedBackend
 

@@ -138,7 +138,7 @@ def test_loaded_regexes_are_never_recompiled(tmp_path, monkeypatch):
     for i, card in enumerate(registry):
         ctx = make_ctx(prompt=f"p{i} please")
         assert eval_predicate(card.apply_when, ctx) is True
-        assert registry.candidates(ctx) == [card]
+        assert registry.matching(ctx) == [card]
 
 
 def test_not_a_card_file(tmp_path):

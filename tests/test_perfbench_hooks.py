@@ -24,6 +24,7 @@ from mesa.backend import CachedBackend, ScriptedBackend, load_script
 from mesa.bank import record
 from mesa.bench import load_suite
 from mesa.cards import CardRegistry, load_registry
+from mesa.dsl import eval_predicate
 from mesa.fixtures import fixture_path
 
 from conftest import DictBackend, make_card, make_ctx
@@ -63,7 +64,7 @@ def test_tracer_instruments_and_restores_mesa():
         assert router.eval_predicate is not before[(router, "eval_predicate")]
         registry = tracer.registry(CardRegistry(cards=(make_card("helper"),)))
         ctx = make_ctx()
-        assert [card.id for card in registry.candidates(ctx)] == ["helper"]
+        assert [card.id for card in registry.matching(ctx)] == ["helper"]
         assert router.eval_predicate(registry.get("helper").apply_when, ctx) is True
         assert registry.read_body("helper") == "do the thing"
     assert _wrapped_attributes() == before
@@ -198,3 +199,19 @@ def test_whole_registry_routes_ask_only_what_can_change_the_decision(seed1_regis
     assert calls["source_confidence"] == 842
     assert len(reads) == 718
     assert sum(calls.values()) == 20_215
+
+
+def test_index_matches_a_full_scan_on_every_seed1_prompt(seed1_registry_dir):
+    # The generated registry's 10,000 apply_when trees against its 100
+    # prompts, each routed twice: first while the index resolves the keys
+    # it fires, then from the resolved keys.
+    registry = load_registry(seed1_registry_dir / "cards.json")
+    suite = load_suite(seed1_registry_dir / "suite.json", registry, expected_per_slice=None)
+    contexts = [router.context_for_item(item) for item in suite]
+    assert len(contexts) == 100
+    matched = 0
+    for ctx in contexts + contexts:
+        scan = [card for card in registry if eval_predicate(card.apply_when, ctx)]
+        assert registry.matching(ctx) == scan
+        matched += len(scan)
+    assert matched == 2 * 28_541

@@ -38,7 +38,10 @@ from mesa import (
 )
 from mesa.fixtures import fixture_path
 
-workdir = Path(tempfile.mkdtemp(prefix="mesa_demo_"))
+# The bank and the rewritten card file live in a scratch directory that is
+# removed when the demo ends.
+scratch = tempfile.TemporaryDirectory(prefix="mesa_demo_")
+workdir = Path(scratch.name)
 bank_path = workdir / "failures.jsonl"
 cards_path = workdir / "cards_mini.json"
 shutil.copy(fixture_path("cards_mini.json"), cards_path)
@@ -100,3 +103,5 @@ gate = RoutingConfig().trust_gate
 for card in load_registry(cards_path):
     verdict = "passes" if effective_trust(card) >= gate else "GATED"
     print(f"{card.id}: effective trust {effective_trust(card):.3f} -> {verdict}")
+
+scratch.cleanup()

@@ -201,6 +201,9 @@ def load_script(path: str | Path) -> BehaviorScript:
     return BehaviorScript(rows=rows)
 
 
+_NO_TABLE: dict[str, ScriptValue] = {}
+
+
 class ScriptedBackend:
     """Deterministic backend: every signal is a scripted fixture value.
 
@@ -245,15 +248,23 @@ class ScriptedBackend:
             raise MissingSignalError(f"script value for {key} is not numeric: {value!r}")
         return value
 
+    # A numeric query returns a float it finds in its own frame; anything
+    # else (a miss, text, a number given as int) goes through _number.
+
     def self_confidence(self, ctx: TaskContext) -> float:
         key = "p_self_post" if ctx.pre_offload_p_self is not None else "p_self"
-        return self._number(ctx, key)
+        value = self._table_by_prompt.get(ctx.prompt, _NO_TABLE).get(key)
+        return value if type(value) is float else self._number(ctx, key)
 
     def source_confidence(self, ctx: TaskContext, channel: str) -> float:
-        return self._number(ctx, f"source:{channel}")
+        key = f"source:{channel}"
+        value = self._table_by_prompt.get(ctx.prompt, _NO_TABLE).get(key)
+        return value if type(value) is float else self._number(ctx, key)
 
     def probe_signal(self, ctx: TaskContext, card_id: str) -> float:
-        return self._number(ctx, f"probe:{card_id}")
+        key = f"probe:{card_id}"
+        value = self._table_by_prompt.get(ctx.prompt, _NO_TABLE).get(key)
+        return value if type(value) is float else self._number(ctx, key)
 
     def answer(self, ctx: TaskContext, variant_key: str) -> str:
         return str(self._lookup(ctx, f"answer:{variant_key}"))
@@ -543,9 +554,10 @@ class RemoteBackend:
                 "messages": [{"role": "user", "content": prompt}],
             }
         ).encode("utf-8")
-        log.debug(
-            "POST %s headers=%s body=%s", self._config.endpoint, _redact(headers), body
-        )
+        if log.isEnabledFor(logging.DEBUG):  # so the redacted copy is built only to be logged
+            log.debug(
+                "POST %s headers=%s body=%s", self._config.endpoint, _redact(headers), body
+            )
         attempts = self._config.max_retries + 1
         last_error: Exception | None = None
         for attempt in range(attempts):

@@ -30,7 +30,9 @@ predicate's triggers (atoms, and pairs of kind/mime atoms that must both
 hold) it finds the triggers that fire for a context, and decides each
 predicate they trigger by its residual, what is left of its tree once the
 trigger's atoms are taken as true: often nothing (TRUE) or one tag test.
-Residuals are worked out the first time their trigger fires.
+Residuals are worked out the first time their trigger fires, and those
+that are one tag test or its negation are grouped by the fact they test,
+so one lookup in the context's facts decides a whole group.
 """
 
 from __future__ import annotations
@@ -452,24 +454,52 @@ def _facts(key: object) -> frozenset[tuple[str, str]]:
     return frozenset({("matches", key.pattern)})
 
 
-def _resolve(hits: list, facts: frozenset[tuple[str, str]]) -> tuple[frozenset[int], tuple]:
+def _tag_literal(rest: PredicateExpr) -> tuple[tuple[str, str], bool] | None:
+    """(fact, wanted) when rest is one kind/mime test under any NOTs, else None.
+
+    rest then holds exactly when its fact's presence among a context's facts
+    is wanted.
+    """
+    wanted = True
+    while type(rest) is Not:
+        rest, wanted = rest.child, not wanted
+    if type(rest) is Kind or type(rest) is Mime:
+        return fact(rest), wanted
+    return None
+
+
+def _resolve(hits: list, facts: frozenset[tuple[str, str]]) -> tuple[frozenset[int], tuple, tuple]:
     """Split a key's (position, tree) hits by their residuals for facts.
 
-    Returns the positions decided TRUE and the (position, residual) pairs
-    still to test; positions decided FALSE are dropped.
+    Returns the positions decided TRUE, the tag-literal groups and the
+    (position, residual) pairs still to test; positions decided FALSE are
+    dropped. A group is (fact, wanted, positions) for the positions whose
+    residual is that one kind/mime test (wanted True) or its negation
+    (wanted False), so a whole group is decided by one fact lookup.
     """
     sure: set[int] = set()
+    groups: dict[tuple[tuple[str, str], bool], list[int]] = {}
     check: list[tuple[int, PredicateExpr]] = []
     last: PredicateExpr | None = None
     rest: PredicateExpr | bool = False
+    literal = None
     for position, expr in hits:
         if expr is not last:  # positions that share a tree are adjacent
             last, rest = expr, residual(expr, facts)
+            literal = None if rest is True or rest is False else _tag_literal(rest)
         if rest is True:
             sure.add(position)
+        elif literal is not None:
+            group = groups.setdefault(literal, [])
+            if not (group and group[-1] == position):
+                group.append(position)
         elif rest is not False and not (check and check[-1][0] == position):
             check.append((position, rest))
-    return frozenset(sure), tuple(check)
+    return (
+        frozenset(sure),
+        tuple((f, wanted, tuple(positions)) for (f, wanted), positions in groups.items()),
+        tuple(check),
+    )
 
 
 class PredicateIndex:
@@ -491,6 +521,14 @@ class PredicateIndex:
     is a list of (position, whole tree), and a whole tree is a valid
     residual of itself; the resolved entry replaces it in one assignment,
     so two threads that first fire one key at once both get right answers.
+
+    A resolved entry holds the positions decided TRUE, the tag-literal
+    groups and the other residuals (_resolve). A group gathers the positions
+    whose residual is one kind/mime test, or its negation, by (fact,
+    wanted): the whole group holds exactly when the fact's presence among
+    the context's facts is wanted, so it is decided by one set lookup. Only
+    the other residuals are tested, with eval_predicate; the 100 prompts of
+    perfbench's seed-1 registry leave none.
     """
 
     def __init__(self, exprs: Iterable[PredicateExpr]) -> None:
@@ -541,8 +579,13 @@ class PredicateIndex:
             entry = table[key]
             if type(entry) is list:  # its first fire
                 entry = table[key] = _resolve(entry, _facts(key))
-            found |= entry[0]
-            checks.append(entry[1])
+            sure, groups, check = entry
+            found |= sure
+            for f, wanted, positions in groups:
+                if (f in facts) is wanted:
+                    found.update(positions)
+            if check:
+                checks.append(check)
         for check in checks:
             for position, rest in check:
                 if position not in found and eval_predicate(rest, ctx):

@@ -99,4 +99,7 @@ def run_probe(
     passed = eval_predicate(card.cheap_probe, ctx) and (
         backend.probe_signal(ctx, card.id) < cfg.self_low + PROBE_SLACK
     )
-    return _trace(card, passed)
+    # After the card's first route its trace is read straight from its slot.
+    memo = card._memo
+    state = memo[_TRACE_SLOT[passed]] if memo is not None else None
+    return state or _trace(card, passed)

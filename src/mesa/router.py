@@ -13,11 +13,12 @@ removes every LoadSkill candidate whose effective trust sits below the
 configured gate. An empty candidate set, before or after the gate, is a
 ValueError: the engine's candidates always include the four base actions.
 
-The gate test lives in one place, _trust_past_gate. Under vigilance,
-build_candidates applies it before paying for a loaded card: a card below
-the gate is still probed and still becomes a LoadSkill candidate (so
-select_action lists it among the gated cards), but its body is never read
-and its source confidence is never queried.
+A card is below the gate when its effective trust (cards.effective_trust)
+is less than cfg.trust_gate, so a trust equal to the gate passes. Under
+vigilance, build_candidates applies the gate before paying for a loaded
+card: a card below the gate is still probed and still becomes a LoadSkill
+candidate (so select_action lists it among the gated cards), but its body
+is never read and its source confidence is never queried.
 
 A loaded card is also not paid for when it cannot win. With the probe on,
 the dual scorer knows after wave 1 the scores of Direct, Stop, CallTool and,
@@ -197,12 +198,6 @@ class Decision:
 # Scorers
 
 
-def _trust_past_gate(card: SkillCard, cfg: RoutingConfig) -> float | None:
-    """The card's effective trust, or None when it sits below the vigilance gate."""
-    trust = effective_trust(card)
-    return trust if trust >= cfg.trust_gate else None
-
-
 _SELF_SCORED = (ActionVariant.DIRECT, ActionVariant.STOP)
 
 
@@ -302,22 +297,24 @@ def select_action(
     """
     del ctx  # part of the signature contract; scoring needs only cv/cfg
     alpha = cfg.alpha if dualconf_enabled else 0.5
+    load_skill = ActionVariant.LOAD_SKILL
+    gate = cfg.trust_gate
+    cost_lambda = cfg.cost_lambda
 
     gated: list[str] = []
     scored: list[tuple[Action, float]] = []
     scores: dict[str, float] = {}
     for action in candidates:
         vigilance = 1.0
-        if action.variant is ActionVariant.LOAD_SKILL:
+        if action.variant is load_skill:
             assert action.card_id is not None
             card = registry.get(action.card_id)
             if vigilance_enabled:
-                trust = _trust_past_gate(card, cfg)
-                if trust is None:
+                vigilance = effective_trust(card)
+                if vigilance < gate:
                     gated.append(action.card_id)
                     continue
-                vigilance = trust
-        value = _dual_score(action, _confidence_for(action, cv), alpha, cfg.cost_lambda, vigilance)
+        value = _dual_score(action, _confidence_for(action, cv), alpha, cost_lambda, vigilance)
         scored.append((action, value))
         scores[score_key(action)] = value
 
@@ -503,7 +500,10 @@ def build_candidates(
     Cards whose apply_when matches the context are probed; only escalated
     (Loaded) cards become LoadSkill candidates. A trace or LoadSkill action
     depends on its card alone, so each is built by the first route that
-    needs it and shared by every later one (SkillCard.memo).
+    needs it and shared by every later one (SkillCard.memo). Per Loaded
+    card the loop reads its action from its slot and tests the gate with one
+    comparison (with vigilance off the gate is -inf); only a card past the
+    gate has its bound worked out, by _dual_score.
     allowed_card_ids restricts which registry cards are active (the harness
     passes the item's injected ids) and is scanned in full with
     eval_predicate; None means the whole registry is active, and its exact
@@ -576,14 +576,19 @@ def build_candidates(
     else:
         traces = tuple(map(unprobed_trace, matching))
 
+    # Read once per route, not once per matched card.
+    loaded = ProbeStage.LOADED
+    gate = cfg.trust_gate if vigilance_enabled else -math.inf
+    cost_lambda = cfg.cost_lambda
     skills = []
     for card, state in zip(matching, traces):
-        if state.stage is not ProbeStage.LOADED:
+        if state.stage is not loaded:
             continue
-        action = _load_action(card)
-        trust = _trust_past_gate(card, cfg) if vigilance_enabled else 1.0
-        if trust is not None:
-            if _dual_score(action, 1.0, alpha, cfg.cost_lambda, trust) <= best_known:
+        # A trace is built through card.memo(), so the slots exist by now.
+        action = card._memo[_LOAD_ACTION_SLOT] or _load_action(card)
+        trust = effective_trust(card) if vigilance_enabled else 1.0
+        if trust >= gate:
+            if _dual_score(action, 1.0, alpha, cost_lambda, trust) <= best_known:
                 continue  # dominated: cannot be chosen, so not paid for
             registry.read_body(card.id)
             if not relevance_passes:

@@ -19,7 +19,11 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # TMPDIR points the demo's tempfile calls at a directory of its own,
+    # which must be empty again when the demo exits.
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(temp))
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
@@ -30,3 +34,4 @@ def test_demo_exits_zero(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    assert list(temp.iterdir()) == []

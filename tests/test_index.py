@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mesa.dsl
 from mesa.cards import CardRegistry
 from mesa.context import Attachment, TaskContext
 from mesa.dsl import (
@@ -195,6 +196,27 @@ def test_residual_shapes():
     assert residual(And(And(tag, Mime("pdf")), Matches("q")), _facts(pair)) == Matches("q")
 
 
+def test_resolve_groups_tag_literal_residuals_by_fact():
+    hits = [
+        (0, parse_predicate('contains:"x" AND kind:doc')),
+        (1, parse_predicate('contains:"x" AND NOT kind:doc')),
+        (2, parse_predicate('contains:"x" AND NOT mime:pdf')),
+        (3, parse_predicate('contains:"x" AND kind:doc')),
+        (4, parse_predicate('contains:"x" AND NOT NOT kind:doc')),
+        (5, parse_predicate('contains:"x" AND (kind:doc OR mime:pdf)')),
+        (6, parse_predicate('contains:"x"')),
+        (7, parse_predicate('contains:"x" AND NOT contains:"X"')),
+    ]
+    sure, groups, check = mesa.dsl._resolve(hits, _facts(Contains("x")))
+    assert sure == {6}
+    assert sorted(groups) == [
+        (("kind", "doc"), False, (1,)),
+        (("kind", "doc"), True, (0, 3, 4)),
+        (("mime", "pdf"), False, (2,)),
+    ]
+    assert check == ((5, parse_predicate("kind:doc OR mime:pdf")),)
+
+
 def _reference(expr: PredicateExpr, ctx: TaskContext) -> bool:
     """eval_predicate's documented semantics, with nothing lowered ahead of time."""
     if isinstance(expr, Contains):
@@ -297,6 +319,8 @@ def test_tag_product_stays_linear_at_the_operator_cap():
         ("mime:csv AND mime:pdf", "p", (), ("pdf", "csv")),
         ('contains:"x" AND NOT contains:"X"', "has x", (), ()),
         ("kind:doc AND (mime:pdf OR NOT kind:doc)", "p", ("doc",), ()),
+        ('contains:"x" AND NOT mime:pdf', "has x", (), ("pdf",)),
+        ('contains:"x" AND NOT mime:pdf', "has x", (), ("csv",)),
     ],
 )
 def test_index_examples_match_full_scan(apply_when, prompt, kind_tags, mimes):

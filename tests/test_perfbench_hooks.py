@@ -215,3 +215,26 @@ def test_index_matches_a_full_scan_on_every_seed1_prompt(seed1_registry_dir):
         assert registry.matching(ctx) == scan
         matched += len(scan)
     assert matched == 2 * 28_541
+
+
+def test_index_decides_every_seed1_residual_by_fact_lookup(seed1_registry_dir, monkeypatch):
+    # Every residual the seed-1 prompts leave is one kind or mime test or
+    # its negation, so matching decides each by looking up the context's
+    # facts and never calls eval_predicate.
+    import mesa.dsl
+
+    registry = load_registry(seed1_registry_dir / "cards.json")
+    suite = load_suite(seed1_registry_dir / "suite.json", registry, expected_per_slice=None)
+    contexts = [router.context_for_item(item) for item in suite]
+    scans = [
+        [card for card in registry if eval_predicate(card.apply_when, ctx)] for ctx in contexts
+    ]
+    evals = []
+
+    def counting(expr, ctx):
+        evals.append(expr)
+        return eval_predicate(expr, ctx)
+
+    monkeypatch.setattr(mesa.dsl, "eval_predicate", counting)
+    assert [registry.matching(ctx) for ctx in contexts] == scans
+    assert evals == []

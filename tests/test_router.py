@@ -739,3 +739,78 @@ def test_vigilance_off_over_vigilant_candidates_fails_closed():
     assert select_action(make_ctx(), candidates, cv, cfg, registry).gated_cards == ("low",)
     with pytest.raises(MissingSignalError, match="'low'"):
         select_action(make_ctx(), candidates, cv, cfg, registry, vigilance_enabled=False)
+
+
+# ---------------------------------------------------------------------------
+# Boundaries of the loaded-card loop and the gate: a trust equal to the gate
+# passes it, a bound equal to the best known score is dominated, and
+# vigilance off gates nothing
+
+
+def _reading_registry(card) -> tuple[CardRegistry, list[str]]:
+    reads: list[str] = []
+    registry = CardRegistry(
+        cards=(card,), body_loader=lambda c: (reads.append(c.id), "body")[1]
+    )
+    return registry, reads
+
+
+@pytest.mark.parametrize("stale, source_trust, gate", [(False, 0.7, 0.7), (True, 0.8, 0.4)])
+@pytest.mark.parametrize("probe_enabled", [True, False])
+def test_a_trust_equal_to_the_gate_is_past_it(stale, source_trust, gate, probe_enabled):
+    card = make_card("edge", source_trust=source_trust, stale=stale)
+    assert effective_trust(card) == gate
+    cfg = RoutingConfig(trust_gate=gate)
+    registry, reads = _reading_registry(card)
+    backend = DictBackend(
+        p_self=0.0, sources={TOOL_CHANNEL: 0.0, "edge": 1.0}, probes={"edge": 0.1}
+    )
+    candidates, cv, _ = build_candidates(make_ctx(), registry, backend, cfg, probe_enabled)
+    load = Action(ActionVariant.LOAD_SKILL, card_id="edge", cost=0.5)
+    assert load in candidates
+    assert reads == ["edge"]
+    assert ("source_confidence", "edge") in backend.calls
+    decision = select_action(make_ctx(), candidates, cv, cfg, registry)
+    assert decision.gated_cards == ()
+    assert decision.scores["LOAD_SKILL:edge"] == pytest.approx(0.4 * gate - 0.05)
+
+
+@pytest.mark.parametrize("source_trust, dominated", [(0.75, True), (0.76, False)])
+def test_a_bound_equal_to_the_best_known_score_is_dominated(source_trust, dominated):
+    # With alpha 0.5 and no cost, the card's bound 0.5 * trust ties Direct's
+    # score 0.5 * p_self exactly when the trust equals p_self.
+    cfg = RoutingConfig(alpha=0.5, cost_lambda=0.0, trust_gate=0.0)
+    card = make_card("c", source_trust=source_trust)
+    registry, reads = _reading_registry(card)
+    backend = DictBackend(
+        p_self=0.75, sources={TOOL_CHANNEL: 0.0, "c": 1.0}, probes={"c": 0.1}
+    )
+    (decision,), _ = decide(make_ctx(), registry, backend, cfg, condition_by_name("full"))
+    assert [(t.card_id, t.stage) for t in decision.probe_traces] == [("c", ProbeStage.LOADED)]
+    assert ("LOAD_SKILL:c" not in decision.scores) is dominated
+    assert (reads == []) is dominated
+    assert (("source_confidence", "c") not in backend.calls) is dominated
+    assert decision.chosen.variant is (
+        ActionVariant.DIRECT if dominated else ActionVariant.LOAD_SKILL
+    )
+
+
+@pytest.mark.parametrize("probe_enabled", [True, False])
+def test_vigilance_off_never_gates(probe_enabled):
+    # Trust 0 under the strictest gate: with vigilance off the card is read,
+    # asked, scored with a neutral vigilance of 1.0 and chosen.
+    cfg = RoutingConfig(trust_gate=1.0)
+    card = make_card("low", source_trust=0.0, stale=True)
+    registry, reads = _reading_registry(card)
+    backend = DictBackend(
+        p_self=0.0, sources={TOOL_CHANNEL: 0.0, "low": 1.0}, probes={"low": 0.1}
+    )
+    candidates, cv, _ = build_candidates(
+        make_ctx(), registry, backend, cfg, probe_enabled, vigilance_enabled=False
+    )
+    assert reads == ["low"]
+    assert ("source_confidence", "low") in backend.calls
+    decision = select_action(make_ctx(), candidates, cv, cfg, registry, vigilance_enabled=False)
+    assert decision.gated_cards == ()
+    assert decision.chosen == Action(ActionVariant.LOAD_SKILL, card_id="low", cost=0.5)
+    assert decision.scores["LOAD_SKILL:low"] == pytest.approx(0.4 - 0.05)

@@ -2,16 +2,20 @@
 The benchmark matrix: seven conditions, three slices, one table
 ===============================================================
 
-The shipped fixtures define a 150-item suite (three slices of 50), a card
-registry, and a behavior script that pins every model signal, so a full
-run is deterministic and needs no network. This demo runs all seven
-conditions, prints the accuracy table, then asks whether the gap between
-two ablations on the adversarial slice is statistically significant.
+The data files shipped in the package's data/ directory define a 150-item
+suite (three slices of 50), a card registry, and a behavior script that
+pins every model signal, so a full run is deterministic and needs no
+network. The demo finds them with importlib.resources, as any installed
+copy of mesa can. It runs all seven conditions, prints the accuracy
+table, then asks whether the gap between two ablations on the adversarial
+slice is statistically significant.
 
 Run with: python3 demos/04_benchmark_matrix.py
 """
 
 from __future__ import annotations
+
+from importlib.resources import files
 
 from mesa import (
     condition_by_name,
@@ -22,14 +26,14 @@ from mesa import (
     run_matrix,
     two_prop_ztest,
 )
-from mesa.fixtures import fixture_path
 
 # ---------------------------------------------------------------------------
 # Load the shipped data.
 
-suite = load_suite(fixture_path("suite.json"))
-registry = load_registry(fixture_path("cards.json"))
-script = load_script(fixture_path("script.json"))
+data = files("mesa") / "data"
+suite = load_suite(data / "suite.json")
+registry = load_registry(data / "cards.json")
+script = load_script(data / "script.json")
 print(f"suite: {len(suite)} items, registry: {len(list(registry))} cards")
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ The failure bank: confident mistakes decay the trust that caused them
 =====================================================================
 
 Failures an agent commits to with high confidence are the ones worth
-studying. This demo runs the three-item mini suite with decontamination
-switched off, which lets one skill card talk the agent into a confident
-wrong answer. The failure lands in an append-only bank file, the
-hypercorrection rule turns it into a trust decay, and applying the decay
-rewrites the card file so the vigilance gate blocks that card next time.
+studying. This demo runs the three-item mini suite, shipped in the
+package's data/ directory and found with importlib.resources, with
+decontamination switched off, which lets one skill card talk the agent
+into a confident wrong answer. The failure lands in an append-only bank
+file, the hypercorrection rule turns it into a trust decay, and applying
+the decay rewrites the card file so the vigilance gate blocks that card
+next time.
 
 Run with: python3 demos/05_failure_bank.py
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+from importlib.resources import files
 from pathlib import Path
 
 from mesa import (
@@ -36,7 +39,8 @@ from mesa import (
     record,
     run_trajectory,
 )
-from mesa.fixtures import fixture_path
+
+data = files("mesa") / "data"
 
 # The bank and the rewritten card file live in a scratch directory that is
 # removed when the demo ends.
@@ -44,16 +48,16 @@ scratch = tempfile.TemporaryDirectory(prefix="mesa_demo_")
 workdir = Path(scratch.name)
 bank_path = workdir / "failures.jsonl"
 cards_path = workdir / "cards_mini.json"
-shutil.copy(fixture_path("cards_mini.json"), cards_path)
+shutil.copy(data / "cards_mini.json", cards_path)
 
 # ---------------------------------------------------------------------------
 # Run the mini suite with decontamination disabled and bank every record.
 # The implicated card, when there is one, is the skill the final decision
 # loaded.
 
-suite = load_suite(fixture_path("suite_mini.json"), expected_per_slice=None)
+suite = load_suite(data / "suite_mini.json", expected_per_slice=None)
 registry = load_registry(cards_path)
-script = load_script(fixture_path("script_mini.json"))
+script = load_script(data / "script_mini.json")
 condition = condition_by_name("no_decontam")
 backend = ScriptedBackend(script, suite, condition.name.value)
 

@@ -27,7 +27,6 @@ import os
 import re
 import threading
 import time
-import urllib.error
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, Sequence
@@ -76,8 +75,8 @@ class BehaviorScript:
     from the item's "*" rows, and one per (item, condition) that has rows of
     its own: that condition's rows laid over the item's defaults. An item
     with no condition rows has the one table for every condition, shared,
-    not copied. lookup, covers, missing_keys and ScriptedBackend all read
-    these tables.
+    not copied. lookup, missing_keys and ScriptedBackend all read these
+    tables.
     """
 
     rows: dict[tuple[str, str, str], ScriptValue] = field(default_factory=dict)
@@ -116,9 +115,6 @@ class BehaviorScript:
             raise MissingSignalError(
                 f"script has no value for {item_id}/{condition}: {key}"
             ) from None
-
-    def covers(self, item_id: str, condition: str, key: str) -> bool:
-        return key in self.table(item_id, condition)
 
     def missing_keys(
         self, suite: Sequence["BenchmarkItem"], conditions: Iterable[str]
@@ -442,6 +438,8 @@ def _default_transport(url: str, headers: dict[str, str], body: bytes, timeout_s
 
 def _is_permanent(exc: Exception) -> bool:
     """An HTTP 4xx answer that repeating the same request cannot change."""
+    import urllib.error  # only a failed remote request needs it
+
     return (
         isinstance(exc, urllib.error.HTTPError)
         and 400 <= exc.code < 500
@@ -569,8 +567,7 @@ class RemoteBackend:
                         self._config.endpoint, headers, body, self._config.timeout_s
                     )
                 content = json.loads(raw)["choices"][0]["message"]["content"]
-            except (OSError, urllib.error.URLError, json.JSONDecodeError, KeyError,
-                    IndexError, TypeError) as exc:
+            except (OSError, json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
                 if _is_permanent(exc):
                     raise RemoteBackendError(
                         f"endpoint refused the request after {attempt + 1} attempt(s): {exc}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from importlib.resources import files
+
 import pytest
 
 from mesa.backend import load_script
@@ -14,7 +16,9 @@ from mesa.cards import (
 )
 from mesa.context import Attachment, TaskContext
 from mesa.dsl import parse_predicate
-from mesa.fixtures import fixture_path
+
+# The shipped data files, found the way an installed package finds them.
+DATA = files("mesa") / "data"
 
 
 def make_card(
@@ -110,33 +114,31 @@ class DictBackend:
 def shipped_registry() -> CardRegistry:
     from mesa.cards import load_registry
 
-    return load_registry(fixture_path("cards.json"))
+    return load_registry(DATA / "cards.json")
 
 
 @pytest.fixture(scope="session")
 def shipped_suite(shipped_registry):
-    return load_suite(fixture_path("suite.json"), shipped_registry)
+    return load_suite(DATA / "suite.json", shipped_registry)
 
 
 @pytest.fixture(scope="session")
 def shipped_script():
-    return load_script(fixture_path("script.json"))
+    return load_script(DATA / "script.json")
 
 
 @pytest.fixture(scope="session")
 def mini_registry() -> CardRegistry:
     from mesa.cards import load_registry
 
-    return load_registry(fixture_path("cards_mini.json"))
+    return load_registry(DATA / "cards_mini.json")
 
 
 @pytest.fixture(scope="session")
 def mini_suite(mini_registry):
-    return load_suite(
-        fixture_path("suite_mini.json"), mini_registry, expected_per_slice=None
-    )
+    return load_suite(DATA / "suite_mini.json", mini_registry, expected_per_slice=None)
 
 
 @pytest.fixture(scope="session")
 def mini_script():
-    return load_script(fixture_path("script_mini.json"))
+    return load_script(DATA / "script_mini.json")

@@ -216,7 +216,7 @@ def test_load_script_coverage_pass(tmp_path):
     path = write_script(tmp_path, _full_rows())
     script = load_script(path)
     assert script.missing_keys([make_item()], ["full", "baseline"]) == []
-    assert script.covers("i1", "anything", "p_self")
+    assert script.lookup("i1", "anything", "p_self") == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -1189,7 +1189,8 @@ def test_gather_under_contention_keeps_the_in_order_failure(auth_env):
 def test_cli_import_leaves_out_remote_only_modules():
     code = (
         "import sys, mesa.cli; "
-        "print(sorted(m for m in ('urllib.request', 'concurrent.futures') if m in sys.modules))"
+        "print(sorted(m for m in ('urllib.request', 'urllib.error', 'urllib.response', "
+        "'concurrent.futures') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60

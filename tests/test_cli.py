@@ -13,10 +13,9 @@ from mesa.bank import BankEntry, record
 from mesa.bench import CONDITIONS, condition_by_name
 from mesa.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _load_settings, dispatch
 from mesa.dsl import eval_predicate
-from mesa.fixtures import fixture_path
 from mesa.router import RoutingConfig, context_for_item, decide
 
-from conftest import DictBackend
+from conftest import DATA, DictBackend
 from test_bank import make_record
 
 
@@ -30,11 +29,11 @@ def _prompt_of(suite, item_id):
     return next(item.prompt for item in suite if item.id == item_id)
 
 
-SUITE = str(fixture_path("suite.json"))
-CARDS = str(fixture_path("cards.json"))
-SCRIPT = str(fixture_path("script.json"))
-MINI_SUITE = str(fixture_path("suite_mini.json"))
-MINI_CARDS = str(fixture_path("cards_mini.json"))
+SUITE = str(DATA / "suite.json")
+CARDS = str(DATA / "cards.json")
+SCRIPT = str(DATA / "script.json")
+MINI_SUITE = str(DATA / "suite_mini.json")
+MINI_CARDS = str(DATA / "cards_mini.json")
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +396,7 @@ def test_eval_coverage_still_requires_the_probe_row_of_a_card_never_probed(
         for card_id in item.injected_card_ids
         if not eval_predicate(shipped_registry.get(card_id).cheap_probe, context_for_item(item))
     )
-    doc = json.loads(fixture_path("script.json").read_text(encoding="utf-8"))
+    doc = json.loads((DATA / "script.json").read_text(encoding="utf-8"))
     kept = [
         row for row in doc["rows"]
         if not (row["item"] == item.id and row["key"] == f"probe:{card_id}")
@@ -431,7 +430,7 @@ def test_eval_coverage_still_requires_the_source_row_of_a_dominated_card(
             item, card_id = candidate, scored[0]
             break
     assert item is not None
-    doc = json.loads(fixture_path("script.json").read_text(encoding="utf-8"))
+    doc = json.loads((DATA / "script.json").read_text(encoding="utf-8"))
     rows = [
         {**row, "value": 1.0} if row["item"] == item.id and row["key"] == "p_self" else row
         for row in doc["rows"]
@@ -462,7 +461,7 @@ def test_eval_mini_suite_decontamination_contrast(capsys):
         "eval",
         "--suite", MINI_SUITE,
         "--cards", MINI_CARDS,
-        "--script", str(fixture_path("script_mini.json")),
+        "--script", str(DATA / "script_mini.json"),
         "--expected-per-slice", "0",
         "--format", "csv",
     )
@@ -481,7 +480,7 @@ def _mini_eval_rows(capsys, *config_args):
         "eval",
         "--suite", MINI_SUITE,
         "--cards", MINI_CARDS,
-        "--script", str(fixture_path("script_mini.json")),
+        "--script", str(DATA / "script_mini.json"),
         "--expected-per-slice", "0",
         "--conditions", "full,no_decontam",
         capsys=capsys,

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import DATA
 from dsl_oracle import oracle_parse
 from mesa.dsl import PredicateExpr, parse_predicate, print_predicate
 from mesa.errors import PredicateSyntaxError
-from mesa.fixtures import fixture_path
 
 ROOT = Path(__file__).resolve().parent.parent
 FUZZ_CASES = int(os.environ.get("MESA_DSL_FUZZ_CASES", "20000"))
@@ -49,7 +49,7 @@ def _assert_same(text: str) -> tuple:
 def _shipped_texts() -> list[str]:
     texts = []
     for name in ("cards.json", "cards_mini.json"):
-        for card in json.loads(fixture_path(name).read_text(encoding="utf-8"))["cards"]:
+        for card in json.loads((DATA / name).read_text(encoding="utf-8"))["cards"]:
             texts += [card["apply_when"], card["cheap_probe"]]
     return list(dict.fromkeys(texts))
 

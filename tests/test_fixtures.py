@@ -2,37 +2,45 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from collections import Counter
+from pathlib import Path
 
 from mesa.backend import required_keys
 from mesa.bench import SliceName
-from mesa.fixtures import (
-    FIXTURE_NAMES,
-    build_main,
-    build_mini,
-    fixture_path,
-    write_fixtures,
-)
 from mesa.router import GoldAction
+
+from conftest import DATA
+
+GENERATOR = Path(__file__).resolve().parent.parent / "tools" / "gen_fixtures.py"
+
+
+def _load_generator():
+    spec = importlib.util.spec_from_file_location("gen_fixtures", GENERATOR)
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gen = _load_generator()
 
 
 def test_committed_files_match_generator(tmp_path):
     """The checked-in data files are exactly what the generator emits."""
-    write_fixtures(tmp_path)
-    for name in FIXTURE_NAMES:
-        fresh = (tmp_path / name).read_bytes()
-        committed = fixture_path(name).read_bytes()
-        assert fresh == committed, f"{name} drifted from its generator"
+    written = gen.write_fixtures(tmp_path)
+    shipped = [path.name for path in DATA.iterdir() if path.name.endswith(".json")]
+    assert sorted(path.name for path in written) == sorted(shipped)
+    for path in written:
+        committed = (DATA / path.name).read_bytes()
+        assert path.read_bytes() == committed, f"{path.name} drifted from its generator"
 
 
 def test_generator_is_deterministic(tmp_path):
-    write_fixtures(tmp_path / "one")
-    write_fixtures(tmp_path / "two")
-    for name in FIXTURE_NAMES:
-        assert (tmp_path / "one" / name).read_bytes() == (
-            tmp_path / "two" / name
-        ).read_bytes()
+    one = gen.write_fixtures(tmp_path / "one")
+    two = gen.write_fixtures(tmp_path / "two")
+    assert [path.read_bytes() for path in one] == [path.read_bytes() for path in two]
 
 
 def test_suite_composition(shipped_suite):
@@ -96,14 +104,14 @@ def test_script_has_no_unconsumed_items(shipped_suite, shipped_script):
 
 
 def test_builders_agree_with_files(tmp_path):
-    suite_doc, cards_doc, script_doc = build_main()
-    assert json.loads(fixture_path("suite.json").read_text()) == suite_doc
-    assert json.loads(fixture_path("cards.json").read_text()) == cards_doc
-    assert json.loads(fixture_path("script.json").read_text()) == script_doc
-    mini_suite, mini_cards, mini_script = build_mini()
-    assert json.loads(fixture_path("suite_mini.json").read_text()) == mini_suite
-    assert json.loads(fixture_path("cards_mini.json").read_text()) == mini_cards
-    assert json.loads(fixture_path("script_mini.json").read_text()) == mini_script
+    suite_doc, cards_doc, script_doc = gen.build_main()
+    assert json.loads((DATA / "suite.json").read_text()) == suite_doc
+    assert json.loads((DATA / "cards.json").read_text()) == cards_doc
+    assert json.loads((DATA / "script.json").read_text()) == script_doc
+    mini_suite, mini_cards, mini_script = gen.build_mini()
+    assert json.loads((DATA / "suite_mini.json").read_text()) == mini_suite
+    assert json.loads((DATA / "cards_mini.json").read_text()) == mini_cards
+    assert json.loads((DATA / "script_mini.json").read_text()) == mini_script
 
 
 def test_mini_suite_composition(mini_suite, mini_registry):

@@ -33,7 +33,7 @@ from mesa.dsl import (
     triggers,
 )
 
-from conftest import make_card, make_ctx
+from conftest import DATA, make_card, make_ctx
 from test_dsl import _contexts, _predicates
 
 # Characters whose case mapping is not one-to-one: İ lowers to two code
@@ -498,14 +498,13 @@ def test_eval_matrix_never_builds_the_index(monkeypatch, shipped_suite, shipped_
     import mesa.cards
     from mesa.bench import run_matrix
     from mesa.cards import load_registry
-    from mesa.fixtures import fixture_path
 
     def refuse(exprs):
         raise AssertionError("the eval path built the atom index")
 
     monkeypatch.setattr(mesa.cards, "PredicateIndex", refuse)
     # A fresh registry, so no earlier test has built its index.
-    registry = load_registry(fixture_path("cards.json"))
+    registry = load_registry(DATA / "cards.json")
     table = run_matrix(shipped_suite, registry, shipped_script)
     assert len(table.items) == 7 * len(shipped_suite)
     assert table.cells["full"]["overall"] > 0

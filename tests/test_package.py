@@ -14,18 +14,20 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Runs with -I -S: no site-packages, no PYTHONPATH, no user site. Only the
 # standard library and src are importable, so any third-party import fails.
 _STDLIB_ONLY_RUN = """
-import importlib, pkgutil, sys
+import pkgutil, sys
+from importlib.resources import files
 sys.path.insert(0, {src!r})
-import mesa
-for module in pkgutil.iter_modules(mesa.__path__):
-    importlib.import_module("mesa." + module.name)
-from mesa.cli import dispatch
-from mesa.fixtures import fixture_path
-raise SystemExit(dispatch([
+import mesa.cli
+# Every module in the package is one the CLI loads.
+loaded = {{name for name in sys.modules if name.startswith("mesa.")}}
+shipped = {{"mesa." + module.name for module in pkgutil.iter_modules(mesa.__path__)}}
+assert loaded == shipped, (sorted(shipped - loaded), sorted(loaded - shipped))
+data = files("mesa") / "data"
+raise SystemExit(mesa.cli.dispatch([
     "eval",
-    "--suite", str(fixture_path("suite_mini.json")),
-    "--cards", str(fixture_path("cards_mini.json")),
-    "--script", str(fixture_path("script_mini.json")),
+    "--suite", str(data / "suite_mini.json"),
+    "--cards", str(data / "cards_mini.json"),
+    "--script", str(data / "script_mini.json"),
     "--expected-per-slice", "0",
 ]))
 """

@@ -25,9 +25,8 @@ from mesa.bank import record
 from mesa.bench import load_suite
 from mesa.cards import CardRegistry, load_registry
 from mesa.dsl import eval_predicate
-from mesa.fixtures import fixture_path
 
-from conftest import DictBackend, make_card, make_ctx
+from conftest import DATA, DictBackend, make_card, make_ctx
 from test_bank import make_entry
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,8 +119,8 @@ def test_setup_probe_loads_and_checks_shipped_fixtures():
     proc = subprocess.run(
         [
             sys.executable, str(ROOT / "perfbench" / "setup_probe.py"),
-            str(fixture_path("cards.json")), str(fixture_path("suite.json")),
-            str(fixture_path("script.json")), "--per-slice", "50", "--coverage",
+            str(DATA / "cards.json"), str(DATA / "suite.json"),
+            str(DATA / "script.json"), "--per-slice", "50", "--coverage",
         ],
         capture_output=True,
         text=True,

@@ -5,7 +5,7 @@ drives the scripted backend, plus a 3-item supplementary mini suite that
 makes confidence decontamination outcome-visible. Everything is synthesized
 from literal tables (no RNG), so regeneration is byte-stable:
 
-    python3 -m mesa.fixtures [--out DIR]
+    python3 tools/gen_fixtures.py [--out DIR]
 
 Suite composition, 50 items per slice:
 
@@ -29,23 +29,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-_DATA_DIR = Path(__file__).resolve().parent / "data"
-
-FIXTURE_NAMES = (
-    "suite.json",
-    "cards.json",
-    "script.json",
-    "suite_mini.json",
-    "cards_mini.json",
-    "script_mini.json",
-)
-
-
-def fixture_path(name: str) -> Path:
-    """Absolute path of one shipped fixture file."""
-    if name not in FIXTURE_NAMES:
-        raise ValueError(f"unknown fixture {name!r} (known: {', '.join(FIXTURE_NAMES)})")
-    return _DATA_DIR / name
+_DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "mesa" / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -899,13 +883,13 @@ def write_fixtures(out_dir: str | Path = _DATA_DIR) -> list[Path]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python3 -m mesa.fixtures",
+        prog="python3 tools/gen_fixtures.py",
         description="Regenerate the shipped benchmark fixture files.",
     )
     parser.add_argument(
         "--out",
         default=str(_DATA_DIR),
-        help="output directory (default: the packaged data directory)",
+        help="output directory (default: src/mesa/data)",
     )
     args = parser.parse_args(argv)
     for path in write_fixtures(args.out):

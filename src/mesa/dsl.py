@@ -32,7 +32,11 @@ predicate they trigger by its residual, what is left of its tree once the
 trigger's atoms are taken as true: often nothing (TRUE) or one tag test.
 Residuals are worked out the first time their trigger fires, and those
 that are one tag test or its negation are grouped by the fact they test,
-so one lookup in the context's facts decides a whole group.
+so one lookup in the context's facts decides a whole group. Its `contains`
+needles, and the literals of its `matches` patterns that are plain literal
+alternations, are found by one regex scan each over the prompt, built with
+the index, so a context costs one pass per scan however many needles and
+patterns the predicates hold.
 """
 
 from __future__ import annotations
@@ -502,16 +506,144 @@ def _resolve(hits: list, facts: frozenset[tuple[str, str]]) -> tuple[frozenset[i
     )
 
 
+# Branch points of a literal scan's trie that nest a group; past them the
+# literals left form one flat alternation. This bounds the nesting that re's
+# recursive parser and compiler walk, whatever the literals (a chain a, aa,
+# aaa, ... branches at every character).
+_SCAN_DEPTH = 8
+
+# Characters that end a plain literal alternation (see _pattern_literals).
+_REGEX_META = frozenset(".^$*+?{}[]()")
+
+
+def _alternation(literals: list[str], start: int, depth: int) -> str:
+    """A regex that matches, where it is tried, the longest literal that starts there.
+
+    The distinct non-empty literals share their first `start` characters,
+    which the regex leaves out. It is their trie: a group per next character
+    shared by several literals, the characters they all share written once,
+    longer literals tried before the empty alternative of a literal that
+    ends here. The text picks at most one branch per node, so the first
+    match is the longest. Below `depth` branch points the rest is one flat
+    alternation, longest first.
+    """
+    if depth == 0:
+        rest = sorted((literal[start:] for literal in literals), key=len, reverse=True)
+        return "|".join(map(re.escape, rest))
+    ends_here = False
+    groups: dict[str, list[str]] = {}
+    for literal in literals:
+        if len(literal) == start:
+            ends_here = True
+        else:
+            groups.setdefault(literal[start], []).append(literal)
+    parts = []
+    for group in groups.values():
+        if len(group) == 1:
+            parts.append(re.escape(group[0][start:]))
+            continue
+        # The longest prefix the group shares is that of its least and greatest.
+        low, high = min(group), max(group)
+        end = start + 1
+        while end < len(low) and low[end] == high[end]:
+            end += 1
+        parts.append(f"{re.escape(low[start:end])}(?:{_alternation(group, end, depth - 1)})")
+    if ends_here:
+        parts.append("")
+    return "|".join(parts)
+
+
+class _LiteralScan:
+    """The keys of every literal of a fixed set that occurs in a text, in one pass.
+
+    Built from a map of each literal to the keys it fires. One regex, the
+    literals' trie inside a lookahead, is tried at every position of the
+    text and captures the longest literal that starts there (_alternation);
+    the literals that are its prefixes start there too, so each captured
+    literal fires its own keys and theirs. The keys of the empty literal
+    fire for every text.
+    """
+
+    def __init__(self, keys: dict[str, list]) -> None:
+        self._always = frozenset(keys.get("", ()))
+        literals = sorted(literal for literal in keys if literal)
+        # In sorted order a literal's prefixes in the set come before it, and
+        # every literal between the two also starts with the prefix; so the
+        # literals still on the chain after popping those it does not start
+        # with are exactly its prefixes.
+        chain: list[str] = []
+        self._fires: dict[str, tuple] = {}
+        for literal in literals:
+            while chain and not literal.startswith(chain[-1]):
+                chain.pop()
+            chain.append(literal)
+            self._fires[literal] = tuple(dict.fromkeys(k for p in chain for k in keys[p]))
+        self._findall = (
+            re.compile(f"(?=({_alternation(literals, 0, _SCAN_DEPTH)}))").findall
+            if literals
+            else None
+        )
+
+    def find(self, text: str) -> set:
+        """The keys fired by the literals that occur in text."""
+        found = set(self._always)
+        if self._findall is not None:
+            fires = self._fires
+            for literal in set(self._findall(text)):
+                found.update(fires[literal])
+        return found
+
+
+def _pattern_literals(pattern: str) -> tuple[str, ...]:
+    """The literals of a pattern that is a plain alternation of them, else ("",).
+
+    A plain alternation is `a|b|...`, or the same inside one `(?:...)`,
+    whose alternatives are non-empty runs of ordinary characters and of
+    backslash-escaped characters other than ASCII letters and digits. Such
+    a pattern has no flags, so it matches exactly where one of its literals
+    occurs as written, case and all. Any other pattern may match anywhere,
+    as the empty literal does.
+    """
+    if pattern.startswith("(?:") and pattern.endswith(")"):
+        pattern = pattern[3:-1]
+    literals: list[str] = []
+    run: list[str] = []
+    chars = iter(pattern)
+    for char in chars:
+        if char == "\\":
+            char = next(chars, "")
+            if not char or (char.isascii() and char.isalnum()):
+                return ("",)
+        elif char == "|":
+            literals.append("".join(run))
+            run = []
+            continue
+        elif char in _REGEX_META:
+            return ("",)
+        run.append(char)
+    literals.append("".join(run))
+    return tuple(literals) if all(literals) else ("",)
+
+
 class PredicateIndex:
     """Which of many predicates hold for a context, found by trigger.
 
     Each distinct trigger is a key: a lowered `contains` needle, a compiled
     `matches` pattern, a tag fact ("kind", tag) or ("mime", tag), or the
     frozenset of a pair's two facts. Predicates with no trigger set sit
-    under the empty frozenset, which every context fires. Per context each
-    needle and pattern is tested once, with eval_predicate's own tests, and
-    the tag keys are looked up from the context's distinct facts and each
-    unordered pair of them.
+    under the empty frozenset, which every context fires. The tag keys are
+    looked up from the context's distinct facts and each unordered pair of
+    them.
+
+    The needles and patterns are found by two literal scans built with the
+    index (_LiteralScan), each one pass over a text however many literals
+    it holds. The needle scan runs over the lowered prompt and fires exactly
+    the needles in it, as `in` would; the empty needle always fires. The
+    pattern scan runs over the prompt as written, since `matches` is
+    case-sensitive, and holds the literals of every pattern that is a plain
+    literal alternation (_pattern_literals); only the patterns with a
+    literal in the prompt, and every pattern without a literal set, are
+    then searched, with eval_predicate's own test.
 
     A key maps to the predicates it triggers. A fired key's facts hold, so
     each of its predicates holds exactly when its residual for those facts
@@ -562,13 +694,21 @@ class PredicateIndex:
         self._needles = needles
         self._patterns = patterns
         self._tags = tags
+        self._needle_scan = _LiteralScan({needle: [needle] for needle in needles})
+        by_literal: dict[str, list] = {}
+        for regex in patterns:
+            for literal in _pattern_literals(regex.pattern):
+                by_literal.setdefault(literal, []).append(regex)
+        self._pattern_scan = _LiteralScan(by_literal)
 
     def matching(self, ctx: TaskContext) -> list[int]:
         """Positions, ascending, of every predicate that holds for ctx."""
         needles, patterns, tags = self._needles, self._patterns, self._tags
-        lowered, prompt = ctx.lowered_prompt, ctx.prompt
-        fired = [(needles, needle) for needle in needles if needle in lowered]
-        fired += [(patterns, p) for p in patterns if p.search(prompt) is not None]
+        prompt = ctx.prompt
+        fired = [(needles, needle) for needle in self._needle_scan.find(ctx.lowered_prompt)]
+        fired += [
+            (patterns, p) for p in self._pattern_scan.find(prompt) if p.search(prompt) is not None
+        ]
         facts = {("kind", tag) for tag in ctx.kind_tags}
         facts.update(("mime", att.mime_tag) for att in ctx.attachments)
         keys = [*facts, *map(frozenset, combinations(facts, 2)), frozenset()]

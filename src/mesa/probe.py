@@ -7,12 +7,16 @@ must hold on the context, and only then is the backend's probe signal asked
 whether it reports parametric insufficiency (below self_low + PROBE_SLACK).
 
 run_probe returns the card's terminal state, Loaded or Skipped, charged
-PROBE_COST. Conditions that disable the probe load every matched card
-uncharged, with passed left None (unprobed_trace). A ProbeState depends on
-its card and verdict alone, so it is an immutable value shared per card:
-each of a card's three traces is built the first time a route needs it,
-kept in the card's memo slots, and reused by every later route and
-trajectory that matches the card.
+PROBE_COST. A route runs it once per matched card but decides each distinct
+cheap_probe tree once: load_registry shares the trees of equal texts, and
+the route's probes share their verdicts by tree identity, so a card whose
+tree was already decided asks the backend or not on that verdict.
+Conditions that disable the probe load every matched card uncharged, with
+passed left None (unprobed_trace). A ProbeState depends on its card and
+verdict alone, so it is an immutable value shared per card: each of a
+card's three traces is built the first time a route needs it, kept in the
+card's memo slots, and reused by every later route and trajectory that
+matches the card.
 """
 
 from __future__ import annotations
@@ -89,16 +93,28 @@ def run_probe(
     card: SkillCard,
     backend: "ModelBackend",
     cfg: "RoutingConfig",
+    verdicts: dict[int, bool] | None = None,
 ) -> ProbeState:
     """Probe one matched card: Loaded if it passes, else Skipped; charges PROBE_COST.
 
     Passes only when the card's cheap_probe predicate holds and the backend's
     probe signal then reports parametric insufficiency for this card. A failed
     predicate already decides Skipped, so its card's signal is never asked.
+
+    verdicts, when given, holds one route's cheap_probe verdicts by tree
+    identity: a tree already in it is not evaluated again, and a new one is
+    evaluated and added. It must not outlive the route, whose cards keep the
+    trees it names alive. Probes that a backend's gather runs at once may
+    both decide one new tree, to the same verdict.
     """
-    passed = eval_predicate(card.cheap_probe, ctx) and (
-        backend.probe_signal(ctx, card.id) < cfg.self_low + PROBE_SLACK
-    )
+    tree = card.cheap_probe
+    if verdicts is None:
+        holds = eval_predicate(tree, ctx)
+    else:
+        holds = verdicts.get(id(tree))
+        if holds is None:
+            holds = verdicts[id(tree)] = eval_predicate(tree, ctx)
+    passed = holds and backend.probe_signal(ctx, card.id) < cfg.self_low + PROBE_SLACK
     # After the card's first route its trace is read straight from its slot.
     memo = card._memo
     state = memo[_TRACE_SLOT[passed]] if memo is not None else None

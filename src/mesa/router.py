@@ -535,7 +535,10 @@ def build_candidates(
 
     Each query goes out in the first wave that has its inputs. Wave 1 holds
     self-confidence, tags, every matched card's probe and the tool source;
-    run_probe asks a probe signal only of a card whose cheap_probe holds.
+    run_probe asks a probe signal only of a card whose cheap_probe holds,
+    and the route's probes decide each distinct cheap_probe tree once. A
+    backend without gather runs the wave in that order, card by card, with
+    no closure per card.
     With the probe off the candidate set needs no backend answer, so wave 1
     also holds the candidates' own queries: the sources of the cards read,
     or the relevance passes. Wave 2 holds the verify source (when the trap
@@ -555,12 +558,23 @@ def build_candidates(
     best_known = -math.inf  # until wave 1 fixes a score, no card is dominated
     if probe_enabled:
         # Which cards load, and so what the candidates ask, waits on the probes.
-        probes = [lambda card=card: run_probe(ctx, card, backend, cfg) for card in matching]
-        p_self, tags, *values = _gather(
-            backend, head + probes + _source_queries(backend, ctx, channels)
-        )
-        traces = tuple(values[: len(matching)])
-        sources.update(zip(channels, values[len(matching) :]))
+        # They share one verdict per distinct cheap_probe tree.
+        verdicts: dict[int, bool] = {}
+        gather = getattr(backend, "gather", None)
+        if gather is None:
+            # _gather's calls in _gather's order, with no closure per card.
+            p_self, tags = backend.self_confidence(ctx), backend.self_report_tags(ctx)
+            traces = tuple([run_probe(ctx, card, backend, cfg, verdicts) for card in matching])
+            values = [query() for query in _source_queries(backend, ctx, channels)]
+        else:
+            probes = [
+                lambda card=card: run_probe(ctx, card, backend, cfg, verdicts)
+                for card in matching
+            ]
+            p_self, tags, *values = gather(head + probes + _source_queries(backend, ctx, channels))
+            traces = tuple(values[: len(matching)])
+            del values[: len(matching)]
+        sources.update(zip(channels, values))
         channels = []
         if not relevance_passes:
             # The confidences of Direct, Stop, CallTool and Verify, in

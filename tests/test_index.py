@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 import re
 import sys
 import threading
@@ -110,6 +111,58 @@ _cased_predicates = st.recursive(
     max_leaves=6,
 )
 
+# Needles that are prefixes of each other or overlap, needles made of regex
+# metacharacters, and `matches` patterns that are plain literal
+# alternations, so the literal scans meet shared prefixes, escapes and
+# case-sensitive literals; the patterns' literals are found in the prompt as
+# written, since lowering "ΑΣ" gives "ας".
+_LITERAL_ALPHABET = "ab.*|()[]\\^$" + _CASE_TRAPS
+_literal_text = st.text(alphabet=st.sampled_from(list(_LITERAL_ALPHABET)), min_size=1, max_size=5)
+
+
+def _alternation(literals: list[str], wrapped: bool) -> Matches:
+    body = "|".join(map(re.escape, literals))
+    return Matches(f"(?:{body})" if wrapped else body)
+
+
+_literal_atoms = st.one_of(
+    st.sampled_from(["a", "ab", "b", "aba", "ba", "abab", ""]).map(Contains),
+    _literal_text.map(Contains),
+    st.sampled_from(["Σ", "(?:İ|ς|ab)", "a|ab|b", "(?:aba|ba)", "\\.|\\*", "ς|Σ"]).map(Matches),
+    st.builds(_alternation, st.lists(_literal_text, min_size=1, max_size=4), st.booleans()),
+    _tag_atoms,
+)
+_literal_predicates = st.recursive(
+    _literal_atoms,
+    lambda children: st.one_of(
+        children.map(Not),
+        st.tuples(children, children).map(lambda lr: And(*lr)),
+        st.tuples(children, children).map(lambda lr: Or(*lr)),
+    ),
+    max_leaves=4,
+)
+_literal_contexts = st.builds(
+    TaskContext,
+    prompt=st.text(alphabet=st.sampled_from(list(_LITERAL_ALPHABET + " ")), min_size=1, max_size=16),
+    kind_tags=st.frozensets(st.sampled_from(_TAGS), max_size=2),
+)
+
+
+def _many_literals(seed: int) -> list[PredicateExpr]:
+    """Hundreds of needles and literal-alternation patterns over a small alphabet."""
+    rng = random.Random(seed)
+
+    def word() -> str:
+        return "".join(rng.choices("ab.|Σς", k=rng.randint(1, 6)))
+
+    needles = [Contains(word()) for _ in range(rng.randint(100, 400))]
+    patterns = [
+        _alternation([word() for _ in range(rng.randint(1, 5))], rng.random() < 0.5)
+        for _ in range(rng.randint(10, 100))
+    ]
+    return needles + patterns
+
+
 _any_predicates = st.one_of(_predicates, _trap_predicates, _pair_predicates)
 _any_contexts = st.one_of(_contexts, _trap_contexts)
 
@@ -134,12 +187,13 @@ INDEX_EXAMPLES = int(os.environ.get("MESA_INDEX_EXAMPLES", "200"))
 
 @settings(max_examples=INDEX_EXAMPLES, deadline=None)
 @given(
-    st.lists(st.one_of(_any_predicates, _cased_predicates), max_size=12),
-    st.lists(_any_contexts, min_size=1, max_size=4),
+    st.lists(st.one_of(_any_predicates, _cased_predicates, _literal_predicates), max_size=12),
+    st.one_of(st.just(None), st.integers(min_value=0, max_value=2**32)),
+    st.lists(st.one_of(_any_contexts, _literal_contexts), min_size=1, max_size=4),
 )
-def test_index_matching_equals_full_scan(exprs, contexts):
+def test_index_matching_equals_full_scan(exprs, bulk_seed, contexts):
     # Each context twice: first while its fired keys are unresolved, then resolved.
-    registry = _registry(exprs)
+    registry = _registry(exprs + ([] if bulk_seed is None else _many_literals(bulk_seed)))
     for ctx in contexts + contexts:
         assert _indexed(registry, ctx) == _scan(registry, ctx)
 
@@ -508,3 +562,36 @@ def test_eval_matrix_never_builds_the_index(monkeypatch, shipped_suite, shipped_
     table = run_matrix(shipped_suite, registry, shipped_script)
     assert len(table.items) == 7 * len(shipped_suite)
     assert table.cells["full"]["overall"] > 0
+
+
+def test_literal_scans_build_and_match_exactly_on_extreme_literal_sets():
+    # The scans are single compiled regexes: an empty needle, every regex
+    # metacharacter, a 10,000-character needle, a 500-long chain of
+    # prefixes and 20,000 distinct needles must neither overflow re's
+    # limits nor its parser's recursion, and must still find exactly the
+    # needles and patterns a full scan finds.
+    metachars = ".^$*+?{}[]\\|()"
+    long_needle = "".join(chr(0x3B1 + i % 17) for i in range(10_000))  # α to ρ
+    exprs: list[PredicateExpr] = [
+        Contains(""),
+        Contains(metachars),
+        Contains(long_needle),
+        *(Contains("a" * n) for n in range(1, 501)),
+        *(Contains(f"w{i}") for i in range(20_000)),
+        Matches("|".join(map(re.escape, ["a" * 300, metachars, long_needle[:5_000]]))),
+        Matches("(?:" + "|".join(f"w{i}x" for i in range(2_000)) + ")"),
+        Matches("Σ"),
+    ]
+    index = PredicateIndex(exprs)
+    contexts = [
+        make_ctx(prompt=f"x {metachars} {'a' * 300} w19999 w7x", kind_tags=()),
+        make_ctx(prompt=f"{long_needle.upper()} ΟΔΟΣ {'a' * 600}", kind_tags=()),
+        make_ctx(prompt="w1 w12 w123 w1234 w12345 Σ", kind_tags=()),
+        make_ctx(prompt="nothing here", kind_tags=()),
+    ]
+    for ctx in contexts:
+        expected = [i for i, expr in enumerate(exprs) if eval_predicate(expr, ctx)]
+        assert index.matching(ctx) == expected
+    # The empty needle, the long needle, the whole chain and both patterns
+    # that hold there (its "a" * 300 literal, and Σ as written).
+    assert len(index.matching(contexts[1])) == 1 + 1 + 500 + 2

@@ -3,19 +3,34 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import importlib.util
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mesa.backend import ScriptedBackend, load_script
+from mesa.bench import condition_by_name, load_suite
 from mesa.cards import CardRegistry, load_registry
 from mesa.confidence import TOOL_CHANNEL
 from mesa.context import Attachment
-from mesa.dsl import eval_predicate
+from mesa.dsl import eval_predicate, parse_predicate
 from mesa.errors import MissingSignalError
 from mesa.probe import PROBE_COST, PROBE_SLACK, ProbeStage, ProbeState, run_probe
-from mesa.router import Action, ActionVariant, RoutingConfig, build_candidates
+from mesa.router import (
+    Action,
+    ActionVariant,
+    RoutingConfig,
+    build_candidates,
+    context_for_item,
+    decide,
+)
 
 from conftest import DictBackend, make_card, make_ctx
 from test_trajectory import ReversedGather
@@ -299,3 +314,137 @@ def test_shared_values_are_built_by_routes_not_at_load_and_die_with_their_regist
     del registry
     gc.collect()
     assert _values_of(ids) == []
+
+
+# ---------------------------------------------------------------------------
+# The probe wave of a whole-registry route
+
+
+def test_a_route_decides_each_shared_cheap_probe_once_and_probes_every_card(monkeypatch):
+    # 12 matched cards share 3 cheap_probe trees, as load_registry shares
+    # equal texts: each tree is evaluated once per route, while run_probe
+    # still runs once per matched card, in registry order.
+    import mesa.probe
+    import mesa.router
+
+    trees = [parse_predicate(text) for text in ("kind:doc", "NOT kind:doc", 'contains:"task"')]
+    cards = tuple(
+        replace(make_card(f"c{i:02d}"), cheap_probe=trees[i % len(trees)]) for i in range(12)
+    )
+    evaluated, probed = [], []
+
+    def counting_eval(expr, ctx):
+        evaluated.append(expr)
+        return eval_predicate(expr, ctx)
+
+    def counting_probe(ctx, card, *args):
+        probed.append(card.id)
+        return run_probe(ctx, card, *args)
+
+    monkeypatch.setattr(mesa.probe, "eval_predicate", counting_eval)
+    monkeypatch.setattr(mesa.router, "run_probe", counting_probe)
+    backend = DictBackend(
+        probes={card.id: 0.1 for card in cards},
+        sources={TOOL_CHANNEL: 0.5, **{card.id: 0.8 for card in cards}},
+    )
+    registry = CardRegistry(cards=cards)
+    for prompt in ("please do the task", "another task"):
+        evaluated.clear()
+        probed.clear()
+        _, _, traces = build_candidates(make_ctx(prompt=prompt), registry, backend, CFG, True)
+        assert sorted(map(id, evaluated)) == sorted(map(id, trees))
+        assert probed == [card.id for card in cards]
+        assert [t.passed for t in traces] == [i % 3 != 1 for i in range(12)]
+
+
+class _ThreadedGather:
+    """A backend whose gather runs each wave's calls on 8 threads at once."""
+
+    def __init__(self, inner, pool) -> None:
+        self._inner = inner
+        self._pool = pool
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def gather(self, calls):
+        futures = [self._pool.submit(call) for call in calls]
+        return [future.result(timeout=30) for future in futures]
+
+
+def test_probes_gathered_on_threads_share_verdicts_and_match_in_order_probes():
+    # Concurrent probes may both decide a tree not yet decided; every card
+    # still gets the verdict of its own tree.
+    trees = [parse_predicate(text) for text in ("kind:doc", "NOT kind:doc", "mime:html")]
+    cards = tuple(
+        replace(make_card(f"c{i:03d}"), cheap_probe=trees[i % len(trees)]) for i in range(120)
+    )
+    registry = CardRegistry(cards=cards)
+    inner = DictBackend(
+        probes={card.id: 0.1 for card in cards},
+        sources={TOOL_CHANNEL: 0.5, **{card.id: 0.8 for card in cards}},
+    )
+    ctx = make_ctx()
+    expected = build_candidates(ctx, registry, inner, CFG, True)[2]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(5):
+                traces = build_candidates(ctx, registry, _ThreadedGather(inner, pool), CFG, True)[2]
+                assert traces == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert [t.passed for t in expected] == [i % 3 == 0 for i in range(120)]
+
+
+def _load_registry_gen():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "registry_gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_registry_gen", path)
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_seed1_whole_registry_routes_make_the_same_backend_calls_in_the_same_order(
+    tmp_path_factory,
+):
+    # perfbench's seed-1 registry (10,000 cards, 100 prompts) routed as
+    # `mesa route` routes, through a backend with no gather, so the calls
+    # run in program order. The digest pins every call: its prompt, its
+    # query and its card or channel. 20,215 calls in all.
+    out = tmp_path_factory.mktemp("route10k")
+    _load_registry_gen().generate(1, out)
+    registry = load_registry(out / "cards.json")
+    suite = load_suite(out / "suite.json", registry, expected_per_slice=None)
+    scripted = ScriptedBackend(load_script(out / "script.json"), suite, "full")
+    calls: list[str] = []
+
+    class Recording:
+        def self_confidence(self, ctx):
+            calls.append(f"{item.id} self_confidence")
+            return scripted.self_confidence(ctx)
+
+        def self_report_tags(self, ctx):
+            calls.append(f"{item.id} self_report_tags")
+            return scripted.self_report_tags(ctx)
+
+        def probe_signal(self, ctx, card_id):
+            calls.append(f"{item.id} probe_signal {card_id}")
+            return scripted.probe_signal(ctx, card_id)
+
+        def source_confidence(self, ctx, channel):
+            calls.append(f"{item.id} source_confidence {channel}")
+            return scripted.source_confidence(ctx, channel)
+
+        def answer(self, ctx, variant_key):
+            calls.append(f"{item.id} answer {variant_key}")
+            return scripted.answer(ctx, variant_key)
+
+    full = condition_by_name("full")
+    for item in suite:
+        decide(context_for_item(item), registry, Recording(), CFG, full)
+    assert len(suite) == 100 and len(calls) == 20_215
+    digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
+    assert digest == "cc0347aa9b2c68a130d522b3c8626eaa550deaec6f8666a8768e4852e77dfcb5"

@@ -3,12 +3,13 @@
 Every backend answers five queries: self confidence, source confidence for a
 named channel, probe signal for a card, an answer for an action variant key,
 and self-report tags. The scripted backend resolves them from a behavior
-script keyed by (item, condition, key) with "*" as the any-condition default,
-so whole benchmark runs are pure functions of committed fixtures. The cache
-wrapper records any live backend into the same deterministic shape and can
-replay with no inner backend at all; it appends through mesa.journal, as the
-failure bank does. Every cached query takes one path: build its key, look
-it up, else ask the inner backend, check the value's shape and record it.
+script, one key -> value table per item and condition, with an item's "*"
+rows as the any-condition defaults, so whole benchmark runs are pure
+functions of committed fixtures. The cache wrapper records any live backend
+into the same deterministic shape and can replay with no inner backend at
+all; it appends through mesa.journal, as the failure bank does. Every
+cached query takes one path: build its key, look it up, else ask the inner
+backend, check the value's shape and record it.
 The remote backend speaks a minimal chat-completions style HTTP protocol
 with retry, clamping, and redaction. Every prompt it sends has one frame of
 three lines: "Task: <prompt>", the query's request, and "Reply with one
@@ -69,43 +70,24 @@ ScriptValue = float | str
 
 @dataclass(frozen=True)
 class BehaviorScript:
-    """Immutable (item, condition, key) -> value table with "*" defaults.
+    """Immutable per-item key -> value tables with "*" defaults.
 
-    From its rows the script builds, once, one key -> value table per item
-    from the item's "*" rows, and one per (item, condition) that has rows of
-    its own: that condition's rows laid over the item's defaults. An item
-    with no condition rows has the one table for every condition, shared,
-    not copied. lookup, missing_keys and ScriptedBackend all read these
-    tables.
+    defaults holds one key -> value table per item, from the item's "*"
+    rows; overrides one per (item, condition) that has rows of its own:
+    that condition's rows laid over the item's defaults. An item with no
+    condition rows has the one table for every condition, shared, not
+    copied. load_script fills both in its one pass over a script's rows;
+    lookup, missing_keys and ScriptedBackend all read these tables.
     """
 
-    rows: dict[tuple[str, str, str], ScriptValue] = field(default_factory=dict)
-    _defaults: dict[str, dict[str, ScriptValue]] = field(init=False, repr=False, compare=False)
-    _overrides: dict[tuple[str, str], dict[str, ScriptValue]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        defaults: dict[str, dict[str, ScriptValue]] = {}
-        overrides: dict[tuple[str, str], dict[str, ScriptValue]] = {}
-        for (item_id, condition, key), value in self.rows.items():
-            if condition == "*":
-                table = defaults.get(item_id)
-                if table is None:
-                    table = defaults[item_id] = {}
-                table[key] = value
-            else:
-                overrides.setdefault((item_id, condition), {})[key] = value
-        for pair, table in overrides.items():
-            overrides[pair] = {**defaults.get(pair[0], {}), **table}
-        object.__setattr__(self, "_defaults", defaults)
-        object.__setattr__(self, "_overrides", overrides)
+    defaults: dict[str, dict[str, ScriptValue]] = field(default_factory=dict)
+    overrides: dict[tuple[str, str], dict[str, ScriptValue]] = field(default_factory=dict)
 
     def table(self, item_id: str, condition: str) -> dict[str, ScriptValue]:
         """Every key -> value the script gives item_id under condition (do not modify)."""
-        table = self._overrides.get((item_id, condition))
+        table = self.overrides.get((item_id, condition))
         if table is None:
-            table = self._defaults.get(item_id, {})
+            table = self.defaults.get(item_id, {})
         return table
 
     def lookup(self, item_id: str, condition: str, key: str) -> ScriptValue:
@@ -171,12 +153,13 @@ def load_script(path: str | Path) -> BehaviorScript:
         raise MissingSignalError(f"script {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"rows"} or not isinstance(doc["rows"], list):
         raise MissingSignalError(f'script {path}: expected top-level {{"rows": [...]}}')
-    rows: dict[tuple[str, str, str], ScriptValue] = {}
+    defaults: dict[str, dict[str, ScriptValue]] = {}
+    overrides: dict[tuple[str, str], dict[str, ScriptValue]] = {}
     for i, raw in enumerate(doc["rows"]):
         # Exactly four keys: a missing one reads as None, which no check accepts.
         if type(raw) is not dict or len(raw) != 4:
             raise MissingSignalError(f"script {path}: malformed row #{i}: {raw!r}")
-        triple = item, condition, key = raw.get("item"), raw.get("condition"), raw.get("key")
+        item, condition, key = raw.get("item"), raw.get("condition"), raw.get("key")
         value = raw.get("value")
         kind = type(value)
         if (
@@ -187,14 +170,21 @@ def load_script(path: str | Path) -> BehaviorScript:
             or kind is not str and not 0.0 <= value <= 1.0 and _is_confidence_key(key)
         ):
             raise MissingSignalError(f"script {path}: malformed row #{i}: {raw!r}")
-        size = len(rows)
+        # The row lands in its item's defaults, or in its own condition's rows.
+        tables, at = (defaults, item) if condition == "*" else (overrides, (item, condition))
+        table = tables.get(at)
+        if table is None:
+            table = tables[at] = {}
+        size = len(table)
         try:
-            rows[triple] = float(value) if kind is int else value
+            table[key] = float(value) if kind is int else value
         except OverflowError:  # an integer too large for a float
             raise MissingSignalError(f"script {path}: malformed row #{i}: {raw!r}") from None
-        if len(rows) == size:
-            raise MissingSignalError(f"script {path}: duplicate row for {triple}")
-    return BehaviorScript(rows=rows)
+        if len(table) == size:
+            raise MissingSignalError(f"script {path}: duplicate row for {(item, condition, key)}")
+    for pair, table in overrides.items():
+        overrides[pair] = {**defaults.get(pair[0], {}), **table}
+    return BehaviorScript(defaults, overrides)
 
 
 _NO_TABLE: dict[str, ScriptValue] = {}

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
 from mesa.context import TaskContext
-from mesa.dsl import PredicateExpr, PredicateIndex, is_vacuous, parse_predicate
+from mesa.dsl import PredicateExpr, PredicateIndex, is_vacuous, predicate_parser
 from mesa.errors import CardFileError, PredicateSyntaxError, RegistryLookupError
 
 
@@ -176,7 +176,7 @@ def _card_error(raw: dict, index: int, problem: str) -> CardFileError:
     return CardFileError(f"{where}: {problem}")
 
 
-def _parse_card(raw: object, index: int, trees: dict[str, PredicateExpr]) -> SkillCard:
+def _parse_card(raw: object, index: int, parse: Callable[[str], PredicateExpr]) -> SkillCard:
     """Check a card's fields one at a time, in a fixed order; the first failure names it."""
     if type(raw) is not dict:
         raise CardFileError(f"card #{index}: expected an object")
@@ -188,13 +188,10 @@ def _parse_card(raw: object, index: int, trees: dict[str, PredicateExpr]) -> Ski
     for name in _STRING_FIELDS:
         if type(raw[name]) is not str:
             raise _card_error(raw, index, f"{name} must be a string")
-    apply_when, cheap_probe = raw["apply_when"], raw["cheap_probe"]
-    for text in (apply_when, cheap_probe):
-        if text not in trees:
-            try:
-                trees[text] = parse_predicate(text)
-            except PredicateSyntaxError as exc:
-                raise _card_error(raw, index, f"bad predicate: {exc}") from exc
+    try:
+        apply_when, cheap_probe = parse(raw["apply_when"]), parse(raw["cheap_probe"])
+    except PredicateSyntaxError as exc:
+        raise _card_error(raw, index, f"bad predicate: {exc}") from exc
     offloading = raw["offloading_type"]
     if type(offloading) is not str or offloading not in _OFFLOADING_TYPES:
         raise _card_error(raw, index, f"bad offloading_type {offloading!r}")
@@ -211,7 +208,7 @@ def _parse_card(raw: object, index: int, trees: dict[str, PredicateExpr]) -> Ski
     if not 0.0 <= trust <= 1.0:
         raise _card_error(raw, index, "source_trust must be in [0, 1]")
     return SkillCard(
-        raw["id"], raw["name"], raw["description"], trees[apply_when], trees[cheap_probe],
+        raw["id"], raw["name"], raw["description"], apply_when, cheap_probe,
         _OFFLOADING_TYPES[offloading], float(trust), _PROVENANCES[provenance], raw["stale"],
         raw["body_ref"],
     )
@@ -220,7 +217,8 @@ def _parse_card(raw: object, index: int, trees: dict[str, PredicateExpr]) -> Ski
 def load_registry(path: str | Path) -> CardRegistry:
     """Load a card file; all predicates parse eagerly, no partial registry.
 
-    Each distinct predicate text is parsed once; equal texts share one tree.
+    Each distinct predicate text is parsed once; equal texts share one tree,
+    and equal atoms across the file one atom (dsl.predicate_parser).
 
     Raises CardFileError naming the offending card for any schema violation,
     duplicate id, or predicate syntax error.
@@ -233,8 +231,8 @@ def load_registry(path: str | Path) -> CardRegistry:
         raise CardFileError(f"card file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"cards"} or not isinstance(doc["cards"], list):
         raise CardFileError(f'card file {path}: expected top-level {{"cards": [...]}}')
-    trees: dict[str, PredicateExpr] = {}
-    cards = tuple(_parse_card(raw, i, trees) for i, raw in enumerate(doc["cards"]))
+    parse = predicate_parser()
+    cards = tuple(_parse_card(raw, i, parse) for i, raw in enumerate(doc["cards"]))
     return CardRegistry(cards=cards)
 
 

@@ -12,10 +12,13 @@ Grammar (operators uppercase, atom names lowercase):
     TAG     := [A-Za-z0-9_.-]+
 
 Precedence NOT > AND > OR; AND/OR associate left; parentheses override.
-One regex pass lexes the str itself, not its UTF-8 bytes, and one loop
-parses the tokens by precedence. Every syntax error still carries a 0-based
-byte offset into the UTF-8 encoding of the text, worked out only when the
-error is raised, plus the set of tokens that would have been legal there.
+One pass of a one-group regex lexes the str itself, not its UTF-8 bytes, and
+one loop parses the tokens by precedence. Each atom token is looked up in a
+table of the atoms built so far, which a predicate_parser keeps across the
+texts it parses (one card file), so each distinct atom is built, checked and
+compiled once. Every syntax error still carries a 0-based byte offset into
+the UTF-8 encoding of the text, worked out only when the error is raised,
+plus the set of tokens that would have been legal there.
 At most MAX_OPERATORS NOT/AND/OR/( tokens bound the depth of every tree.
 
 Evaluation semantics: `contains` is a case-insensitive substring test on the
@@ -44,7 +47,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import combinations, islice
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from mesa.context import TaskContext
 from mesa.errors import PredicateSyntaxError
@@ -126,6 +129,7 @@ class Or:
 PredicateExpr = Union[Contains, Matches, Kind, Mime, Not, And, Or]
 
 _ATOM_TYPES = (Contains, Matches, Kind, Mime)
+_ATOM_BY_NAME = dict(zip(_ATOM_NAMES, _ATOM_TYPES))
 
 
 def is_vacuous(expr: PredicateExpr) -> bool:
@@ -139,14 +143,18 @@ def is_vacuous(expr: PredicateExpr) -> bool:
 # Parser: one regex pass lexes the whole text, then one loop parses the tokens
 
 _WORD = r"[A-Za-z0-9_.\-]+"
-# After whitespace, one token as (operator, string atom name, its raw body,
-# tag atom name, its tag, anything else); every group is empty at the end.
+# After whitespace, one token: an operator, a whole atom, or anything else (a
+# bare word or one character); the group is empty at the end. re tries the
+# alternatives in order, so `kind:doc` is one atom, not the bare word `kind`.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?:([()]|(?:AND|OR|NOT)(?![A-Za-z0-9_.\-]))"
-    r'|(contains|matches):"([^"\\]*(?:\\["\\][^"\\]*)*)"'
-    rf"|(kind|mime):({_WORD})|({_WORD}|.))?",
+    r"[ \t\r\n]*([()]|(?:AND|OR|NOT)(?![A-Za-z0-9_.\-])"
+    r'|(?:contains|matches):"[^"\\]*(?:\\["\\][^"\\]*)*"'
+    rf"|(?:kind|mime):{_WORD}|{_WORD}|.)?",
     re.S,
 )
+# The body of a string literal up to its closing quote or a bad escape.
+_STRING_BODY_RE = re.compile(r'(?:[^"\\]|\\["\\])*')
+_OPERATORS = frozenset({"(", ")", "AND", "OR", "NOT"})
 _BINARY = {"AND": And, "OR": Or}
 
 
@@ -174,34 +182,40 @@ def _lex_error(text: str, start: int, token: str) -> PredicateSyntaxError:
         return _error(text, i + 1, f"expected tag after '{token}:'", frozenset({"tag"}))
     if text[i + 1 : i + 2] != '"':
         return _error(text, i + 1, "expected string literal", frozenset({'"'}))
-    end = re.compile(r'(?:[^"\\]|\\["\\])*').match(text, i + 2).end()
+    end = _STRING_BODY_RE.match(text, i + 2).end()
     if end + 1 < len(text):  # a backslash before anything but " or \
         return _error(text, end, "invalid escape sequence", frozenset({'\\"', "\\\\"}))
     return _error(text, len(text), "unterminated string literal", frozenset({'"'}))
 
 
-def _lex(text: str) -> list:
-    """The tokens of text: "(" ")" "AND" "OR" "NOT", atoms, and None at the end."""
+def _lex(text: str, atoms: dict[str, PredicateExpr]) -> list:
+    """The tokens of text: "(" ")" "AND" "OR" "NOT", atoms, and None at the end.
+
+    An atom is taken from atoms by its token text, or built and added there.
+    """
     tokens: list = []
     operators = 0
-    for op, string_name, body, tag_name, tag, other in _TOKEN_RE.findall(text):
-        if op:
-            operators += op != ")"
+    for token in _TOKEN_RE.findall(text):
+        atom = atoms.get(token)
+        if atom is not None:
+            tokens.append(atom)
+        elif token in _OPERATORS:
+            operators += token != ")"
             if operators > MAX_OPERATORS:
                 message = f"more than {MAX_OPERATORS} NOT/AND/OR/( tokens"
                 raise _error(text, _token_start(text, len(tokens)), message, _AFTER_OPERAND)
-            tokens.append(op)
-        elif string_name:
-            if "\\" in body:
-                body = re.sub(r"\\(.)", r"\1", body)
+            tokens.append(token)
+        elif token:
+            name, colon, rest = token.partition(":")
+            if not (colon and name):  # a bare word or one character
+                raise _lex_error(text, _token_start(text, len(tokens)), token)
+            if name == "contains" or name == "matches":
+                rest = re.sub(r"\\(.)", r"\1", rest[1:-1])
             try:
-                tokens.append(Contains(body) if string_name == "contains" else Matches(body))
+                atom = atoms[token] = _ATOM_BY_NAME[name](rest)
             except ValueError as exc:  # a pattern that does not compile
                 raise _error(text, _token_start(text, len(tokens)), str(exc), frozenset()) from exc
-        elif tag_name:
-            tokens.append(Kind(tag) if tag_name == "kind" else Mime(tag))
-        elif other:
-            raise _lex_error(text, _token_start(text, len(tokens)), other)
+            tokens.append(atom)
         else:
             tokens.append(None)
             break
@@ -265,12 +279,29 @@ def parse_predicate(text: str) -> PredicateExpr:
     anywhere wins over a lexing error, and a lexing error anywhere over a
     parse error: the whole text is checked, then lexed, before parsing.
     """
-    if not text.isascii():
-        surrogate = re.search("[\ud800-\udfff]", text)
-        if surrogate:
-            message = f"lone surrogate {surrogate[0]!r}"
-            raise _error(text, surrogate.start(), message, frozenset({"a valid character"}))
-    return _parse(text, _lex(text))
+    return predicate_parser()(text)
+
+
+def predicate_parser() -> Callable[[str], PredicateExpr]:
+    """A parse_predicate for many texts (one card file) that shares what it builds.
+
+    Equal texts get one tree, and equal atom tokens in any of them one atom.
+    """
+    trees: dict[str, PredicateExpr] = {}
+    atoms: dict[str, PredicateExpr] = {}
+
+    def parse(text: str) -> PredicateExpr:
+        tree = trees.get(text)
+        if tree is None:
+            if not text.isascii():
+                surrogate = re.search("[\ud800-\udfff]", text)
+                if surrogate:
+                    message = f"lone surrogate {surrogate[0]!r}"
+                    raise _error(text, surrogate.start(), message, frozenset({"a valid character"}))
+            tree = trees[text] = _parse(text, _lex(text, atoms))
+        return tree
+
+    return parse
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import urllib.error
 import pytest
 
 from mesa.backend import (
-    BehaviorScript,
     CachedBackend,
     RemoteBackend,
     RemoteConfig,
@@ -89,8 +88,8 @@ def test_load_script_range_checks_only_numeric_confidences(tmp_path):
     assert script.lookup("i1", "full", "answer:direct") == 42.0
 
 
-def test_lookup_miss_names_the_triple():
-    script = BehaviorScript(rows={})
+def test_lookup_miss_names_the_triple(tmp_path):
+    script = load_script(write_script(tmp_path, []))
     with pytest.raises(MissingSignalError, match=r"i9/full: p_self"):
         script.lookup("i9", "full", "p_self")
 
@@ -172,8 +171,8 @@ def test_required_keys_per_injected_card():
     }
 
 
-def test_missing_keys_naming_and_vacuous_pass():
-    script = BehaviorScript(rows={})
+def test_missing_keys_naming_and_vacuous_pass(tmp_path):
+    script = load_script(write_script(tmp_path, []))
     assert script.missing_keys([], ["full"]) == []
     assert script.missing_keys([make_item()], []) == []
     missing = script.missing_keys([make_item()], ["full"])
@@ -291,15 +290,19 @@ def test_scripted_backend_probe_and_answer_keys(tmp_path):
     assert backend.answer(ctx, "skill:c1:hedge") == "7.0"
 
 
-def test_a_condition_row_overrides_the_default_for_that_condition_only():
-    script = BehaviorScript(
-        rows={
-            ("i1", "*", "p_self"): 0.5,
-            ("i1", "*", "tags"): "trap",
-            ("i1", "full", "p_self"): 0.9,
-            ("i2", "*", "p_self"): 0.1,
-        }
-    )
+def _row(item, condition, key, value):
+    return {"item": item, "condition": condition, "key": key, "value": value}
+
+
+def test_a_condition_row_overrides_the_default_for_that_condition_only(tmp_path):
+    # The condition row comes first: its table still gets the later defaults.
+    rows = [
+        _row("i1", "full", "p_self", 0.9),
+        _row("i1", "*", "p_self", 0.5),
+        _row("i1", "*", "tags", "trap"),
+        _row("i2", "*", "p_self", 0.1),
+    ]
+    script = load_script(write_script(tmp_path, rows))
     assert script.lookup("i1", "full", "p_self") == 0.9
     assert script.lookup("i1", "full", "tags") == "trap"  # the default shows through
     assert script.lookup("i1", "baseline", "p_self") == 0.5
@@ -314,15 +317,14 @@ def test_a_condition_row_overrides_the_default_for_that_condition_only():
     assert full.self_report_tags(make_ctx(prompt="one")) == frozenset({"trap"})
 
 
-def test_an_item_without_condition_rows_shares_one_table_across_conditions():
-    script = BehaviorScript(
-        rows={
-            ("i1", "*", "p_self"): 0.5,
-            ("i2", "*", "p_self"): 0.1,
-            ("i2", "*", "tags"): "",
-            ("i2", "full", "p_self"): 0.3,
-        }
-    )
+def test_an_item_without_condition_rows_shares_one_table_across_conditions(tmp_path):
+    rows = [
+        _row("i1", "*", "p_self", 0.5),
+        _row("i2", "*", "p_self", 0.1),
+        _row("i2", "*", "tags", ""),
+        _row("i2", "full", "p_self", 0.3),
+    ]
+    script = load_script(write_script(tmp_path, rows))
     shared = script.table("i1", "full")
     assert shared == {"p_self": 0.5}
     assert script.table("i1", "baseline") is shared
@@ -349,7 +351,7 @@ def test_scripted_miss_messages_are_pinned(tmp_path):
         backend.self_confidence(ctx)
     assert str(text.value) == "script value for p_self is not numeric: 'high'"
     with pytest.raises(MissingSignalError) as lookup:
-        BehaviorScript(rows={}).lookup("i9", "no_probe", "tags")
+        load_script(write_script(tmp_path, [])).lookup("i9", "no_probe", "tags")
     assert str(lookup.value) == "script has no value for i9/no_probe: tags"
 
 

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from mesa.backend import BehaviorScript, required_keys
+from mesa.backend import load_script, required_keys
 from mesa.bench import (
     CONDITIONS,
     BenchmarkItem,
@@ -27,6 +27,7 @@ from mesa.errors import CoverageError, SuiteFormatError
 from mesa.router import GoldAction
 
 from conftest import make_card
+from test_backend import write_script
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +200,8 @@ def _make_item(item_id, slice_=SliceName.A, gold_answer="x", injected=()):
     )
 
 
-def _script_for(items, direct_answer="x"):
-    rows = {}
+def _script_for(tmp_path, items, direct_answer="x"):
+    rows = []
     for item in items:
         values = {
             "p_self": 0.9,
@@ -223,40 +224,41 @@ def _script_for(items, direct_answer="x"):
             values[f"answer:skill:{card_id}:commit"] = "s"
             values[f"answer:skill:{card_id}:hedge"] = "s?"
         for key, value in values.items():
-            rows[(item.id, "*", key)] = value
-    return BehaviorScript(rows=rows)
+            rows.append({"item": item.id, "condition": "*", "key": key, "value": value})
+    return load_script(write_script(tmp_path, rows))
 
 
 FULL = (condition_by_name("full"),)
 
 
-def test_run_matrix_empty_conditions():
+def test_run_matrix_empty_conditions(tmp_path):
     items = [_make_item("i1")]
-    table = run_matrix(items, CardRegistry(cards=()), _script_for(items), conditions=())
+    table = run_matrix(items, CardRegistry(cards=()), _script_for(tmp_path, items), conditions=())
     assert table.conditions == ()
     assert table.cells == {}
     assert table.items == ()
 
 
-def test_run_matrix_single_item():
+def test_run_matrix_single_item(tmp_path):
     items = [_make_item("i1")]
-    table = run_matrix(items, CardRegistry(cards=()), _script_for(items), FULL)
+    table = run_matrix(items, CardRegistry(cards=()), _script_for(tmp_path, items), FULL)
     assert table.cells["full"] == {"A": 1.0, "overall": 1.0}
     assert len(table.items) == 1
     assert table.items[0].outcome == "correct"
     assert table.items[0].final_class == "answer"
 
 
-def test_run_matrix_precheck_coverage():
+def test_run_matrix_precheck_coverage(tmp_path):
     items = [_make_item("i1")]
-    script = BehaviorScript(rows={("i1", "*", "p_self"): 0.9})
+    rows = [{"item": "i1", "condition": "*", "key": "p_self", "value": 0.9}]
+    script = load_script(write_script(tmp_path, rows))
     with pytest.raises(CoverageError) as exc_info:
         run_matrix(items, CardRegistry(cards=()), script, FULL)
     assert "i1/full: source:__tool__" in str(exc_info.value)
     assert len(exc_info.value.missing) == len(required_keys(items[0])) - 1
 
 
-def test_run_matrix_counts_failures_without_aborting():
+def test_run_matrix_counts_failures_without_aborting(tmp_path):
     # i2 injects a card that is missing from the registry: the trajectory
     # fails with an engine error, is graded incorrect, and i3 still runs.
     items = [
@@ -264,7 +266,7 @@ def test_run_matrix_counts_failures_without_aborting():
         _make_item("i2", injected=("ghost",)),
         _make_item("i3"),
     ]
-    table = run_matrix(items, CardRegistry(cards=()), _script_for(items), FULL)
+    table = run_matrix(items, CardRegistry(cards=()), _script_for(tmp_path, items), FULL)
     by_id = {it.item_id: it for it in table.items}
     assert by_id["i1"].outcome == "correct"
     assert by_id["i2"].outcome == "incorrect"
@@ -273,13 +275,13 @@ def test_run_matrix_counts_failures_without_aborting():
     assert table.cells["full"]["A"] == pytest.approx(2 / 3)
 
 
-def test_run_matrix_overall_is_mean_of_slices():
+def test_run_matrix_overall_is_mean_of_slices(tmp_path):
     items = [
         _make_item("a1", SliceName.A),
         _make_item("a2", SliceName.A, gold_answer="not what it says"),
         _make_item("b1", SliceName.B),
     ]
-    table = run_matrix(items, CardRegistry(cards=()), _script_for(items), FULL)
+    table = run_matrix(items, CardRegistry(cards=()), _script_for(tmp_path, items), FULL)
     row = table.cells["full"]
     assert row["A"] == pytest.approx(0.5)
     assert row["B"] == pytest.approx(1.0)
@@ -287,14 +289,14 @@ def test_run_matrix_overall_is_mean_of_slices():
     assert row["overall"] == pytest.approx(0.75)  # mean of present slices
 
 
-def test_run_matrix_on_record_sees_everything():
+def test_run_matrix_on_record_sees_everything(tmp_path):
     items = [_make_item("i1"), _make_item("i2")]
     seen = []
     conditions = (condition_by_name("full"), condition_by_name("baseline"))
     run_matrix(
         items,
         CardRegistry(cards=()),
-        _script_for(items),
+        _script_for(tmp_path, items),
         conditions,
         on_record=seen.append,
     )
@@ -494,10 +496,10 @@ def test_machine_report_round_trip():
     assert parse_report(document) == table
 
 
-def test_machine_report_is_deterministic():
+def test_machine_report_is_deterministic(tmp_path):
     items = [_make_item("i1"), _make_item("i2")]
     registry = CardRegistry(cards=())
-    script = _script_for(items)
+    script = _script_for(tmp_path, items)
     first = emit_report(run_matrix(items, registry, script, FULL), "machine")
     second = emit_report(run_matrix(items, registry, script, FULL), "machine")
     assert first == second

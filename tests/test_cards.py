@@ -127,6 +127,25 @@ def test_equal_predicate_texts_share_one_tree(tmp_path):
     assert again.apply_when == a.apply_when and again.apply_when is not a.apply_when
 
 
+def test_equal_atoms_share_one_object_within_a_load_only(tmp_path):
+    docs = [
+        _card_doc(id="a", apply_when='contains:"da\\"te" AND kind:doc', cheap_probe="mime:pdf"),
+        _card_doc(id="b", apply_when='NOT kind:doc OR contains:"da\\"te"', cheap_probe="kind:doc"),
+        _card_doc(id="c", apply_when='matches:"^x" AND (mime:pdf OR matches:"^x")'),
+    ]
+    path = _write_cards(tmp_path, docs)
+    a, b, c = load_registry(path)
+    assert a.apply_when.left is b.apply_when.right  # contains:"da\"te"
+    assert a.apply_when.right is b.apply_when.left.child is b.cheap_probe  # kind:doc
+    assert c.apply_when.left is c.apply_when.right.right  # matches:"^x", compiled once
+    assert c.apply_when.right.left is a.cheap_probe  # mime:pdf
+    # Each load has its own atom table: a second load shares no atom with the first.
+    again = load_registry(path).get("a")
+    assert again.apply_when.left == a.apply_when.left
+    assert again.apply_when.left is not a.apply_when.left
+    assert again.cheap_probe is not a.cheap_probe
+
+
 def test_loaded_regexes_are_never_recompiled(tmp_path, monkeypatch):
     docs = [_card_doc(id=f"r{i}", apply_when=f'matches:"^p{i}( |$)"') for i in range(600)]
     registry = load_registry(_write_cards(tmp_path, docs))

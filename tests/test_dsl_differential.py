@@ -1,10 +1,12 @@
 """parse_predicate against the byte-level parser it replaced (tests/dsl_oracle.py).
 
 Both must give the same tree for every valid text and, for every malformed
-one, the same message, byte offset and expected-token set. The inputs are
-every shipped predicate text, every predicate text of perfbench's seed-1
-10k registry, and a seeded fuzzer that mutates valid predicates with
-operators, quotes, escapes, non-ASCII text and lone surrogates.
+one, the same message, byte offset and expected-token set; so must one
+predicate_parser shared by many texts, as load_registry shares one across a
+card file. The inputs are every shipped predicate text, every predicate
+text of perfbench's seed-1 10k registry, and a seeded fuzzer that mutates
+valid predicates with operators, quotes, escapes, non-ASCII text and lone
+surrogates.
 
 The fuzzer draws MESA_DSL_FUZZ_CASES inputs (default 20,000); CI's
 dsl-differential job runs it with 300,000.
@@ -23,7 +25,7 @@ import pytest
 
 from conftest import DATA
 from dsl_oracle import oracle_parse
-from mesa.dsl import PredicateExpr, parse_predicate, print_predicate
+from mesa.dsl import PredicateExpr, parse_predicate, predicate_parser, print_predicate
 from mesa.errors import PredicateSyntaxError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,9 +42,12 @@ def _outcome(parse, text: str) -> tuple:
     return ("tree", tree, print_predicate(tree))
 
 
-def _assert_same(text: str) -> tuple:
+def _assert_same(text: str, shared=None) -> tuple:
+    """Check text against the oracle, alone and, if given, through a shared parser."""
     expected = _outcome(oracle_parse, text)
     assert _outcome(parse_predicate, text) == expected, repr(text)
+    if shared is not None:
+        assert _outcome(shared, text) == expected, repr(text)
     return expected
 
 
@@ -75,8 +80,10 @@ def test_every_shipped_predicate_parses_as_before():
 
 
 def test_every_seed1_predicate_parses_as_before(seed1_texts):
+    # One shared parser over all of them, as load_registry parses a card file.
     assert len(seed1_texts) == 7048
-    assert all(_assert_same(text)[0] == "tree" for text in seed1_texts)
+    shared = predicate_parser()
+    assert all(_assert_same(text, shared)[0] == "tree" for text in seed1_texts)
 
 
 # Fragments the fuzzer splices into valid predicates.
@@ -141,8 +148,12 @@ def test_fuzzed_predicates_parse_as_before(seed1_texts):
     rng = random.Random(20260518)
     seeds = _shipped_texts() + seed1_texts[:400] + [_random_tree(rng) for _ in range(400)]
     kinds: Counter[str] = Counter()
-    for _ in range(FUZZ_CASES):
-        outcome = _assert_same(_mutate(rng, rng.choice(seeds), seeds))
+    for case in range(FUZZ_CASES):
+        # One parser per 1,000 inputs: later texts reuse the atoms of earlier
+        # ones, and a text that fails must leave nothing wrong behind.
+        if case % 1000 == 0:
+            shared = predicate_parser()
+        outcome = _assert_same(_mutate(rng, rng.choice(seeds), seeds), shared)
         kinds[outcome[1].split(" at byte ")[0] if outcome[0] == "error" else outcome[0]] += 1
     # The inputs reach valid trees and every kind of lexing and parse error.
     assert kinds["tree"] > FUZZ_CASES // 10, kinds

@@ -250,6 +250,25 @@ def test_load_script_names_a_duplicate_row(tmp_path):
     assert str(err.value) == f"script {path}: duplicate row for ('i1', '*', 'p_self')"
 
 
+def test_load_script_names_a_duplicate_condition_row(tmp_path):
+    path = tmp_path / "script.json"
+    full = dict(_ROW, condition="full")
+    rows = [full, _ROW, dict(_ROW, condition="baseline"), dict(full, value=0.6)]
+    path.write_text(json.dumps({"rows": rows}), encoding="utf-8")
+    with pytest.raises(MissingSignalError) as err:
+        load_script(path)
+    assert str(err.value) == f"script {path}: duplicate row for ('i1', 'full', 'p_self')"
+
+
+def test_load_script_lets_a_condition_row_and_a_default_row_share_a_key(tmp_path):
+    path = tmp_path / "script.json"
+    rows = [_ROW, dict(_ROW, condition="full", value=0.9)]
+    path.write_text(json.dumps({"rows": rows}), encoding="utf-8")
+    script = load_script(path)
+    assert script.lookup("i1", "full", "p_self") == 0.9
+    assert script.lookup("i1", "baseline", "p_self") == _ROW["value"]
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -16,16 +16,20 @@ three lines: "Task: <prompt>", the query's request, and "Reply with one
 line: <reply>"; only the request and the reply format differ by query.
 
 A backend may also offer gather(calls), which runs independent zero-argument
-queries (possibly concurrently) and returns their results in list order. The
-router uses it when present; only the remote backend has one.
+queries (possibly concurrently), returns their results in list order and
+raises the first failure in list order. The router looks it up in one place,
+router._ask, which hands every wave of queries to it when present; only the
+remote backend has one.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -177,7 +181,8 @@ def load_script(path: str | Path) -> BehaviorScript:
             table = tables[at] = {}
         size = len(table)
         try:
-            table[key] = float(value) if kind is int else value
+            # Interned: the items' tables repeat a few thousand distinct keys.
+            table[sys.intern(key)] = float(value) if kind is int else value
         except OverflowError:  # an integer too large for a float
             raise MissingSignalError(f"script {path}: malformed row #{i}: {raw!r}") from None
         if len(table) == size:
@@ -394,6 +399,8 @@ class RemoteConfig:
             raise ValueError("max_retries must be >= 0")
         if self.max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0.0):
+            raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s!r}")
 
 
 # transport signature: (url, headers, body_bytes, timeout_s) -> response text

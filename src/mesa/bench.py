@@ -71,7 +71,11 @@ class ConditionName(Enum):
 
 @dataclass(frozen=True)
 class Condition:
-    """One column of the evaluation matrix: a scorer plus mechanism toggles."""
+    """One column of the evaluation matrix: a scorer plus mechanism toggles.
+
+    A relevance scorer (baseline, reflection) takes no probe, vigilance or
+    dual-confidence toggle; decontam_enabled acts on every scorer.
+    """
 
     name: ConditionName
     scorer: str  # "baseline" | "reflection" | "dual"

@@ -171,14 +171,13 @@ def _build_backend(
         return CachedBackend(None, args.cache)
     if not (args.endpoint and args.model and args.auth_env):
         parser.error("--backend remote requires --endpoint, --model, and --auth-env")
-    return RemoteBackend(
-        RemoteConfig(
-            endpoint=args.endpoint,
-            auth_env=args.auth_env,
-            model=args.model,
-            timeout_s=args.timeout,
+    try:
+        config = RemoteConfig(
+            endpoint=args.endpoint, auth_env=args.auth_env, model=args.model, timeout_s=args.timeout
         )
-    )
+    except ValueError as exc:
+        parser.error(f"--timeout: {exc}")
+    return RemoteBackend(config)
 
 
 def _cmd_route(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

@@ -34,17 +34,12 @@ escalation, candidate assembly and selection. run_trajectory wires one
 benchmark item end to end on top of it: offload execution with confidence
 decontamination, and outcome grading against the item's gold label.
 
-Each backend query goes out in the first wave that has its inputs (see
-_gather), and a scorer is asked only what it reads. Wave 1 holds
-self-confidence, tags, every matched card's probe (which asks the backend only
-when the card's cheap_probe holds) and, for the dual scorer, the tool source.
-With the probe off the candidate set needs no backend answer, so wave 1 also
-holds the candidates' own queries: the sources of the loaded cards that pass
-the gate, or, for a relevance scorer, its relevance passes. Wave 2 holds the
-verify source when the trap tag asks for it and, with the probe on, the
-sources of the loaded cards that are not dominated. The last wave is the
-post-offload confidence with the answer.
-A backend without gather asks the concatenated waves in order.
+Every backend query goes out through _ask, in a wave of independent
+queries, and a scorer is asked only what it reads: the dual scorer's waves
+are build_candidates', a relevance scorer asks one wave of self-confidence,
+tags and its relevance passes. A trajectory's last waves are the
+post-offload confidence and the answer, in one wave when neither depends on
+the other. A backend without gather asks each wave in order.
 
 Codecs (mesa.codec) declare, once per record type, the JSON object that the
 failure bank and the machine report write and read back.
@@ -55,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from mesa.cards import CardRegistry, SkillCard, effective_trust
@@ -416,18 +412,17 @@ def context_for_item(item: "BenchmarkItem") -> TaskContext:
     )
 
 
-def _gather(backend: "ModelBackend", calls: Sequence[Callable[[], object]]) -> list:
-    """Run independent backend queries; results come back in list order.
+def _ask(backend: "ModelBackend", wave: Sequence[tuple[Callable[..., object], tuple]]) -> list:
+    """Ask one wave of independent queries, each function(*args); results in wave order.
 
-    A backend with a gather method may run the calls concurrently; it raises
-    the first failure in list order. Any other backend runs them one after
-    another in this thread, stopping at the first failure, so its call
-    sequence is exactly the program order.
+    A backend with gather is handed zero-argument partials, may run them at
+    once and raises the first failure in wave order. Any other backend runs
+    them in wave order in this thread, stopping at the first failure.
     """
     gather = getattr(backend, "gather", None)
     if gather is None:
-        return [call() for call in calls]
-    return gather(calls)
+        return [function(*args) for function, args in wave]
+    return gather([partial(function, *args) for function, args in wave])
 
 
 def _missing_as_none(query: Callable[..., float], *args: object) -> float | None:
@@ -435,19 +430,6 @@ def _missing_as_none(query: Callable[..., float], *args: object) -> float | None
         return query(*args)
     except MissingSignalError:
         return None
-
-
-def _source_queries(
-    backend: "ModelBackend", ctx: TaskContext, channels: Sequence[str]
-) -> list[Callable[[], float | None]]:
-    """One query per source channel; reflection's second pass may go unanswered, as None."""
-    query = backend.source_confidence
-    return [
-        (lambda ch=channel: _missing_as_none(query, ctx, ch))
-        if channel.startswith("relevance2:")
-        else (lambda ch=channel: query(ctx, ch))
-        for channel in channels
-    ]
 
 
 # The candidates every task has, in candidate order, by whether the tags
@@ -483,6 +465,21 @@ def _load_action(card: SkillCard) -> Action:
     return action
 
 
+def _matching(
+    ctx: TaskContext, registry: CardRegistry, allowed_card_ids: Sequence[str] | None
+) -> list[SkillCard]:
+    """The active cards whose apply_when holds for ctx, in match order.
+
+    allowed_card_ids (the harness passes the item's injected ids) is scanned
+    in full with eval_predicate; None makes the whole registry active, and
+    its atom index finds the matching cards (CardRegistry.matching).
+    """
+    if allowed_card_ids is None:
+        return registry.matching(ctx)
+    active = map(registry.get, allowed_card_ids)
+    return [card for card in active if eval_predicate(card.apply_when, ctx)]
+
+
 def build_candidates(
     ctx: TaskContext,
     registry: CardRegistry,
@@ -492,22 +489,17 @@ def build_candidates(
     allowed_card_ids: Sequence[str] | None = None,
     *,
     vigilance_enabled: bool = True,
-    relevance_passes: int = 0,
     dualconf_enabled: bool = True,
 ) -> tuple[list[Action], ConfidenceVector, tuple[ProbeState, ...]]:
-    """Assemble the candidate set, confidence vector, and probe traces.
+    """Assemble the dual scorer's candidate set, confidence vector, and probe traces.
 
-    Cards whose apply_when matches the context are probed; only escalated
-    (Loaded) cards become LoadSkill candidates. A trace or LoadSkill action
-    depends on its card alone, so each is built by the first route that
-    needs it and shared by every later one (SkillCard.memo). Per Loaded
-    card the loop reads its action from its slot and tests the gate with one
-    comparison (with vigilance off the gate is -inf); only a card past the
-    gate has its bound worked out, by _dual_score.
-    allowed_card_ids restricts which registry cards are active (the harness
-    passes the item's injected ids) and is scanned in full with
-    eval_predicate; None means the whole registry is active, and its exact
-    atom index finds the matching cards (CardRegistry.matching).
+    Cards whose apply_when matches the context (_matching) are probed; only
+    escalated (Loaded) cards become LoadSkill candidates. A trace or
+    LoadSkill action depends on its card alone, so each is built by the
+    first route that needs it and shared by every later one (SkillCard.memo).
+    Per Loaded card the loop reads its action from its slot and tests the
+    gate with one comparison (with vigilance off the gate is -inf); only a
+    card past the gate has its bound worked out, by _dual_score.
 
     Each Loaded card that passes the trust gate and is not dominated has its
     body read exactly once and its source confidence queried. With
@@ -527,66 +519,42 @@ def build_candidates(
     use alpha as select_action does, so dualconf_enabled must match the
     select_action call (False pins alpha to 0.5).
 
-    relevance_passes builds for a relevance scorer instead (1 for baseline,
-    2 for reflection), which reads no tool, verify or card source: the only
-    source channels asked are relevance:<key> for each candidate and, on a
-    second pass, relevance2:<key>. The vector's source confidences are then
-    the relevance values answered.
-
-    Each query goes out in the first wave that has its inputs. Wave 1 holds
-    self-confidence, tags, every matched card's probe and the tool source;
-    run_probe asks a probe signal only of a card whose cheap_probe holds,
-    and the route's probes decide each distinct cheap_probe tree once. A
-    backend without gather runs the wave in that order, card by card, with
-    no closure per card.
-    With the probe off the candidate set needs no backend answer, so wave 1
-    also holds the candidates' own queries: the sources of the cards read,
-    or the relevance passes. Wave 2 holds the verify source (when the trap
-    tag asks for it) and, with the probe on, the sources of the cards read.
+    Each query goes out, through _ask, in the first wave that has its
+    inputs. Wave 1 holds self-confidence, tags, every matched card's probe
+    and the tool source; run_probe asks a probe signal only of a card whose
+    cheap_probe holds, and the route's probes decide each distinct
+    cheap_probe tree once. With the probe off the candidate set needs no
+    backend answer, so wave 1 also holds the sources of the cards read.
+    Wave 2 holds the verify source (when the trap tag asks for it) and,
+    with the probe on, the sources of the cards read.
     """
-    if allowed_card_ids is None:
-        matching = registry.matching(ctx)
-    else:
-        active = map(registry.get, allowed_card_ids)
-        matching = [card for card in active if eval_predicate(card.apply_when, ctx)]
-
-    head = [lambda: backend.self_confidence(ctx), lambda: backend.self_report_tags(ctx)]
-    # The source channels not asked yet.
-    channels = [] if relevance_passes else [TOOL_CHANNEL]
-    sources: dict[str, float | None] = {}
+    matching = _matching(ctx, registry, allowed_card_ids)
+    head = [(backend.self_confidence, (ctx,)), (backend.self_report_tags, (ctx,))]
+    source = backend.source_confidence
+    channels = [TOOL_CHANNEL]  # the source channels not asked yet
+    sources: dict[str, float] = {}
     alpha = cfg.alpha if dualconf_enabled else 0.5
     best_known = -math.inf  # until wave 1 fixes a score, no card is dominated
     if probe_enabled:
         # Which cards load, and so what the candidates ask, waits on the probes.
         # They share one verdict per distinct cheap_probe tree.
         verdicts: dict[int, bool] = {}
-        gather = getattr(backend, "gather", None)
-        if gather is None:
-            # _gather's calls in _gather's order, with no closure per card.
-            p_self, tags = backend.self_confidence(ctx), backend.self_report_tags(ctx)
-            traces = tuple([run_probe(ctx, card, backend, cfg, verdicts) for card in matching])
-            values = [query() for query in _source_queries(backend, ctx, channels)]
-        else:
-            probes = [
-                lambda card=card: run_probe(ctx, card, backend, cfg, verdicts)
-                for card in matching
-            ]
-            p_self, tags, *values = gather(head + probes + _source_queries(backend, ctx, channels))
-            traces = tuple(values[: len(matching)])
-            del values[: len(matching)]
-        sources.update(zip(channels, values))
+        probes = [(run_probe, (ctx, card, backend, cfg, verdicts)) for card in matching]
+        wave = [*head, *probes, (source, (ctx, TOOL_CHANNEL))]
+        p_self, tags, *probed, tool = _ask(backend, wave)
+        traces = tuple(probed)
+        sources[TOOL_CHANNEL] = tool
         channels = []
-        if not relevance_passes:
-            # The confidences of Direct, Stop, CallTool and Verify, in
-            # _BASE_CANDIDATES order. When the trap tag leaves the verify
-            # source to wave 2, Verify's score is unknown and zip omits it.
-            known = [p_self, p_self, sources[TOOL_CHANNEL]]
-            if not ("trap" in tags and cfg.trap_verify):
-                known.append(VERIFY_BASELINE)
-            best_known = max(
-                _dual_score(action, confidence, alpha, cfg.cost_lambda, 1.0)
-                for action, confidence in zip(_BASE_CANDIDATES["trivial" in tags], known)
-            )
+        # The confidences of Direct, Stop, CallTool and Verify, in
+        # _BASE_CANDIDATES order. When the trap tag leaves the verify
+        # source to wave 2, Verify's score is unknown and zip omits it.
+        known = [p_self, p_self, tool]
+        if not ("trap" in tags and cfg.trap_verify):
+            known.append(VERIFY_BASELINE)
+        best_known = max(
+            _dual_score(action, confidence, alpha, cfg.cost_lambda, 1.0)
+            for action, confidence in zip(_BASE_CANDIDATES["trivial" in tags], known)
+        )
     else:
         traces = tuple(map(unprobed_trace, matching))
 
@@ -605,47 +573,67 @@ def build_candidates(
             if _dual_score(action, 1.0, alpha, cost_lambda, trust) <= best_known:
                 continue  # dominated: cannot be chosen, so not paid for
             registry.read_body(card.id)
-            if not relevance_passes:
-                channels.append(card.id)
+            channels.append(card.id)
         skills.append(action)
-    if relevance_passes:
-        keys = [*_BASE_KEYS, *map(score_key, skills)]
-        channels.extend(f"relevance:{key}" for key in keys)
-        if relevance_passes > 1:
-            channels.extend(f"relevance2:{key}" for key in keys)
 
     if not probe_enabled:
-        p_self, tags, *values = _gather(backend, head + _source_queries(backend, ctx, channels))
+        wave = head + [(source, (ctx, channel)) for channel in channels]
+        p_self, tags, *values = _ask(backend, wave)
         sources.update(zip(channels, values))
         channels = []
-    if not relevance_passes and "trap" in tags and cfg.trap_verify:
+    if "trap" in tags and cfg.trap_verify:
         channels.insert(0, VERIFY_CHANNEL)
     if channels:
-        sources.update(zip(channels, _gather(backend, _source_queries(backend, ctx, channels))))
-
-    if relevance_passes > 1:
-        sources = {channel: value for channel, value in sources.items() if value is not None}
-    elif not relevance_passes:
-        sources.setdefault(VERIFY_CHANNEL, VERIFY_BASELINE)
+        wave = [(source, (ctx, channel)) for channel in channels]
+        sources.update(zip(channels, _ask(backend, wave)))
+    sources.setdefault(VERIFY_CHANNEL, VERIFY_BASELINE)
     cv = ConfidenceVector(p_self=p_self, source_confidences=sources)
     return [*_BASE_CANDIDATES["trivial" in tags], *skills], cv, traces
 
 
-def _score_relevance(
-    candidates: Sequence[Action], answered: Mapping[str, float], passes: int
-) -> list[Decision]:
-    """Baseline decisions from the relevance values build_candidates asked.
+def _relevance_decisions(
+    ctx: TaskContext,
+    registry: CardRegistry,
+    backend: "ModelBackend",
+    passes: int,
+    allowed_card_ids: Sequence[str] | None,
+) -> tuple[list[Decision], ConfidenceVector, tuple[ProbeState, ...]]:
+    """A relevance scorer's decisions, one per pass (baseline 1, reflection 2), its
+    confidence vector (p_self only) and its probe traces (all unprobed).
 
-    Reflection's second pass falls back, key by key, to the first pass
-    where it went unanswered.
+    A relevance scorer takes no probe, gate or pruning: every matched card
+    loads, has its body read once and is a LoadSkill candidate after the
+    four base actions. One wave asks self-confidence, tags and
+    relevance:<key> for each candidate and, on a second pass,
+    relevance2:<key>; no tool, verify or card source is asked. Each pass is
+    one score_baseline decision. Reflection's second pass falls back, key
+    by key, to the first pass where it went unanswered.
     """
-    keys = [score_key(action) for action in candidates]
-    relevance = {key: answered[f"relevance:{key}"] for key in keys}
+    matching = _matching(ctx, registry, allowed_card_ids)
+    traces = tuple(map(unprobed_trace, matching))
+    skills = list(map(_load_action, matching))
+    for card in matching:
+        registry.read_body(card.id)
+    keys = [*_BASE_KEYS, *map(score_key, skills)]
+    source = backend.source_confidence
+    wave = [(backend.self_confidence, (ctx,)), (backend.self_report_tags, (ctx,))]
+    wave += [(source, (ctx, f"relevance:{key}")) for key in keys]
+    if passes > 1:
+        wave += [(_missing_as_none, (source, ctx, f"relevance2:{key}")) for key in keys]
+    p_self, tags, *values = _ask(backend, wave)
+    # The checks of a confidence vector: p_self and each relevance answered lie in [0, 1].
+    ConfidenceVector(p_self, {a[-1]: v for (_, a), v in zip(wave[2:], values) if v is not None})
+
+    candidates = [*_BASE_CANDIDATES["trivial" in tags], *skills]
+    relevance = dict(zip(keys, values))
     decisions = [score_baseline(candidates, relevance)]
     if passes > 1:
-        second_pass = {key: answered.get(f"relevance2:{key}", relevance[key]) for key in keys}
+        second_pass = {
+            key: relevance[key] if value is None else value
+            for key, value in zip(keys, values[len(keys) :])
+        }
         decisions.append(score_baseline(candidates, second_pass))
-    return decisions
+    return decisions, ConfidenceVector(p_self=p_self), traces
 
 
 # Relevance passes of each relevance scorer; the dual scorer asks none.
@@ -667,22 +655,22 @@ def decide(
     vector they were scored from. A relevance scorer reads no source
     confidence, so its vector carries p_self only.
     """
-    passes = _RELEVANCE_PASSES.get(condition.scorer, 0)
-    candidates, cv, traces = build_candidates(
-        ctx,
-        registry,
-        backend,
-        cfg,
-        condition.probe_enabled,
-        allowed_card_ids,
-        vigilance_enabled=condition.vigilance_enabled,
-        relevance_passes=passes,
-        dualconf_enabled=condition.dualconf_enabled,
-    )
+    passes = _RELEVANCE_PASSES.get(condition.scorer)
     if passes:
-        decisions = _score_relevance(candidates, cv.source_confidences, passes)
-        cv = ConfidenceVector(p_self=cv.p_self)
+        decisions, cv, traces = _relevance_decisions(
+            ctx, registry, backend, passes, allowed_card_ids
+        )
     else:
+        candidates, cv, traces = build_candidates(
+            ctx,
+            registry,
+            backend,
+            cfg,
+            condition.probe_enabled,
+            allowed_card_ids,
+            vigilance_enabled=condition.vigilance_enabled,
+            dualconf_enabled=condition.dualconf_enabled,
+        )
         decisions = [
             select_action(
                 ctx,
@@ -748,7 +736,7 @@ def _run_trajectory(
     p_self = cv.p_self
     answer: str | None
     if chosen.variant is ActionVariant.DIRECT:
-        answer = backend.answer(ctx, "direct")
+        (answer,) = _ask(backend, [(backend.answer, (ctx, "direct"))])
         final = FinalAnswerClass.ANSWER
         terminal = p_self
     elif chosen.variant is ActionVariant.STOP:
@@ -766,7 +754,7 @@ def _run_trajectory(
             assert chosen.card_id is not None
             source_trust = registry.get(chosen.card_id).source_trust
             verified, final = False, FinalAnswerClass.SKILL_LOADED
-            post = backend.self_confidence(post_ctx)
+            (post,) = _ask(backend, [(backend.self_confidence, (post_ctx,))])
         else:
             if chosen.variant is ActionVariant.CALL_TOOL:
                 mode, verified, final = "tool", False, FinalAnswerClass.TOOL_CALL
@@ -775,9 +763,8 @@ def _run_trajectory(
             source_trust = 1.0
             # The tool and verify answers do not depend on the post-offload
             # confidence, so both queries go out in one wave.
-            post, answer = _gather(
-                backend,
-                [lambda: backend.self_confidence(post_ctx), lambda: backend.answer(ctx, mode)],
+            post, answer = _ask(
+                backend, [(backend.self_confidence, (post_ctx,)), (backend.answer, (ctx, mode))]
             )
         if condition.decontam_enabled:
             terminal = decontaminate(
@@ -788,7 +775,7 @@ def _run_trajectory(
         if chosen.variant is ActionVariant.LOAD_SKILL:
             # The skill answer's mode depends on the decontaminated confidence.
             mode = "commit" if terminal >= CLAIM_THRESHOLD else "hedge"
-            answer = backend.answer(ctx, f"skill:{chosen.card_id}:{mode}")
+            (answer,) = _ask(backend, [(backend.answer, (ctx, f"skill:{chosen.card_id}:{mode}"))])
 
     outcome = classify_outcome(item.gold_action, item.gold_answer, final, answer)
     return TrajectoryRecord(

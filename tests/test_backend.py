@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import subprocess
 import sys
 import threading
@@ -128,6 +129,17 @@ def test_load_script_rejects_malformed_rows(tmp_path, row):
     path = write_script(tmp_path, [row])
     with pytest.raises(MissingSignalError, match=r"malformed row #0"):
         load_script(path)
+
+
+def test_load_script_keeps_one_object_per_distinct_key(tmp_path):
+    rows = [
+        {"item": item, "condition": condition, "key": "source:__tool__", "value": 0.5}
+        for item, condition in (("i1", "*"), ("i2", "*"), ("i2", "full"))
+    ]
+    script = load_script(write_script(tmp_path, rows))
+    keys = [next(iter(script.table(item, "full"))) for item in ("i1", "i2")]
+    assert keys[0] == keys[1] == "source:__tool__"
+    assert keys[0] is keys[1] is next(iter(script.table("i2", "baseline")))
 
 
 def test_load_script_rejects_duplicate_triples(tmp_path):
@@ -970,6 +982,12 @@ def test_remote_config_validation():
         RemoteConfig("https://x", "TOKEN", "m", max_retries=-1)
     with pytest.raises(ValueError):
         RemoteConfig("https://x", "TOKEN", "m", max_concurrent=0)
+
+
+@pytest.mark.parametrize("timeout_s", [0.0, -1.0, math.nan, math.inf])
+def test_remote_config_rejects_a_timeout_that_is_not_finite_and_positive(timeout_s):
+    with pytest.raises(ValueError, match="timeout_s must be finite and > 0"):
+        RemoteConfig("https://x", "TOKEN", "m", timeout_s=timeout_s)
 
 
 # ---------------------------------------------------------------------------

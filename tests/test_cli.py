@@ -273,6 +273,31 @@ def test_route_remote_backend_requires_endpoint(capsys):
     assert "--endpoint" in err
 
 
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+def test_route_remote_backend_rejects_a_bad_timeout_before_any_request(
+    timeout, capsys, monkeypatch
+):
+    def no_request(*args):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr("mesa.backend._default_transport", no_request)
+    code, out, err = run_cli(
+        "route",
+        "--cards", CARDS,
+        "--backend", "remote",
+        "--endpoint", "http://127.0.0.1:9/v1",
+        "--model", "m",
+        "--auth-env", "MESA_TEST_TOKEN",
+        "--timeout", timeout,
+        "--prompt", "anything",
+        capsys=capsys,
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.splitlines()[-1].startswith("mesa: error: --timeout: timeout_s must be finite")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "bad_args, message",
     [

@@ -33,7 +33,7 @@ from mesa.router import (
 )
 
 from conftest import DictBackend, make_card, make_ctx
-from test_trajectory import ReversedGather
+from test_trajectory import ReversedGather, WaveLog, wave_lines
 
 
 CFG = RoutingConfig()
@@ -407,18 +407,24 @@ def _load_registry_gen():
     return module
 
 
-def test_seed1_whole_registry_routes_make_the_same_backend_calls_in_the_same_order(
-    tmp_path_factory,
-):
-    # perfbench's seed-1 registry (10,000 cards, 100 prompts) routed as
-    # `mesa route` routes, through a backend with no gather, so the calls
-    # run in program order. The digest pins every call: its prompt, its
-    # query and its card or channel. 20,215 calls in all.
+@pytest.fixture(scope="module")
+def seed1_route(tmp_path_factory):
+    """perfbench's seed-1 registry, its 100 prompts as a suite, and their full-condition backend."""
     out = tmp_path_factory.mktemp("route10k")
     _load_registry_gen().generate(1, out)
     registry = load_registry(out / "cards.json")
     suite = load_suite(out / "suite.json", registry, expected_per_slice=None)
-    scripted = ScriptedBackend(load_script(out / "script.json"), suite, "full")
+    return registry, suite, ScriptedBackend(load_script(out / "script.json"), suite, "full")
+
+
+def test_seed1_whole_registry_routes_make_the_same_backend_calls_in_the_same_order(
+    seed1_route,
+):
+    # The seed-1 prompts routed as `mesa route` routes, through a backend
+    # with no gather, so the calls run in program order. The digest pins
+    # every call: its prompt, its query and its card or channel. 20,215
+    # calls in all.
+    registry, suite, scripted = seed1_route
     calls: list[str] = []
 
     class Recording:
@@ -448,3 +454,17 @@ def test_seed1_whole_registry_routes_make_the_same_backend_calls_in_the_same_ord
     assert len(suite) == 100 and len(calls) == 20_215
     digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
     assert digest == "cc0347aa9b2c68a130d522b3c8626eaa550deaec6f8666a8768e4852e77dfcb5"
+
+
+def test_seed1_whole_registry_routes_ask_the_same_waves(seed1_route):
+    # The same routes through a backend with gather: every wave, in order.
+    registry, suite, scripted = seed1_route
+    backend = WaveLog(scripted)
+    lines: list[str] = []
+    full = condition_by_name("full")
+    for item in suite:
+        decide(context_for_item(item), registry, backend, CFG, full)
+        lines += wave_lines(item.id, backend)
+    assert len(lines) == 160
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "c28d666b301840b7b23f3fea47a006faeb4658ea1b528af93ea54d476ac4e82a"

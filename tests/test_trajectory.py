@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -564,6 +566,79 @@ def test_relevance_scorers_ask_only_relevance_channels(
         assert unread == [], f"{condition.name.value}/{item.id} asked {unread}"
     assert {"__tool__", "__verify__"} <= dual_asked
     assert any(ch in shipped_registry for ch in dual_asked)
+
+
+@pytest.mark.parametrize("scorer", ["baseline", "reflection"])
+def test_relevance_scorers_take_no_probe_vigilance_or_dualconf_toggle(
+    scorer, shipped_suite, shipped_registry, shipped_script
+):
+    shipped = condition_by_name(scorer)
+    toggled = replace(shipped, probe_enabled=True, vigilance_enabled=True, dualconf_enabled=True)
+    backend = ScriptedBackend(shipped_script, shipped_suite, scorer)
+    for item in shipped_suite:
+        expected = run_trajectory(item, shipped_registry, backend, CFG, shipped)
+        assert run_trajectory(item, shipped_registry, backend, CFG, toggled) == expected
+
+
+class WaveLog:
+    """A backend that logs each wave of queries it is asked.
+
+    The queries made inside one gather call, which runs its calls in list
+    order, are one wave; a query made outside any gather is a wave of one.
+    A query is logged as its name and arguments, and a post-offload self
+    confidence as `self_confidence post`.
+    """
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.waves: list[list[str]] = []
+        self._wave: list[str] | None = None
+
+    def __getattr__(self, op):  # the five queries
+        query = getattr(self._inner, op)
+
+        def logged(ctx, *args):
+            entry = " ".join([op, *args])
+            if ctx.pre_offload_p_self is not None:
+                entry += " post"
+            if self._wave is None:
+                self.waves.append([entry])
+            else:
+                self._wave.append(entry)
+            return query(ctx, *args)
+
+        return logged
+
+    def gather(self, calls):
+        self._wave = []
+        self.waves.append(self._wave)
+        try:
+            return [call() for call in calls]
+        finally:
+            self._wave = None
+
+
+def wave_lines(label: str, backend: WaveLog) -> list[str]:
+    """One line per wave the backend was asked, under a label."""
+    lines = [f"{label} | {'; '.join(wave)}" for wave in backend.waves]
+    backend.waves.clear()
+    return lines
+
+
+def test_shipped_trajectories_ask_the_same_waves(
+    shipped_suite, shipped_registry, shipped_script
+):
+    # Every wave of every shipped (condition, item) trajectory, in order.
+    lines: list[str] = []
+    for condition in CONDITIONS:
+        backend = WaveLog(ScriptedBackend(shipped_script, shipped_suite, condition.name.value))
+        for item in shipped_suite:
+            record = run_trajectory(item, shipped_registry, backend, CFG, condition)
+            assert record.diagnostic is None
+            lines += wave_lines(f"{condition.name.value} {item.id}", backend)
+    assert len(lines) == 2_260
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d5236910b4ccd26bab942af9c2578b1b94a085cca13620506ba18c85fe60a492"
 
 
 def test_a_cache_recorded_with_every_source_still_replays_strictly(

@@ -25,6 +25,7 @@ from mesa import (
     SkillCard,
     TaskContext,
     build_candidates,
+    eval_predicate,
     parse_predicate,
     run_probe,
 )
@@ -87,11 +88,15 @@ threshold = cfg.self_low + PROBE_SLACK
 print(f"probe passes when signal < self_low + slack = {threshold:.2f}")
 
 # ---------------------------------------------------------------------------
-# The probe by hand: one step from Matched to Loaded or Skipped. Each probe
-# charges PROBE_COST exactly once, whichever way it goes.
+# The probe by hand, in its two steps: the local cheap_probe predicate, then
+# the backend's probe signal, asked only where the predicate holds. run_probe
+# turns the signal (None when it was not asked) into one step from Matched
+# to Loaded or Skipped. Each probe charges PROBE_COST exactly once, whichever
+# way it goes.
 
 for name, task in (("hard", hard_task), ("easy", easy_task)):
-    state = run_probe(task, card, backend, cfg)
+    signal = backend.probe_signal(task, card.id) if eval_predicate(card.cheap_probe, task) else None
+    state = run_probe(cfg, card, signal)
     print(
         f"{name} task: probe={backend.probe_table[task.prompt]:.2f} "
         f"-> passed={state.passed} -> {state.stage.value} "
@@ -99,9 +104,10 @@ for name, task in (("hard", hard_task), ("easy", easy_task)):
     )
 
 # ---------------------------------------------------------------------------
-# The same probe inside build_candidates, with a loader that counts body
-# reads. Loads are lazy: the easy task matches the card but never pays for
-# the body. A condition without the probe loads every matched card
+# The same probe inside build_candidates, which decides the predicates of
+# all matched cards before it asks the backend anything, with a loader that
+# counts body reads. Loads are lazy: the easy task matches the card but never
+# pays for the body. A condition without the probe loads every matched card
 # uncharged.
 
 reads: list[str] = []

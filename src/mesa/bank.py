@@ -13,7 +13,9 @@ complete record without a sequence number too) is corruption. Trust updates
 are applied to the card file under an exclusive lock on a sidecar <path>.lock,
 through an optimistic old-value check, a backup of the prior file, and an
 atomic rename; the backup and the new file are each fsynced before their
-rename and the directory after it.
+rename and the directory after it. The same rename records the last bank
+entry applied (the card file's applied_through), so a rerun of the rule on
+the same bank applies nothing again.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 from mesa import journal
-from mesa.cards import CardRegistry
+from mesa.cards import CardRegistry, read_applied_through
 from mesa.codec import Codec
 from mesa.errors import BankCorruptionError, RegistryLookupError, StaleTrustError
 from mesa.router import (
@@ -63,10 +65,13 @@ class BankEntry:
 
 @dataclass(frozen=True)
 class TrustUpdate:
+    """One trust decay, from the bank entry recorded_at (-1: an unrecorded entry)."""
+
     card_id: str
     old_trust: float
     new_trust: float
     reason: str
+    recorded_at: int = -1
 
     def __post_init__(self) -> None:
         if self.old_trust > 0.0 and not self.new_trust < self.old_trust:
@@ -128,7 +133,21 @@ def hypercorrection_updates(
     Successes and low-confidence failures never update. Several entries
     implicating one card chain within the batch, so n hits multiply trust by
     (1 - decrement_factor)^n.
+
+    Entries at or below the registry's applied_through were applied before
+    and are skipped, so a rerun decays each failure once. A bank whose last
+    entry lies below applied_through is not the bank that was applied:
+    StaleTrustError.
     """
+    through = registry.applied_through
+    if through is not None:
+        last = entries[-1].recorded_at if entries else -1
+        if last < through:
+            ends = f"ends at entry {last}" if entries else "holds no entry"
+            raise StaleTrustError(
+                f"the bank {ends}, but the card file was corrected through entry {through}"
+            )
+        entries = [entry for entry in entries if entry.recorded_at > through]
     current: dict[str, float] = {}
     updates: list[TrustUpdate] = []
     for entry in entries:
@@ -153,6 +172,7 @@ def hypercorrection_updates(
                     f"high-confidence failure on {record_.item_id} "
                     f"({record_.condition}, confidence {record_.terminal_confidence:g})"
                 ),
+                recorded_at=entry.recorded_at,
             )
         )
         current[card_id] = new
@@ -175,14 +195,18 @@ def _replace_durably(path: Path, data: bytes) -> None:
 
 
 def apply_updates(registry_path: str | Path, updates: Sequence[TrustUpdate]) -> None:
-    """Rewrite the card file with new trust values.
+    """Rewrite the card file with new trust values and its applied_through.
 
-    Each update's old_trust must still match the file (optimistic check); a
-    mismatch aborts the whole batch with the file untouched. The prior file
-    is kept at <path>.bak and the rewrite lands via atomic rename. Only
-    source_trust fields change. Concurrent correctors serialize on an
-    exclusive flock of <path>.lock, held from the read to the last rename; a
-    sidecar is locked because the rename replaces the card file's inode.
+    Each update's old_trust must still match the file (optimistic check), and
+    each recorded update must come from an entry after the file's
+    applied_through; a failed check aborts the whole batch with the file
+    untouched. The same rewrite raises applied_through to the last entry the
+    batch applies, so the trust values and the watermark change together.
+    The prior file is kept at <path>.bak and the rewrite lands via atomic
+    rename. Only source_trust fields and applied_through change. Concurrent
+    correctors serialize on an exclusive flock of <path>.lock, held from the
+    read to the last rename; a sidecar is locked because the rename replaces
+    the card file's inode.
     """
     path = Path(registry_path)
     with open(path.with_name(path.name + ".lock"), "ab") as lock:
@@ -205,5 +229,14 @@ def apply_updates(registry_path: str | Path, updates: Sequence[TrustUpdate]) -> 
                     f"file has {card.get('source_trust')!r}; batch aborted"
                 )
             card["source_trust"] = update.new_trust
+        recorded = [update.recorded_at for update in updates if update.recorded_at >= 0]
+        if recorded:
+            through = read_applied_through(doc, path)
+            if through is not None and min(recorded) <= through:
+                raise StaleTrustError(
+                    f"entry {min(recorded)} is at or below the card file's applied_through "
+                    f"{through}; batch aborted"
+                )
+            doc["applied_through"] = max(recorded)
         _replace_durably(path.with_name(path.name + ".bak"), original)
         _replace_durably(path, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))

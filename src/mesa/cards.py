@@ -110,6 +110,9 @@ class CardRegistry:
 
     cards: tuple[SkillCard, ...]
     body_loader: BodyLoader = _default_body_loader
+    # The last failure-bank entry (recorded_at) whose trust updates the card
+    # file holds; None: none applied yet (mesa.bank.hypercorrection_updates).
+    applied_through: int | None = None
     _by_id: dict[str, SkillCard] = field(init=False, repr=False)
     # One slot for the apply_when index, built on the first matching call
     # and shared with every with_body_loader copy.
@@ -159,7 +162,7 @@ class CardRegistry:
 
     def with_body_loader(self, loader: BodyLoader) -> "CardRegistry":
         """Same cards and index, different body loader (used by counting test doubles)."""
-        clone = CardRegistry(cards=self.cards, body_loader=loader)
+        clone = CardRegistry(self.cards, loader, self.applied_through)
         object.__setattr__(clone, "_index", self._index)
         return clone
 
@@ -221,7 +224,8 @@ def load_registry(path: str | Path) -> CardRegistry:
     and equal atoms across the file one atom (dsl.predicate_parser).
 
     Raises CardFileError naming the offending card for any schema violation,
-    duplicate id, or predicate syntax error.
+    duplicate id, or predicate syntax error, and naming applied_through when
+    that optional top-level field is not a non-negative integer.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -229,11 +233,27 @@ def load_registry(path: str | Path) -> CardRegistry:
         raise CardFileError(f"cannot read card file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CardFileError(f"card file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) != {"cards"} or not isinstance(doc["cards"], list):
+    if (
+        not isinstance(doc, dict)
+        or not doc.keys() <= {"cards", "applied_through"}
+        or not isinstance(doc.get("cards"), list)
+    ):
         raise CardFileError(f'card file {path}: expected top-level {{"cards": [...]}}')
     parse = predicate_parser()
     cards = tuple(_parse_card(raw, i, parse) for i, raw in enumerate(doc["cards"]))
-    return CardRegistry(cards=cards)
+    return CardRegistry(cards=cards, applied_through=read_applied_through(doc, path))
+
+
+def read_applied_through(doc: dict, path: str | Path) -> int | None:
+    """A card file's optional applied_through: a non-negative int, or None when absent."""
+    if "applied_through" not in doc:
+        return None
+    value = doc["applied_through"]
+    if type(value) is not int or value < 0:
+        raise CardFileError(
+            f"card file {path}: applied_through must be a non-negative integer, got {value!r}"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------

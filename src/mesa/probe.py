@@ -6,11 +6,11 @@ skip, and it is a short-circuit conjunction: the card's cheap_probe predicate
 must hold on the context, and only then is the backend's probe signal asked
 whether it reports parametric insufficiency (below self_low + PROBE_SLACK).
 
-run_probe returns the card's terminal state, Loaded or Skipped, charged
-PROBE_COST. A route runs it once per matched card but decides each distinct
-cheap_probe tree once: load_registry shares the trees of equal texts, and
-the route's probes share their verdicts by tree identity, so a card whose
-tree was already decided asks the backend or not on that verdict.
+A route decides its matched cards' predicates first, on its own thread, with
+cheap_verdicts, which evaluates each distinct cheap_probe tree once
+(load_registry shares the trees of equal texts). run_probe then turns a
+card's signal, None when it was not asked, into its terminal state, Loaded
+or Skipped, charged PROBE_COST.
 Conditions that disable the probe load every matched card uncharged, with
 passed left None (unprobed_trace). A ProbeState depends on its card and
 verdict alone, so it is an immutable value shared per card: each of a
@@ -23,14 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from mesa.cards import SkillCard
 from mesa.context import TaskContext
 from mesa.dsl import eval_predicate
 
 if TYPE_CHECKING:
-    from mesa.backend import ModelBackend
     from mesa.router import RoutingConfig
 
 # One probe costs a tenth of a skill load (router.COST_TABLE: 0.5).
@@ -88,33 +87,28 @@ def unprobed_trace(card: SkillCard) -> ProbeState:
     return _trace(card, None)
 
 
-def run_probe(
-    ctx: TaskContext,
-    card: SkillCard,
-    backend: "ModelBackend",
-    cfg: "RoutingConfig",
-    verdicts: dict[int, bool] | None = None,
-) -> ProbeState:
-    """Probe one matched card: Loaded if it passes, else Skipped; charges PROBE_COST.
-
-    Passes only when the card's cheap_probe predicate holds and the backend's
-    probe signal then reports parametric insufficiency for this card. A failed
-    predicate already decides Skipped, so its card's signal is never asked.
-
-    verdicts, when given, holds one route's cheap_probe verdicts by tree
-    identity: a tree already in it is not evaluated again, and a new one is
-    evaluated and added. It must not outlive the route, whose cards keep the
-    trees it names alive. Probes that a backend's gather runs at once may
-    both decide one new tree, to the same verdict.
-    """
-    tree = card.cheap_probe
-    if verdicts is None:
-        holds = eval_predicate(tree, ctx)
-    else:
+def cheap_verdicts(ctx: TaskContext, cards: Sequence[SkillCard]) -> list[bool]:
+    """Whether each card's cheap_probe holds on ctx, in card order; each distinct tree is
+    evaluated once, and the cards that share it take its verdict by tree identity."""
+    verdicts: dict[int, bool] = {}
+    held = []
+    for card in cards:
+        tree = card.cheap_probe
         holds = verdicts.get(id(tree))
         if holds is None:
             holds = verdicts[id(tree)] = eval_predicate(tree, ctx)
-    passed = holds and backend.probe_signal(ctx, card.id) < cfg.self_low + PROBE_SLACK
+        held.append(holds)
+    return held
+
+
+def run_probe(cfg: "RoutingConfig", card: SkillCard, signal: float | None) -> ProbeState:
+    """One matched card's trace from its probe signal: Loaded if it passes, else Skipped.
+
+    signal is None when the card's cheap_probe failed and it was not asked,
+    which decides Skipped; a signal passes below cfg.self_low + PROBE_SLACK
+    (parametric insufficiency). Either way the probe charges PROBE_COST.
+    """
+    passed = signal is not None and signal < cfg.self_low + PROBE_SLACK
     # After the card's first route its trace is read straight from its slot.
     memo = card._memo
     state = memo[_TRACE_SLOT[passed]] if memo is not None else None

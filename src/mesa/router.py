@@ -35,11 +35,12 @@ benchmark item end to end on top of it: offload execution with confidence
 decontamination, and outcome grading against the item's gold label.
 
 Every backend query goes out through _ask, in a wave of independent
-queries, and a scorer is asked only what it reads: the dual scorer's waves
-are build_candidates', a relevance scorer asks one wave of self-confidence,
-tags and its relevance passes. A trajectory's last waves are the
-post-offload confidence and the answer, in one wave when neither depends on
-the other. A backend without gather asks each wave in order.
+backend queries and nothing else: the probe's predicates are decided on the
+calling thread before wave 1. A scorer is asked only what it reads: the dual
+scorer's waves are build_candidates', a relevance scorer asks one wave of
+self-confidence, tags and its relevance passes. A trajectory's last waves
+are the post-offload confidence and the answer, in one wave when neither
+depends on the other. A backend without gather asks each wave in order.
 
 Codecs (mesa.codec) declare, once per record type, the JSON object that the
 failure bank and the machine report write and read back.
@@ -51,6 +52,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import compress
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from mesa.cards import CardRegistry, SkillCard, effective_trust
@@ -64,7 +66,7 @@ from mesa.confidence import (
 from mesa.context import TaskContext
 from mesa.dsl import eval_predicate
 from mesa.errors import MissingSignalError
-from mesa.probe import ProbeStage, ProbeState, run_probe, unprobed_trace
+from mesa.probe import ProbeStage, ProbeState, cheap_verdicts, run_probe, unprobed_trace
 
 if TYPE_CHECKING:
     from mesa.backend import ModelBackend
@@ -520,13 +522,13 @@ def build_candidates(
     select_action call (False pins alpha to 0.5).
 
     Each query goes out, through _ask, in the first wave that has its
-    inputs. Wave 1 holds self-confidence, tags, every matched card's probe
-    and the tool source; run_probe asks a probe signal only of a card whose
-    cheap_probe holds, and the route's probes decide each distinct
-    cheap_probe tree once. With the probe off the candidate set needs no
-    backend answer, so wave 1 also holds the sources of the cards read.
-    Wave 2 holds the verify source (when the trap tag asks for it) and,
-    with the probe on, the sources of the cards read.
+    inputs. Wave 1 holds self-confidence, tags, the probe signals of the
+    matched cards whose cheap_probe holds (mesa.probe.cheap_verdicts decides
+    them first) and the tool source; run_probe then makes every matched
+    card's trace from its signal. With the probe off the candidate set
+    needs no backend answer, so wave 1 also holds the sources of the cards
+    read. Wave 2 holds the verify source (when the trap tag asks for it)
+    and, with the probe on, the sources of the cards read.
     """
     matching = _matching(ctx, registry, allowed_card_ids)
     head = [(backend.self_confidence, (ctx,)), (backend.self_report_tags, (ctx,))]
@@ -537,12 +539,15 @@ def build_candidates(
     best_known = -math.inf  # until wave 1 fixes a score, no card is dominated
     if probe_enabled:
         # Which cards load, and so what the candidates ask, waits on the probes.
-        # They share one verdict per distinct cheap_probe tree.
-        verdicts: dict[int, bool] = {}
-        probes = [(run_probe, (ctx, card, backend, cfg, verdicts)) for card in matching]
+        held = cheap_verdicts(ctx, matching)
+        signal = backend.probe_signal
+        probes = [(signal, (ctx, card.id)) for card in compress(matching, held)]
         wave = [*head, *probes, (source, (ctx, TOOL_CHANNEL))]
-        p_self, tags, *probed, tool = _ask(backend, wave)
-        traces = tuple(probed)
+        p_self, tags, *answers, tool = _ask(backend, wave)
+        asked = iter(answers)
+        traces = tuple(
+            [run_probe(cfg, card, next(asked) if h else None) for card, h in zip(matching, held)]
+        )
         sources[TOOL_CHANNEL] = tool
         channels = []
         # The confidences of Direct, Stop, CallTool and Verify, in

@@ -5,12 +5,14 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
 
 import pytest
 
+from mesa.backend import ScriptedBackend, load_script
 from mesa.bank import (
     BankConfig,
     BankEntry,
@@ -20,6 +22,7 @@ from mesa.bank import (
     read_bank,
     record,
 )
+from mesa.bench import condition_by_name, load_suite
 from mesa.cards import CardRegistry, load_registry
 from mesa.errors import BankCorruptionError, RegistryLookupError, StaleTrustError
 from mesa.router import (
@@ -28,10 +31,12 @@ from mesa.router import (
     Decision,
     FinalAnswerClass,
     Outcome,
+    RoutingConfig,
     TrajectoryRecord,
+    run_trajectory,
 )
 
-from conftest import make_card
+from conftest import DATA, make_card
 
 
 def make_record(
@@ -56,6 +61,19 @@ def make_record(
 
 def make_entry(card: str | None = "c", **kwargs) -> BankEntry:
     return BankEntry(trajectory=make_record(**kwargs), implicated_card=card)
+
+
+def mini_failure_bank(bank_path):
+    """Bank the mini suite run under no_decontam, each entry implicating the
+    skill its final decision loaded: one confident failure, on tz_playbook."""
+    registry = load_registry(DATA / "cards_mini.json")
+    suite = load_suite(DATA / "suite_mini.json", registry, expected_per_slice=None)
+    condition = condition_by_name("no_decontam")
+    backend = ScriptedBackend(load_script(DATA / "script_mini.json"), suite, "no_decontam")
+    for item in suite:
+        rec = run_trajectory(item, registry, backend, RoutingConfig(), condition)
+        implicated = rec.decisions[-1].chosen.card_id
+        record(BankEntry(trajectory=rec, implicated_card=implicated), bank_path)
 
 
 @pytest.fixture()
@@ -311,6 +329,34 @@ def test_custom_decrement_factor():
     assert updates[0].new_trust == pytest.approx(0.8 * 0.75)
 
 
+def _recorded(count, bank_path):
+    for i in range(count):
+        record(make_entry(item_id=f"t{i}"), bank_path)
+    return read_bank(bank_path)
+
+
+def test_updates_skip_the_entries_the_card_file_already_applied(bank_path):
+    entries = _recorded(4, bank_path)
+    registry = CardRegistry(cards=(make_card("c", source_trust=0.8),), applied_through=1)
+    updates = hypercorrection_updates(entries, BankConfig(), registry)
+    assert [(u.recorded_at, u.reason.split()[3]) for u in updates] == [(2, "t2"), (3, "t3")]
+    assert [u.old_trust for u in updates] == pytest.approx([0.8, 0.4])
+    caught_up = CardRegistry(cards=registry.cards, applied_through=3)
+    assert hypercorrection_updates(entries, BankConfig(), caught_up) == []
+
+
+def test_a_bank_shorter_than_the_applied_entries_is_an_error(bank_path):
+    entries = _recorded(2, bank_path)
+    registry = CardRegistry(cards=(make_card("c"),), applied_through=4)
+    with pytest.raises(StaleTrustError) as err:
+        hypercorrection_updates(entries, BankConfig(), registry)
+    assert str(err.value) == (
+        "the bank ends at entry 1, but the card file was corrected through entry 4"
+    )
+    with pytest.raises(StaleTrustError, match="holds no entry, .* through entry 4"):
+        hypercorrection_updates([], BankConfig(), registry)
+
+
 def test_bank_config_validation():
     with pytest.raises(ValueError):
         BankConfig(high_confidence_threshold=1.5)
@@ -398,6 +444,36 @@ def test_double_apply_fails_on_stale_check(tmp_path):
     assert load_registry(path).get("c0").source_trust == 0.4
 
 
+def test_apply_writes_the_last_applied_entry_with_the_trust_values(tmp_path):
+    path = _card_file(tmp_path)
+    apply_updates(path, [TrustUpdate("c0", 0.8, 0.4, "a", 2), TrustUpdate("c0", 0.4, 0.2, "b", 5)])
+    registry = load_registry(path)
+    assert (registry.get("c0").source_trust, registry.applied_through) == (0.2, 5)
+    apply_updates(path, [TrustUpdate("c1", 0.6, 0.3, "c", 6)])
+    assert load_registry(path).applied_through == 6
+    # Updates from unrecorded entries leave the watermark alone.
+    apply_updates(path, [TrustUpdate("c2", 0.4, 0.2, "d")])
+    assert load_registry(path).applied_through == 6
+
+
+def test_apply_refuses_an_entry_at_or_below_the_applied_one(tmp_path):
+    # A card at trust 0 keeps it, so the old-trust check cannot tell a
+    # rerun; the watermark does, after that check.
+    path = _card_file(tmp_path, trusts=(0.0, 0.6, 0.4))
+    apply_updates(path, [TrustUpdate("c0", 0.0, 0.0, "first", 3)])
+    applied = path.read_bytes()
+    with pytest.raises(StaleTrustError) as err:
+        apply_updates(
+            path, [TrustUpdate("c1", 0.6, 0.3, "new", 4), TrustUpdate("c0", 0.0, 0.0, "again", 3)]
+        )
+    assert str(err.value) == (
+        "entry 3 is at or below the card file's applied_through 3; batch aborted"
+    )
+    assert path.read_bytes() == applied
+    with pytest.raises(StaleTrustError, match="expected trust 0.9"):
+        apply_updates(path, [TrustUpdate("c1", 0.9, 0.3, "stale", 1)])
+
+
 def test_apply_unknown_card(tmp_path):
     path = _card_file(tmp_path)
     with pytest.raises(RegistryLookupError, match="ghost"):
@@ -477,7 +553,7 @@ def killing(real):
         return real(*args)
     return call
 os.replace, os.fsync = killing(os.replace), killing(os.fsync)
-apply_updates(sys.argv[1], [TrustUpdate("c0", 0.8, 0.4, "killed")])
+apply_updates(sys.argv[1], [TrustUpdate("c0", 0.8, 0.4, "killed", 7)])
 print(calls[0])
 """
 
@@ -504,6 +580,45 @@ def test_kill_at_any_replace_or_fsync_leaves_old_or_new_card_file(tmp_path):
         assert killed.returncode == 70, (kill_at, killed.stderr)
         data = path.read_bytes()
         assert data in (old, new), f"killed at call {kill_at}"
-        assert load_registry(path).get("c0").source_trust == (0.8 if data == old else 0.4)
+        # The trust value and the applied entry change together or not at all.
+        registry = load_registry(path)
+        state = (registry.get("c0").source_trust, registry.applied_through)
+        assert state == ((0.8, None) if data == old else (0.4, 7))
         seen.add(data)
     assert seen == {old, new}
+
+
+def test_racing_correctors_decay_a_failure_once(tmp_path):
+    # Two `mesa bank correct` processes read the same card file while a
+    # third party holds its lock, so both compute the decay; the one that
+    # gets the lock second must not apply it again.
+    bank = tmp_path / "bank.jsonl"
+    mini_failure_bank(bank)
+    cards = tmp_path / "cards_mini.json"
+    shutil.copyfile(DATA / "cards_mini.json", cards)
+    argv = [sys.executable, "-m", "mesa.cli", "bank", "correct", "--bank", str(bank),
+            "--cards", str(cards)]
+    lock_fd = os.open(cards.with_name(cards.name + ".lock"), os.O_RDWR | os.O_CREAT, 0o644)
+    fcntl.flock(lock_fd, fcntl.LOCK_EX)
+    procs = []
+    try:
+        procs = [
+            subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for _ in range(2)
+        ]
+        time.sleep(0.5)
+        fcntl.flock(lock_fd, fcntl.LOCK_UN)
+        outputs = [proc.communicate(timeout=60) for proc in procs]
+    finally:
+        os.close(lock_fd)
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    codes = sorted(proc.returncode for proc in procs)
+    # The second either lost the old-trust check or, had it read the file
+    # after the first's rename, found nothing left to apply.
+    assert codes in ([0, 0], [0, 1]), outputs
+    registry = load_registry(cards)
+    assert registry.get("tz_playbook").source_trust == 0.375
+    assert registry.applied_through == 0

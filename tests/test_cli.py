@@ -11,12 +11,13 @@ import pytest
 from mesa.backend import CachedBackend, ScriptedBackend, load_script
 from mesa.bank import BankEntry, record
 from mesa.bench import CONDITIONS, condition_by_name
+from mesa.cards import load_registry
 from mesa.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _load_settings, dispatch
 from mesa.dsl import eval_predicate
 from mesa.router import RoutingConfig, context_for_item, decide
 
 from conftest import DATA, DictBackend
-from test_bank import make_record
+from test_bank import make_record, mini_failure_bank
 
 
 def run_cli(*argv, capsys=None):
@@ -760,6 +761,42 @@ def test_bank_correct_applies_chained_updates(tmp_path, capsys):
     updated = json.loads(cards.read_text(encoding="utf-8"))
     assert updated["cards"][0]["source_trust"] == pytest.approx(0.2)
     assert cards.with_name(cards.name + ".bak").exists()
+
+
+def test_bank_correct_decays_each_failure_once(tmp_path, capsys):
+    bank = tmp_path / "bank.jsonl"
+    mini_failure_bank(bank)
+    cards = tmp_path / "cards_mini.json"
+    cards.write_bytes((DATA / "cards_mini.json").read_bytes())
+    outs, trusts = [], []
+    for _ in range(3):
+        code, out, _ = run_cli(
+            "bank", "correct", "--bank", str(bank), "--cards", str(cards), capsys=capsys
+        )
+        assert code == EXIT_OK
+        outs.append(out)
+        trusts.append(load_registry(cards).get("tz_playbook").source_trust)
+    assert outs[0].startswith("tz_playbook: 0.750000 -> 0.375000 (high-confidence failure on m_tz")
+    assert outs[1:] == ["", ""]
+    assert trusts == [0.375, 0.375, 0.375]
+    assert json.loads(cards.read_text(encoding="utf-8"))["applied_through"] == 0
+
+
+def test_bank_correct_rejects_a_bank_shorter_than_the_applied_entries(tmp_path, capsys):
+    bank = _seed_bank(tmp_path, count=2)
+    cards = _bank_cards(tmp_path)
+    doc = json.loads(cards.read_text(encoding="utf-8"))
+    cards.write_text(json.dumps({**doc, "applied_through": 5}), encoding="utf-8")
+    before = cards.read_bytes()
+    code, out, err = run_cli(
+        "bank", "correct", "--bank", str(bank), "--cards", str(cards), capsys=capsys
+    )
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err == (
+        "mesa: the bank ends at entry 1, but the card file was corrected through entry 5\n"
+    )
+    assert cards.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------

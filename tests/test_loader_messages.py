@@ -177,6 +177,27 @@ def test_load_registry_names_a_duplicate_id(tmp_path):
     assert str(err.value) == "duplicate card id 'a'"
 
 
+@pytest.mark.parametrize("value", [-1, 1.0, True, "3", None, [2]])
+def test_load_registry_names_a_bad_applied_through(tmp_path, value):
+    path = tmp_path / "cards.json"
+    path.write_text(json.dumps({"cards": [_card()], "applied_through": value}), encoding="utf-8")
+    with pytest.raises(CardFileError) as err:
+        load_registry(path)
+    assert str(err.value) == (
+        f"card file {path}: applied_through must be a non-negative integer, got {value!r}"
+    )
+
+
+def test_load_registry_keeps_applied_through(tmp_path):
+    path = tmp_path / "cards.json"
+    path.write_text(json.dumps({"cards": [_card()]}), encoding="utf-8")
+    assert load_registry(path).applied_through is None
+    path.write_text(json.dumps({"applied_through": 0, "cards": [_card()]}), encoding="utf-8")
+    registry = load_registry(path)
+    assert registry.applied_through == 0
+    assert registry.with_body_loader(str).applied_through == 0
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -7,6 +7,7 @@ import hashlib
 import importlib.util
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -15,14 +16,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mesa.probe
+import mesa.router
 from mesa.backend import ScriptedBackend, load_script
-from mesa.bench import condition_by_name, load_suite
+from mesa.bench import CONDITIONS, condition_by_name, load_suite
 from mesa.cards import CardRegistry, load_registry
 from mesa.confidence import TOOL_CHANNEL
 from mesa.context import Attachment
 from mesa.dsl import eval_predicate, parse_predicate
 from mesa.errors import MissingSignalError
-from mesa.probe import PROBE_COST, PROBE_SLACK, ProbeStage, ProbeState, run_probe
+from mesa.probe import (
+    PROBE_COST,
+    PROBE_SLACK,
+    ProbeStage,
+    ProbeState,
+    cheap_verdicts,
+    run_probe,
+)
 from mesa.router import (
     Action,
     ActionVariant,
@@ -30,6 +40,7 @@ from mesa.router import (
     build_candidates,
     context_for_item,
     decide,
+    run_trajectory,
 )
 
 from conftest import DictBackend, make_card, make_ctx
@@ -39,11 +50,16 @@ from test_trajectory import ReversedGather, WaveLog, wave_lines
 CFG = RoutingConfig()
 
 
+def _probe(ctx, card, signal):
+    """A card's trace as a route makes it: the signal is asked only where cheap_probe holds."""
+    (holds,) = cheap_verdicts(ctx, [card])
+    return run_probe(CFG, card, signal if holds else None)
+
+
 def test_probe_passes_on_predicate_and_insufficiency():
     card = make_card("c1", cheap_probe="mime:html")
     ctx = make_ctx(attachments=(Attachment("html"),))
-    backend = DictBackend(probes={"c1": 0.3})
-    state = run_probe(ctx, card, backend, CFG)
+    state = _probe(ctx, card, 0.3)
     assert state.stage is ProbeStage.LOADED
     assert state.passed is True
     assert state.probe_cost_charged == PROBE_COST
@@ -52,40 +68,43 @@ def test_probe_passes_on_predicate_and_insufficiency():
 def test_probe_fails_when_predicate_false():
     card = make_card("c1", cheap_probe="mime:html")
     ctx = make_ctx(attachments=())
-    backend = DictBackend(probes={"c1": 0.3})
-    state = run_probe(ctx, card, backend, CFG)
+    assert cheap_verdicts(ctx, [card]) == [False]
+    state = _probe(ctx, card, 0.3)
     assert state.stage is ProbeStage.SKIPPED
     assert state.passed is False
+    assert run_probe(CFG, card, None) is state
 
 
 def test_probe_fails_when_parametric_knowledge_sufficient():
     card = make_card("c1", cheap_probe='contains:"task"')
-    backend = DictBackend(probes={"c1": 0.95})
-    state = run_probe(make_ctx(), card, backend, CFG)
+    state = run_probe(CFG, card, 0.95)
     assert state.passed is False
 
 
 def test_probe_threshold_band_is_self_low_plus_slack():
     card = make_card("c1", cheap_probe='contains:"task"')
     threshold = CFG.self_low + PROBE_SLACK
-    below = run_probe(make_ctx(), card, DictBackend(probes={"c1": threshold - 0.01}), CFG)
-    at = run_probe(make_ctx(), card, DictBackend(probes={"c1": threshold}), CFG)
+    below = run_probe(CFG, card, threshold - 0.01)
+    at = run_probe(CFG, card, threshold)
     assert below.passed is True
     assert at.passed is False
 
 
 def test_probe_signal_asked_only_when_the_predicate_holds():
     # A failed predicate already decides Skipped, so the signal could not
-    # change the verdict and is not asked; a holding one asks it once.
+    # change the verdict and build_candidates does not ask it; a holding
+    # one asks it once.
     card = make_card("c1", cheap_probe="mime:html")
-    backend = DictBackend(probes={"c1": 0.1})
-    skipped = run_probe(make_ctx(attachments=()), card, backend, CFG)
-    assert backend.calls == []
+    backend = DictBackend(probes={"c1": 0.1}, sources={TOOL_CHANNEL: 0.5, "c1": 0.9})
+    registry = CardRegistry(cards=(card,))
+    _, _, (skipped,) = build_candidates(make_ctx(attachments=()), registry, backend, CFG, True)
+    assert ("probe_signal", "c1") not in backend.calls
     assert (skipped.stage, skipped.passed, skipped.probe_cost_charged) == (
         ProbeStage.SKIPPED, False, PROBE_COST
     )
-    loaded = run_probe(make_ctx(attachments=(Attachment("html"),)), card, backend, CFG)
-    assert backend.calls == [("probe_signal", "c1")]
+    html = make_ctx(attachments=(Attachment("html"),))
+    _, _, (loaded,) = build_candidates(html, registry, backend, CFG, True)
+    assert [call for call in backend.calls if call[0] == "probe_signal"] == [("probe_signal", "c1")]
     assert loaded.stage is ProbeStage.LOADED
 
 
@@ -129,14 +148,17 @@ _THRESHOLD = CFG.self_low + PROBE_SLACK
 @example("kind:code", make_ctx(), 0.0)
 def test_short_circuit_probe_equals_the_old_rule(text, ctx, signal):
     card = make_card("c1", cheap_probe=text)
-    new = run_probe(ctx, card, DictBackend(probes={"c1": signal}), CFG)
+    new = _probe(ctx, card, signal)
     assert new == _old_rule(ctx, card, DictBackend(probes={"c1": signal}), CFG)
 
 
 def test_probe_missing_signal_raises():
+    # A card whose cheap_probe holds asks its signal in wave 1, and a
+    # backend without it fails the route.
     card = make_card("c1")
-    with pytest.raises(MissingSignalError):
-        run_probe(make_ctx(), card, DictBackend(probes={}), CFG)
+    backend = DictBackend(probes={}, sources={TOOL_CHANNEL: 0.5})
+    with pytest.raises(MissingSignalError, match="c1"):
+        build_candidates(make_ctx(), CardRegistry(cards=(card,)), backend, CFG, True)
 
 
 def test_resolve_transitions():
@@ -145,7 +167,7 @@ def test_resolve_transitions():
     card = make_card("c1", cheap_probe='contains:"task"')
     outcomes = ((0.1, ProbeStage.LOADED, True), (0.99, ProbeStage.SKIPPED, False))
     for signal, stage, passed in outcomes:
-        state = run_probe(make_ctx(), card, DictBackend(probes={"c1": signal}), CFG)
+        state = run_probe(CFG, card, signal)
         assert (state.card_id, state.stage, state.passed) == ("c1", stage, passed)
 
 
@@ -186,7 +208,7 @@ def test_bypass_skips_probe_entirely():
 def test_cost_charged_exactly_once():
     card = make_card("c1", cheap_probe='contains:"task"')
     for signal in (0.1, 0.99):
-        state = run_probe(make_ctx(), card, DictBackend(probes={"c1": signal}), CFG)
+        state = run_probe(CFG, card, signal)
         assert state.probe_cost_charged == PROBE_COST
 
 
@@ -216,8 +238,8 @@ def test_build_candidates_asks_probes_only_of_cards_whose_predicate_holds(gather
         ("fails_too", ProbeStage.SKIPPED),
     ]
     if gathering:
-        # Wave 1 still holds every matched card's probe, asked or not.
-        assert backend.waves[0] == 2 + len(traces) + 1
+        # Wave 1 holds self-confidence, tags, the two probe signals asked and the tool source.
+        assert backend.waves[0] == 2 + len(probed) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +346,6 @@ def test_a_route_decides_each_shared_cheap_probe_once_and_probes_every_card(monk
     # 12 matched cards share 3 cheap_probe trees, as load_registry shares
     # equal texts: each tree is evaluated once per route, while run_probe
     # still runs once per matched card, in registry order.
-    import mesa.probe
-    import mesa.router
-
     trees = [parse_predicate(text) for text in ("kind:doc", "NOT kind:doc", 'contains:"task"')]
     cards = tuple(
         replace(make_card(f"c{i:02d}"), cheap_probe=trees[i % len(trees)]) for i in range(12)
@@ -337,9 +356,9 @@ def test_a_route_decides_each_shared_cheap_probe_once_and_probes_every_card(monk
         evaluated.append(expr)
         return eval_predicate(expr, ctx)
 
-    def counting_probe(ctx, card, *args):
+    def counting_probe(cfg, card, *args):
         probed.append(card.id)
-        return run_probe(ctx, card, *args)
+        return run_probe(cfg, card, *args)
 
     monkeypatch.setattr(mesa.probe, "eval_predicate", counting_eval)
     monkeypatch.setattr(mesa.router, "run_probe", counting_probe)
@@ -358,7 +377,11 @@ def test_a_route_decides_each_shared_cheap_probe_once_and_probes_every_card(monk
 
 
 class _ThreadedGather:
-    """A backend whose gather runs each wave's calls on 8 threads at once."""
+    """A backend whose gather runs each wave's calls on a pool's threads at once.
+
+    Each call must be one query of the inner backend: a bound method of it,
+    or mesa.router._missing_as_none around one.
+    """
 
     def __init__(self, inner, pool) -> None:
         self._inner = inner
@@ -368,13 +391,16 @@ class _ThreadedGather:
         return getattr(self._inner, name)
 
     def gather(self, calls):
+        for call in calls:
+            query = call.args[0] if call.func is mesa.router._missing_as_none else call.func
+            assert getattr(query, "__self__", None) is self._inner, call
         futures = [self._pool.submit(call) for call in calls]
         return [future.result(timeout=30) for future in futures]
 
 
 def test_probes_gathered_on_threads_share_verdicts_and_match_in_order_probes():
-    # Concurrent probes may both decide a tree not yet decided; every card
-    # still gets the verdict of its own tree.
+    # The route decides the cheap_probe trees before wave 1, so gather's
+    # threads run only probe signals; every card gets its own tree's verdict.
     trees = [parse_predicate(text) for text in ("kind:doc", "NOT kind:doc", "mime:html")]
     cards = tuple(
         replace(make_card(f"c{i:03d}"), cheap_probe=trees[i % len(trees)]) for i in range(120)
@@ -396,6 +422,42 @@ def test_probes_gathered_on_threads_share_verdicts_and_match_in_order_probes():
     finally:
         sys.setswitchinterval(interval)
     assert [t.passed for t in expected] == [i % 3 == 0 for i in range(120)]
+
+
+@pytest.fixture()
+def routing_threads(monkeypatch):
+    """The threads that mesa.probe.eval_predicate and mesa.router.run_probe run on, by name."""
+    threads = {"eval_predicate": set(), "run_probe": set()}
+
+    def on_thread(name, function):
+        def call(*args):
+            threads[name].add(threading.get_ident())
+            return function(*args)
+
+        return call
+
+    monkeypatch.setattr(mesa.probe, "eval_predicate", on_thread("eval_predicate", eval_predicate))
+    monkeypatch.setattr(mesa.router, "run_probe", on_thread("run_probe", run_probe))
+    return threads
+
+
+def test_gather_runs_only_backend_queries_on_the_shipped_suite(
+    routing_threads, shipped_suite, shipped_registry, shipped_script
+):
+    # Every shipped trajectory under every condition, through a gather that
+    # runs each query on a worker thread: the predicates and the traces stay
+    # on the routing thread.
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for condition in CONDITIONS:
+            inner = ScriptedBackend(shipped_script, shipped_suite, condition.name.value)
+            backend = _ThreadedGather(inner, pool)
+            for item in shipped_suite:
+                record = run_trajectory(item, shipped_registry, backend, CFG, condition)
+                assert record.diagnostic is None
+    assert routing_threads == {
+        "eval_predicate": {threading.get_ident()},
+        "run_probe": {threading.get_ident()},
+    }
 
 
 def _load_registry_gen():
@@ -468,3 +530,16 @@ def test_seed1_whole_registry_routes_ask_the_same_waves(seed1_route):
     assert len(lines) == 160
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "c28d666b301840b7b23f3fea47a006faeb4658ea1b528af93ea54d476ac4e82a"
+
+
+def test_gather_runs_only_backend_queries_on_seed1_routes(routing_threads, seed1_route):
+    registry, suite, scripted = seed1_route
+    full = condition_by_name("full")
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        backend = _ThreadedGather(scripted, pool)
+        for item in suite:
+            decide(context_for_item(item), registry, backend, CFG, full)
+    assert routing_threads == {
+        "eval_predicate": {threading.get_ident()},
+        "run_probe": {threading.get_ident()},
+    }

@@ -35,10 +35,12 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, Sequence
+from urllib.parse import urlsplit
 
 from mesa import journal
+from mesa.codec import read_document
 from mesa.context import TaskContext
-from mesa.errors import MissingSignalError, RemoteBackendError, ReplayMissError
+from mesa.errors import MissingSignalError, RemoteBackendError, ReplayMissError, SuiteFormatError
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -149,14 +151,7 @@ def load_script(path: str | Path) -> BehaviorScript:
     A numeric value on a confidence key (p_self, p_self_post, source:*,
     probe:*) outside [0, 1], NaN included, makes its row malformed.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise MissingSignalError(f"cannot read script {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MissingSignalError(f"script {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) != {"rows"} or not isinstance(doc["rows"], list):
-        raise MissingSignalError(f'script {path}: expected top-level {{"rows": [...]}}')
+    doc = read_document(path, MissingSignalError, "script", "rows")
     defaults: dict[str, dict[str, ScriptValue]] = {}
     overrides: dict[tuple[str, str], dict[str, ScriptValue]] = {}
     for i, raw in enumerate(doc["rows"]):
@@ -199,9 +194,9 @@ class ScriptedBackend:
     """Deterministic backend: every signal is a scripted fixture value.
 
     Items are identified by exact prompt text, so suite prompts must be
-    unique; the constructor enforces that. It maps each prompt to its
-    item's table under the condition (BehaviorScript.table), so each query
-    is answered by one lookup in that table.
+    unique; the constructor raises SuiteFormatError otherwise. It maps each
+    prompt to its item's table under the condition (BehaviorScript.table),
+    so each query is answered by one lookup in that table.
     """
 
     def __init__(
@@ -216,7 +211,7 @@ class ScriptedBackend:
         self._table_by_prompt: dict[str, dict[str, ScriptValue]] = {}
         for item in suite:
             if item.prompt in self._item_by_prompt:
-                raise ValueError(
+                raise SuiteFormatError(
                     f"duplicate prompt shared by {self._item_by_prompt[item.prompt]} "
                     f"and {item.id}; scripted lookup needs unique prompts"
                 )
@@ -395,6 +390,15 @@ class RemoteConfig:
     max_concurrent: int = 4
 
     def __post_init__(self) -> None:
+        try:
+            parts = urlsplit(self.endpoint)
+            usable = parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
+        except ValueError:  # a malformed IPv6 host, or a port that is not a number in range
+            usable = False
+        if not usable:
+            raise ValueError(
+                f"endpoint must be an http or https URL with a host, got {self.endpoint!r}"
+            )
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.max_concurrent < 1:

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 from mesa.backend import BehaviorScript, ScriptedBackend
 from mesa.cards import CardRegistry
-from mesa.codec import Codec
+from mesa.codec import Codec, read_document
 from mesa.context import Attachment
 from mesa.errors import CoverageError, MesaError, SuiteFormatError
 from mesa.router import (
@@ -187,14 +187,7 @@ def load_suite(
     which supplementary mini-suites need). A registry, when given, is used
     to reject dangling injected card ids.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SuiteFormatError(f"cannot read suite {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SuiteFormatError(f"suite {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or set(doc) != {"items"} or not isinstance(doc["items"], list):
-        raise SuiteFormatError(f'suite {path}: expected top-level {{"items": [...]}}')
+    doc = read_document(path, SuiteFormatError, "suite", "items")
     items = tuple(_parse_item(raw, i) for i, raw in enumerate(doc["items"]))
 
     seen: set[str] = set()

@@ -11,12 +11,12 @@ context through an exact atom index over the apply_when predicates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
+from mesa.codec import read_document
 from mesa.context import TaskContext
 from mesa.dsl import PredicateExpr, PredicateIndex, is_vacuous, predicate_parser
 from mesa.errors import CardFileError, PredicateSyntaxError, RegistryLookupError
@@ -227,18 +227,7 @@ def load_registry(path: str | Path) -> CardRegistry:
     duplicate id, or predicate syntax error, and naming applied_through when
     that optional top-level field is not a non-negative integer.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CardFileError(f"cannot read card file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CardFileError(f"card file {path} is not valid JSON: {exc}") from exc
-    if (
-        not isinstance(doc, dict)
-        or not doc.keys() <= {"cards", "applied_through"}
-        or not isinstance(doc.get("cards"), list)
-    ):
-        raise CardFileError(f'card file {path}: expected top-level {{"cards": [...]}}')
+    doc = read_document(path, CardFileError, "card file", "cards", "applied_through")
     parse = predicate_parser()
     cards = tuple(_parse_card(raw, i, parse) for i, raw in enumerate(doc["cards"]))
     return CardRegistry(cards=cards, applied_through=read_applied_through(doc, path))

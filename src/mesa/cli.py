@@ -37,6 +37,7 @@ from mesa.bench import (
     run_matrix,
 )
 from mesa.cards import CardRegistry, lint_cards, load_registry
+from mesa.codec import read_input
 from mesa.context import Attachment, TaskContext
 from mesa.errors import (
     ConfigFileError,
@@ -84,10 +85,7 @@ _ROUTE_OVERRIDES = ("alpha", "cost_lambda", "trust_gate")
 
 def _parse_config_file(path: str) -> dict[str, object]:
     """Flat key=value file; blank lines and # comments allowed."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigFileError(f"cannot read config {path}: {exc}") from exc
+    text = read_input(path, ConfigFileError, "config")
     values: dict[str, object] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -175,8 +173,9 @@ def _build_backend(
         config = RemoteConfig(
             endpoint=args.endpoint, auth_env=args.auth_env, model=args.model, timeout_s=args.timeout
         )
-    except ValueError as exc:
-        parser.error(f"--timeout: {exc}")
+    except ValueError as exc:  # RemoteConfig names the field it rejects first
+        flag = "--endpoint" if str(exc).startswith("endpoint") else "--timeout"
+        parser.error(f"{flag}: {exc}")
     return RemoteBackend(config)
 
 
@@ -294,11 +293,7 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        document = Path(args.infile).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MesaError(f"cannot read report {args.infile}: {exc}") from exc
-    table = parse_report(document)
+    table = parse_report(read_input(args.infile, MesaError, "report"))
     rendered = emit_report(table, args.format)
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")

@@ -1,4 +1,7 @@
-"""A record's JSON object, declared once per dataclass, and checked on decode.
+"""JSON in and out: every input file's one read path, and records' objects.
+
+read_input reads a file as UTF-8 and read_document parses it as a JSON
+{"<key>": [...]}; either raises the caller's error class naming the file.
 
 Codec(cls, **special) takes its keys from the dataclass fields of cls. A
 field whose value is a plain JSON value (a string, a number, a bool or null)
@@ -11,13 +14,36 @@ TypeError that names the field's path from the record down, for example
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields
 from enum import Enum
 from operator import attrgetter
+from pathlib import Path
 from types import UnionType
 from typing import Callable, Generic, Mapping, TypeVar, Union, get_args, get_origin, get_type_hints
 
 _Record = TypeVar("_Record")
+
+
+def read_input(path: str | Path, error: type[Exception], what: str) -> str:
+    """A UTF-8 file's text; else error "cannot read <what> <path>: ..."."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_document(
+    path: str | Path, error: type[Exception], what: str, key: str, *optional: str
+) -> dict:
+    """read_input's text as a JSON object {"<key>": [...]}, which may also hold optional keys."""
+    try:
+        doc = json.loads(read_input(path, error, what))
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if type(doc) is not dict or type(doc.get(key)) is not list or doc.keys() - {key, *optional}:
+        raise error(f'{what} {path}: expected top-level {{"{key}": [...]}}')
+    return doc
 
 
 class _FieldError(TypeError):

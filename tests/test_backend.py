@@ -27,6 +27,7 @@ from mesa.errors import (
     MissingSignalError,
     RemoteBackendError,
     ReplayMissError,
+    SuiteFormatError,
 )
 from mesa.router import GoldAction, RoutingConfig, run_trajectory
 
@@ -286,7 +287,7 @@ def test_scripted_backend_rejects_text_for_numbers(tmp_path):
 def test_scripted_backend_requires_unique_prompts(tmp_path):
     items = [make_item("i1", prompt="same"), make_item("i2", prompt="same")]
     script = load_script(write_script(tmp_path, _full_rows()))
-    with pytest.raises(ValueError, match="i1.*i2|duplicate prompt"):
+    with pytest.raises(SuiteFormatError, match="i1.*i2|duplicate prompt"):
         ScriptedBackend(script, items, "full")
 
 
@@ -988,6 +989,23 @@ def test_remote_config_validation():
 def test_remote_config_rejects_a_timeout_that_is_not_finite_and_positive(timeout_s):
     with pytest.raises(ValueError, match="timeout_s must be finite and > 0"):
         RemoteConfig("https://x", "TOKEN", "m", timeout_s=timeout_s)
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    ["", "not-a-url", "/v1/chat", "http://", "https://:443/v1", "ftp://host/v1",
+     "http://host:port/v1", "http://host:70000/v1", "http://[::1/v1"],
+)
+def test_remote_config_rejects_an_endpoint_that_is_not_an_http_url_with_a_host(endpoint):
+    with pytest.raises(ValueError, match="endpoint must be an http or https URL with a host"):
+        RemoteConfig(endpoint, "TOKEN", "m")
+
+
+@pytest.mark.parametrize(
+    "endpoint", ["http://localhost/v1/chat/completions", "https://127.0.0.1:8443", "HTTPS://[::1]"]
+)
+def test_remote_config_accepts_an_http_url_with_a_host(endpoint):
+    assert RemoteConfig(endpoint, "TOKEN", "m").endpoint == endpoint
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from mesa.bench import (
     run_matrix,
     two_prop_ztest,
 )
-from mesa.cards import CardRegistry
-from mesa.errors import CoverageError, SuiteFormatError
+from mesa.cards import CardRegistry, load_registry
+from mesa.errors import CardFileError, CoverageError, MissingSignalError, SuiteFormatError
 from mesa.router import GoldAction
 
 from conftest import make_card
@@ -171,6 +171,21 @@ def test_load_suite_shape_errors(tmp_path):
         load_suite(path)
     with pytest.raises(SuiteFormatError, match="cannot read suite"):
         load_suite(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize(
+    "load, error, named",
+    [
+        pytest.param(load_registry, CardFileError, "card file", id="cards"),
+        pytest.param(load_suite, SuiteFormatError, "suite", id="suite"),
+        pytest.param(load_script, MissingSignalError, "script", id="script"),
+    ],
+)
+def test_loaders_name_a_file_that_is_not_utf8(tmp_path, load, error, named):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"items": []}\xff')
+    with pytest.raises(error, match=f"^cannot read {named} .*input.json: 'utf-8' codec"):
+        load(path)
 
 
 def test_load_suite_parses_attachments(tmp_path):

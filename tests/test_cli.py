@@ -299,6 +299,57 @@ def test_route_remote_backend_rejects_a_bad_timeout_before_any_request(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("endpoint", ["not-a-url", "http://", "ftp://host/v1", "http://host:port/v1"])
+def test_route_remote_backend_rejects_a_bad_endpoint_before_any_request(
+    endpoint, capsys, monkeypatch
+):
+    def no_request(*args):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr("mesa.backend._default_transport", no_request)
+    code, out, err = run_cli(
+        "route",
+        "--cards", CARDS,
+        "--backend", "remote",
+        "--endpoint", endpoint,
+        "--model", "m",
+        "--auth-env", "MESA_TEST_TOKEN",
+        "--prompt", "anything",
+        capsys=capsys,
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "mesa: error: --endpoint: endpoint must be an http or https URL with a host, "
+        f"got {endpoint!r}"
+    )
+    assert "Traceback" not in err
+
+
+def _duplicate_prompt_suite(tmp_path):
+    doc = json.loads((DATA / "suite_mini.json").read_text(encoding="utf-8"))
+    doc["items"][1]["prompt"] = doc["items"][0]["prompt"]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path), doc["items"][0]["prompt"]
+
+
+def test_duplicate_suite_prompts_are_a_suite_error(tmp_path, capsys):
+    suite, prompt = _duplicate_prompt_suite(tmp_path)
+    scripted = ("--cards", MINI_CARDS, "--script", str(DATA / "script_mini.json"), "--suite", suite)
+    for argv in (
+        ("eval", *scripted, "--expected-per-slice", "0"),
+        ("route", *scripted, "--backend", "scripted", "--prompt", prompt),
+    ):
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == EXIT_IO, argv[0]
+        assert out == ""
+        assert err == (
+            "mesa: duplicate prompt shared by m_tz and m_snail; "
+            "scripted lookup needs unique prompts\n"
+        )
+
+
 @pytest.mark.parametrize(
     "bad_args, message",
     [
@@ -910,6 +961,33 @@ def test_config_missing_equals(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # Process-level entry points
+
+
+@pytest.mark.parametrize(
+    "argv, code, named",
+    [
+        pytest.param(["cards", "lint", "{bad}"], EXIT_IO, "card file", id="cards-lint"),
+        pytest.param(["eval", "--suite", "{bad}", "--cards", CARDS, "--script", SCRIPT],
+                     EXIT_IO, "suite", id="eval-suite"),
+        pytest.param(["eval", "--suite", SUITE, "--cards", CARDS, "--script", "{bad}"],
+                     EXIT_IO, "script", id="eval-script"),
+        pytest.param(["report", "--in", "{bad}"], EXIT_IO, "report", id="report-in"),
+        pytest.param(["--config", "{bad}", "cards", "lint", CARDS], EXIT_USAGE, "config",
+                     id="config"),
+    ],
+)
+def test_an_input_file_that_is_not_utf8_is_a_named_error(tmp_path, argv, code, named):
+    bad = tmp_path / "input.json"
+    bad.write_bytes(b'{"items": ["\xff"]}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "mesa.cli", *(arg.format(bad=bad) for arg in argv)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("mesa: ")
+    assert f"cannot read {named} {bad}: 'utf-8' codec can't decode byte 0xff" in last
 
 
 def test_module_entry_point_help():

@@ -466,7 +466,7 @@ class RoundTrips:
     asked are counted.
     """
 
-    IN_FLIGHT = RemoteConfig(endpoint="", auth_env="", model="").max_concurrent
+    IN_FLIGHT = RemoteConfig.max_concurrent
 
     def __init__(self, inner) -> None:
         self._inner = inner

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from mesa import journal
-from mesa.codec import read_document
+from mesa.codec import decode_json, read_document
 from mesa.context import TaskContext
 from mesa.errors import MissingSignalError, RemoteBackendError, ReplayMissError, SuiteFormatError
 
@@ -323,7 +323,7 @@ class CachedBackend:
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                row = decode_json(line)
                 self._entries[row["key"]] = row["value"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise ReplayMissError(
@@ -407,7 +407,9 @@ class RemoteConfig:
             raise ValueError(f"timeout_s must be finite and > 0, got {self.timeout_s!r}")
 
 
-# transport signature: (url, headers, body_bytes, timeout_s) -> response text
+# transport signature: (url, headers, body_bytes, timeout_s) -> response text.
+# A failed request raises OSError; it is retried, as is a reply that is not
+# valid UTF-8 or JSON (a ValueError).
 Transport = Callable[[str, dict[str, str], bytes, float], str]
 
 _BACKOFF_BASE_S = 1.0
@@ -430,11 +432,15 @@ _ANSWER_RE = re.compile(r"answer\s*[:=]\s*(.*)", re.IGNORECASE | re.DOTALL)
 
 
 def _default_transport(url: str, headers: dict[str, str], body: bytes, timeout_s: float) -> str:
+    import http.client
     import urllib.request  # about 30 ms of imports that only remote use needs
 
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
-    with urllib.request.urlopen(request, timeout=timeout_s) as response:
-        return response.read().decode("utf-8")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout_s) as response:
+            return response.read().decode("utf-8")
+    except http.client.HTTPException as exc:  # a broken reply is a failed transport too
+        raise OSError(repr(exc)) from exc
 
 
 def _is_permanent(exc: Exception) -> bool:
@@ -567,8 +573,8 @@ class RemoteBackend:
                     raw = self._transport(
                         self._config.endpoint, headers, body, self._config.timeout_s
                     )
-                content = json.loads(raw)["choices"][0]["message"]["content"]
-            except (OSError, json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+                content = decode_json(raw)["choices"][0]["message"]["content"]
+            except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
                 if _is_permanent(exc):
                     raise RemoteBackendError(
                         f"endpoint refused the request after {attempt + 1} attempt(s): {exc}"

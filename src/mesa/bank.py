@@ -29,7 +29,7 @@ from typing import Sequence
 
 from mesa import journal
 from mesa.cards import CardRegistry, read_applied_through
-from mesa.codec import Codec
+from mesa.codec import Codec, decode_json
 from mesa.errors import BankCorruptionError, RegistryLookupError, StaleTrustError
 from mesa.router import (
     CLAIM_THRESHOLD,
@@ -95,7 +95,7 @@ def record(entry: BankEntry, bank_path: str | Path) -> int:
         nonlocal seq
         if last is not None:
             try:
-                previous = json.loads(last)["recorded_at"]
+                previous = decode_json(last)["recorded_at"]
             except (ValueError, KeyError, TypeError):
                 previous = None
             if type(previous) is not int:
@@ -113,7 +113,7 @@ def read_bank(path: str | Path) -> list[BankEntry]:
     entries: list[BankEntry] = []
     for index, line in enumerate(journal.read_lines(path)):
         try:
-            raw = json.loads(line.decode("utf-8"))
+            raw = decode_json(line.decode("utf-8"))
             entry = _ENTRY.decode(raw)
         except (TypeError, ValueError) as exc:  # JSON and UTF-8 errors are ValueErrors
             raise BankCorruptionError(f"{path}: damaged record at line {index}: {exc}") from exc
@@ -213,8 +213,8 @@ def apply_updates(registry_path: str | Path, updates: Sequence[TrustUpdate]) -> 
         fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
         original = path.read_bytes()
         try:
-            doc = json.loads(original.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            doc = decode_json(original.decode("utf-8"))
+        except ValueError as exc:  # UTF-8 and JSON errors alike
             raise StaleTrustError(f"cannot parse card file {path}: {exc}") from exc
         if not isinstance(doc, dict) or not isinstance(doc.get("cards"), list):
             raise StaleTrustError(f"card file {path} has no cards list")

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 from mesa.backend import BehaviorScript, ScriptedBackend
 from mesa.cards import CardRegistry
-from mesa.codec import Codec, read_document
+from mesa.codec import Codec, decode_json, read_document
 from mesa.context import Attachment
 from mesa.errors import CoverageError, MesaError, SuiteFormatError
 from mesa.router import (
@@ -416,8 +416,8 @@ def parse_report(document: str) -> ResultsTable:
     SuiteFormatError naming the first problem found.
     """
     try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+        doc = decode_json(document)
+    except ValueError as exc:
         raise SuiteFormatError(f"not a machine-readable report: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != REPORT_FORMAT_TAG:
         raise SuiteFormatError(f"not a {REPORT_FORMAT_TAG} document")

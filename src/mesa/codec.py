@@ -2,6 +2,8 @@
 
 read_input reads a file as UTF-8 and read_document parses it as a JSON
 {"<key>": [...]}; either raises the caller's error class naming the file.
+decode_json is json.loads for every outside input: JSON nested too deeply for
+the parser is a ValueError like any other bad JSON.
 
 Codec(cls, **special) takes its keys from the dataclass fields of cls. A
 field whose value is a plain JSON value (a string, a number, a bool or null)
@@ -33,13 +35,21 @@ def read_input(path: str | Path, error: type[Exception], what: str) -> str:
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
+def decode_json(document: str | bytes) -> object:
+    """json.loads, with a document nested too deeply for the parser a ValueError."""
+    try:
+        return json.loads(document)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def read_document(
     path: str | Path, error: type[Exception], what: str, key: str, *optional: str
 ) -> dict:
     """read_input's text as a JSON object {"<key>": [...]}, which may also hold optional keys."""
     try:
-        doc = json.loads(read_input(path, error, what))
-    except json.JSONDecodeError as exc:
+        doc = decode_json(read_input(path, error, what))
+    except ValueError as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
     if type(doc) is not dict or type(doc.get(key)) is not list or doc.keys() - {key, *optional}:
         raise error(f'{what} {path}: expected top-level {{"{key}": [...]}}')

@@ -30,9 +30,10 @@ nothing.
 
 PredicateIndex matches many predicates at once, exactly: from each
 predicate's triggers (atoms, and pairs of kind/mime atoms that must both
-hold) it finds the triggers that fire for a context, and decides each
-predicate they trigger by its residual, what is left of its tree once the
-trigger's atoms are taken as true: often nothing (TRUE) or one tag test.
+hold), held in one table keyed by the facts each trigger tests, it finds
+the triggers that fire for a context, and decides each predicate they
+trigger by its residual, what is left of its tree once the trigger's facts
+are taken as true: often nothing (TRUE) or one tag test.
 Residuals are worked out the first time their trigger fires, and those
 that are one tag test or its negation are grouped by the fact they test,
 so one lookup in the context's facts decides a whole group. Its `contains`
@@ -478,17 +479,6 @@ def residual(expr: PredicateExpr, facts: frozenset[tuple[str, str]]) -> Predicat
     return True if fact(expr) in facts else expr
 
 
-def _facts(key: object) -> frozenset[tuple[str, str]]:
-    """The facts that hold when an index key fires (see PredicateIndex)."""
-    if type(key) is str:
-        return frozenset({("contains", key)})
-    if type(key) is frozenset:
-        return key
-    if type(key) is tuple:
-        return frozenset({key})
-    return frozenset({("matches", key.pattern)})
-
-
 def _tag_literal(rest: PredicateExpr) -> tuple[tuple[str, str], bool] | None:
     """(fact, wanted) when rest is one kind/mime test under any NOTs, else None.
 
@@ -659,21 +649,21 @@ def _pattern_literals(pattern: str) -> tuple[str, ...]:
 class PredicateIndex:
     """Which of many predicates hold for a context, found by trigger.
 
-    Each distinct trigger is a key: a lowered `contains` needle, a compiled
-    `matches` pattern, a tag fact ("kind", tag) or ("mime", tag), or the
-    frozenset of a pair's two facts. Predicates with no trigger set sit
-    under the empty frozenset, which every context fires. The tag keys are
-    looked up from the context's distinct facts and each unordered pair of
-    them.
+    One table keys each distinct trigger by the facts it tests: an atom by
+    its fact (dsl.fact), a pair by the frozenset of its two facts, and the
+    predicates with no trigger set by the empty frozenset, which every
+    context fires. The tag keys are looked up from the context's distinct
+    tag facts and each unordered pair of them.
 
-    The needles and patterns are found by two literal scans built with the
-    index (_LiteralScan), each one pass over a text however many literals
-    it holds. The needle scan runs over the lowered prompt and fires exactly
-    the needles in it, as `in` would; the empty needle always fires. The
-    pattern scan runs over the prompt as written, since `matches` is
-    case-sensitive, and holds the literals of every pattern that is a plain
-    literal alternation (_pattern_literals); only the patterns with a
-    literal in the prompt, and every pattern without a literal set, are
+    The ("contains", needle) and ("matches", pattern) keys are found by two
+    literal scans built with the index (_LiteralScan), each one pass over a
+    text however many literals it holds. The needle scan runs over the
+    lowered prompt and fires exactly the needles in it, as `in` would; the
+    empty needle always fires. The pattern scan runs over the prompt as
+    written, since `matches` is case-sensitive, and holds the literals of
+    every pattern that is a plain literal alternation (_pattern_literals);
+    it yields each pattern's key with its regex, and only the patterns with
+    a literal in the prompt, and every pattern without a literal set, are
     then searched, with eval_predicate's own test.
 
     A key maps to the predicates it triggers. A fired key's facts hold, so
@@ -695,9 +685,8 @@ class PredicateIndex:
     """
 
     def __init__(self, exprs: Iterable[PredicateExpr]) -> None:
-        needles: dict[str, list] = {}
-        patterns: dict[re.Pattern[str], list] = {}
-        tags: dict[object, list] = {}
+        table: dict[object, list] = {}
+        regexes: dict[tuple[str, str], re.Pattern[str]] = {}
         # Cards with equal predicate texts share one tree. Taken in order of
         # tree identity, a shared tree's positions are adjacent, so each tree
         # is walked once and only its own triggers are held meanwhile (a
@@ -709,47 +698,45 @@ class PredicateIndex:
         for position in sorted(range(len(exprs)), key=lambda i: id(exprs[i])):
             expr = exprs[position]
             if expr is not last:
-                last, found = expr, triggers(expr)
+                # A tree with no trigger set gets one trigger with no facts,
+                # keyed frozenset(), which every context fires.
+                last, found = expr, triggers(expr) or frozenset((frozenset(),))
             hit = (position, expr)
-            if not found:
-                tags.setdefault(frozenset(), []).append(hit)
             for trigger in found:
-                if isinstance(trigger, Contains):
-                    needles.setdefault(trigger.lowered_text, []).append(hit)
-                elif isinstance(trigger, Matches):
-                    patterns.setdefault(trigger.regex, []).append(hit)
-                elif isinstance(trigger, frozenset):
-                    tags.setdefault(frozenset(map(fact, trigger)), []).append(hit)
+                if type(trigger) is frozenset:
+                    key = frozenset(map(fact, trigger))
                 else:
-                    tags.setdefault(fact(trigger), []).append(hit)
-        self._needles = needles
-        self._patterns = patterns
-        self._tags = tags
-        self._needle_scan = _LiteralScan({needle: [needle] for needle in needles})
+                    key = fact(trigger)
+                    if type(trigger) is Matches:
+                        regexes[key] = trigger.regex
+                table.setdefault(key, []).append(hit)
+        self._table = table
+        self._needle_scan = _LiteralScan(
+            {key[1]: [key] for key in table if type(key) is tuple and key[0] == "contains"}
+        )
         by_literal: dict[str, list] = {}
-        for regex in patterns:
+        for key, regex in regexes.items():
             for literal in _pattern_literals(regex.pattern):
-                by_literal.setdefault(literal, []).append(regex)
+                by_literal.setdefault(literal, []).append((key, regex))
         self._pattern_scan = _LiteralScan(by_literal)
 
     def matching(self, ctx: TaskContext) -> list[int]:
         """Positions, ascending, of every predicate that holds for ctx."""
-        needles, patterns, tags = self._needles, self._patterns, self._tags
+        table = self._table
         prompt = ctx.prompt
-        fired = [(needles, needle) for needle in self._needle_scan.find(ctx.lowered_prompt)]
-        fired += [
-            (patterns, p) for p in self._pattern_scan.find(prompt) if p.search(prompt) is not None
-        ]
+        fired = [*self._needle_scan.find(ctx.lowered_prompt)]
+        fired += [key for key, regex in self._pattern_scan.find(prompt) if regex.search(prompt)]
         facts = {("kind", tag) for tag in ctx.kind_tags}
         facts.update(("mime", att.mime_tag) for att in ctx.attachments)
         keys = [*facts, *map(frozenset, combinations(facts, 2)), frozenset()]
-        fired += [(tags, key) for key in keys if key in tags]
+        fired += [key for key in keys if key in table]
         found: set[int] = set()
         checks = []
-        for table, key in fired:
+        for key in fired:
             entry = table[key]
-            if type(entry) is list:  # its first fire
-                entry = table[key] = _resolve(entry, _facts(key))
+            if type(entry) is list:  # its first fire; a tuple key is one fact
+                facts_held = key if type(key) is frozenset else frozenset((key,))
+                entry = table[key] = _resolve(entry, facts_held)
             sure, groups, check = entry
             found |= sure
             for f, wanted, positions in groups:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import urllib.error
+from http.client import BadStatusLine, IncompleteRead
 
 import pytest
 
@@ -767,6 +768,50 @@ def test_remote_exhausts_retries(auth_env, no_sleep):
     backend = _remote(transport, max_retries=2)
     with pytest.raises(RemoteBackendError, match=r"after 3 attempt\(s\)"):
         backend.self_confidence(make_ctx())
+    assert no_sleep == [1.0, 2.0]
+
+
+class _NotUtf8Reply:
+    """What urlopen returns for a reply whose body is not UTF-8."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def read(self):
+        return b'\xff{"choices": []}'
+
+
+@pytest.mark.parametrize(
+    "failure, named",
+    [
+        pytest.param(
+            IncompleteRead(b"{", 10), "IncompleteRead(1 bytes read, 10 more expected)",
+            id="incomplete-read",
+        ),
+        pytest.param(BadStatusLine("HTTP/9 ?"), "BadStatusLine('HTTP/9 ?')", id="bad-status-line"),
+        pytest.param(
+            None, "'utf-8' codec can't decode byte 0xff in position 0", id="body-not-utf8"
+        ),
+    ],
+)
+def test_default_transport_retries_a_broken_reply(auth_env, no_sleep, monkeypatch, failure, named):
+    attempts = []
+
+    def urlopen(request, timeout):
+        attempts.append(request.full_url)
+        if failure is None:
+            return _NotUtf8Reply()
+        raise failure
+
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    backend = _remote(None, max_retries=2)  # the default transport
+    with pytest.raises(RemoteBackendError, match=r"^endpoint failed after 3 attempt\(s\): ") as caught:
+        backend.self_confidence(make_ctx())
+    assert named in str(caught.value)
+    assert attempts == ["https://example.test/v1/chat"] * 3
     assert no_sleep == [1.0, 2.0]
 
 

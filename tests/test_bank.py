@@ -175,6 +175,15 @@ def test_record_after_unreadable_last_record_is_corruption(bank_path, last):
     assert bank_path.read_bytes() == data
 
 
+def test_record_after_a_too_deeply_nested_last_record_is_corruption(bank_path):
+    record(make_entry(item_id="a"), bank_path)
+    bank_path.write_bytes(bank_path.read_bytes() + b"[" * 100_000 + b"\n")
+    data = bank_path.read_bytes()
+    with pytest.raises(BankCorruptionError, match="last record has no readable recorded_at"):
+        record(make_entry(item_id="b"), bank_path)
+    assert bank_path.read_bytes() == data
+
+
 def test_sequence_continues_past_a_long_record(bank_path):
     record(make_entry(item_id="a"), bank_path)
     record(make_entry(item_id="b" * 20_000), bank_path)
@@ -487,6 +496,13 @@ def test_apply_unparseable_file(tmp_path):
         apply_updates(path, [TrustUpdate("c0", 0.8, 0.4, "test")])
     path.write_text('{"nothing": true}', encoding="utf-8")
     with pytest.raises(StaleTrustError, match="no cards list"):
+        apply_updates(path, [TrustUpdate("c0", 0.8, 0.4, "test")])
+
+
+def test_apply_a_too_deeply_nested_file(tmp_path):
+    path = tmp_path / "cards.json"
+    path.write_text('{"cards": ' + "[" * 100_000, encoding="utf-8")
+    with pytest.raises(StaleTrustError, match=r"^cannot parse card file .*: JSON nested too deeply$"):
         apply_updates(path, [TrustUpdate("c0", 0.8, 0.4, "test")])
 
 

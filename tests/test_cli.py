@@ -8,15 +8,23 @@ import sys
 
 import pytest
 
-from mesa.backend import CachedBackend, ScriptedBackend, load_script
-from mesa.bank import BankEntry, record
-from mesa.bench import CONDITIONS, condition_by_name
+from mesa.backend import CachedBackend, RemoteBackend, RemoteConfig, ScriptedBackend, load_script
+from mesa.bank import BankEntry, read_bank, record
+from mesa.bench import CONDITIONS, condition_by_name, load_suite, parse_report
 from mesa.cards import load_registry
 from mesa.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, _load_settings, dispatch
 from mesa.dsl import eval_predicate
+from mesa.errors import (
+    BankCorruptionError,
+    CardFileError,
+    MissingSignalError,
+    RemoteBackendError,
+    ReplayMissError,
+    SuiteFormatError,
+)
 from mesa.router import RoutingConfig, context_for_item, decide
 
-from conftest import DATA, DictBackend
+from conftest import DATA, DictBackend, make_ctx
 from test_bank import make_record, mini_failure_bank
 
 
@@ -988,6 +996,73 @@ def test_an_input_file_that_is_not_utf8_is_a_named_error(tmp_path, argv, code, n
     last = proc.stderr.splitlines()[-1]
     assert last.startswith("mesa: ")
     assert f"cannot read {named} {bad}: 'utf-8' codec can't decode byte 0xff" in last
+
+
+def _ask_remote(path):
+    """A remote self-confidence query, through the (patched) default transport."""
+    config = RemoteConfig(endpoint="http://127.0.0.1:9/v1", auth_env="MESA_TEST_TOKEN", model="m")
+    return RemoteBackend(config).self_confidence(make_ctx())
+
+
+_REMOTE = ["--endpoint", "http://127.0.0.1:9/v1", "--model", "m", "--auth-env", "MESA_TEST_TOKEN"]
+
+
+@pytest.mark.parametrize(
+    "argv, read, error, message",
+    [
+        pytest.param(
+            ["cards", "lint", "{bad}"], load_registry, CardFileError,
+            "card file {bad} is not valid JSON: JSON nested too deeply", id="card-file",
+        ),
+        pytest.param(
+            ["eval", "--suite", "{bad}", "--cards", CARDS, "--script", SCRIPT],
+            lambda path: load_suite(path, load_registry(CARDS)), SuiteFormatError,
+            "suite {bad} is not valid JSON: JSON nested too deeply", id="suite",
+        ),
+        pytest.param(
+            ["eval", "--suite", SUITE, "--cards", CARDS, "--script", "{bad}"],
+            load_script, MissingSignalError,
+            "script {bad} is not valid JSON: JSON nested too deeply", id="script",
+        ),
+        pytest.param(
+            ["report", "--in", "{bad}"],
+            lambda path: parse_report(path.read_text(encoding="utf-8")), SuiteFormatError,
+            "not a machine-readable report: JSON nested too deeply", id="report-in",
+        ),
+        pytest.param(
+            ["bank", "show", "{bad}"], read_bank, BankCorruptionError,
+            "{bad}: damaged record at line 0: JSON nested too deeply", id="bank",
+        ),
+        pytest.param(
+            ["route", "--cards", CARDS, "--backend", "cached", "--cache", "{bad}", "--prompt", "x"],
+            lambda path: CachedBackend(None, path), ReplayMissError,
+            "cache {bad} line 0 is damaged: JSON nested too deeply", id="replay-cache",
+        ),
+        pytest.param(
+            ["route", "--cards", CARDS, "--backend", "remote", *_REMOTE, "--prompt", "x"],
+            _ask_remote, RemoteBackendError,
+            "endpoint failed after 3 attempt(s): JSON nested too deeply", id="remote-reply",
+        ),
+    ],
+)
+def test_a_too_deeply_nested_document_is_a_named_error(
+    tmp_path, monkeypatch, capsys, argv, read, error, message
+):
+    # Past the parser's depth on every supported interpreter: json.loads
+    # raises RecursionError, not a JSONDecodeError.
+    bad = tmp_path / "input.json"
+    bad.write_text("[" * 100_000 + "\n", encoding="utf-8")
+    monkeypatch.setattr("mesa.backend._default_transport", lambda *args: bad.read_text("utf-8"))
+    monkeypatch.setattr("mesa.backend.time.sleep", lambda seconds: None)
+    monkeypatch.setenv("MESA_TEST_TOKEN", "token")
+    message = message.format(bad=bad)
+    with pytest.raises(error) as caught:
+        read(bad)
+    assert str(caught.value) == message
+    code, _, err = run_cli(*(arg.format(bad=bad) for arg in argv), capsys=capsys)
+    assert code == EXIT_IO
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"mesa: {message}"
 
 
 def test_module_entry_point_help():

@@ -6,23 +6,20 @@ confident (terminal confidence at or above the high-confidence threshold)
 and attributable to a card ever lower that card's trust, and each hit
 multiplies trust by (1 - decrement_factor).
 
-Appends go through mesa.journal, one write under an exclusive flock and then
-fsync. A record counts once its newline is written: readers skip a torn final
-line and the next append cuts it off, while damage anywhere else (a last
-complete record without a sequence number too) is corruption. Trust updates
-are applied to the card file under an exclusive lock on a sidecar <path>.lock,
-through an optimistic old-value check, a backup of the prior file, and an
-atomic rename; the backup and the new file are each fsynced before their
-rename and the directory after it. The same rename records the last bank
-entry applied (the card file's applied_through), so a rerun of the rule on
-the same bank applies nothing again.
+Appends go through mesa.journal under an exclusive flock, each fsynced. A
+record counts once its newline is written: readers skip a torn final line and
+the next append cuts it off, while damage anywhere else (a last complete
+record without a sequence number too) is corruption. Trust updates are
+applied to the card file under an exclusive lock on a sidecar <path>.lock,
+after an optimistic old-value check; the prior file is kept at <path>.bak,
+and both go through journal.replace_durably. The same rename records the last
+bank entry applied (the card file's applied_through), so a rerun on the same bank applies nothing.
 """
 
 from __future__ import annotations
 
 import fcntl
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -179,21 +176,6 @@ def hypercorrection_updates(
     return updates
 
 
-def _replace_durably(path: Path, data: bytes) -> None:
-    """Write data to a temp file, fsync it, rename it over path, fsync the directory."""
-    temp = path.with_name(path.name + ".tmp")
-    with open(temp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
-    dir_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
 def apply_updates(registry_path: str | Path, updates: Sequence[TrustUpdate]) -> None:
     """Rewrite the card file with new trust values and its applied_through.
 
@@ -238,5 +220,5 @@ def apply_updates(registry_path: str | Path, updates: Sequence[TrustUpdate]) -> 
                     f"{through}; batch aborted"
                 )
             doc["applied_through"] = max(recorded)
-        _replace_durably(path.with_name(path.name + ".bak"), original)
-        _replace_durably(path, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))
+        journal.replace_durably(path.with_name(path.name + ".bak"), original)
+        journal.replace_durably(path, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))

@@ -2,9 +2,11 @@
 
 A card carries two predicates (apply_when for candidacy, cheap_probe for the
 delayed escalation check), an offloading class, and a trust provenance pair
-that feeds the vigilance gate. Registries are immutable after load; card
-bodies stay behind an opaque body_ref and are only fetched through
-CardRegistry.read_body, which makes load laziness observable in tests.
+whose effective trust (source_trust capped by the provenance's ceiling, halved
+if stale) feeds the vigilance gate and decontamination. Registries are
+immutable after load; card bodies stay behind an opaque body_ref and are
+only fetched through CardRegistry.read_body, which makes load laziness
+observable in tests.
 CardRegistry.matching finds the cards whose apply_when holds for one
 context through an exact atom index over the apply_when predicates.
 """
@@ -34,15 +36,22 @@ class Provenance(Enum):
     COMMUNITY_UNVERIFIED = "community_unverified"
     UNKNOWN = "unknown"
 
+    def __init__(self, value: str) -> None:
+        # The most trust a card of this provenance gets. A plain attribute,
+        # because effective_trust reads it on every route and a lookup keyed
+        # by the member (Enum.__hash__) is a Python-level call.
+        self.ceiling = {
+            "first_party": 0.95,
+            "verified_publisher": 0.80,
+            "community_unverified": 0.40,
+            "unknown": 0.20,
+        }[value]
 
-# Trust a linter will accept for each provenance level. The loader does not
-# enforce these: adversarial fixtures deliberately violate them.
-TRUST_CEILINGS: Mapping[Provenance, float] = {
-    Provenance.FIRST_PARTY: 0.95,
-    Provenance.VERIFIED_PUBLISHER: 0.80,
-    Provenance.COMMUNITY_UNVERIFIED: 0.40,
-    Provenance.UNKNOWN: 0.20,
-}
+
+# The most trust each provenance level gets. The loader does not enforce
+# these (adversarial fixtures deliberately violate them, and lint reports
+# them), but routing does: effective_trust caps a card's trust at its ceiling.
+TRUST_CEILINGS: Mapping[Provenance, float] = {member: member.ceiling for member in Provenance}
 
 # Staleness discount: a stale card keeps only half its recorded trust.
 STALE_TRUST_FACTOR = 0.5
@@ -85,10 +94,14 @@ class SkillCard:
 
 
 def effective_trust(card: SkillCard) -> float:
-    """Trust after the staleness discount; never exceeds source_trust."""
+    """source_trust capped by the provenance ceiling, then halved if the card is stale."""
+    trust = card.source_trust
+    ceiling = card.provenance.ceiling
+    if trust > ceiling:
+        trust = ceiling
     if card.stale:
-        return STALE_TRUST_FACTOR * card.source_trust
-    return card.source_trust
+        return STALE_TRUST_FACTOR * trust
+    return trust
 
 
 BodyLoader = Callable[[SkillCard], str]
@@ -268,7 +281,7 @@ def lint_cards(registry: CardRegistry, trust_gate: float) -> list[Diagnostic]:
     """Diagnose suspicious cards. Diagnostics, never failures."""
     findings: list[Diagnostic] = []
     for card in registry:
-        ceiling = TRUST_CEILINGS[card.provenance]
+        ceiling = card.provenance.ceiling
         if card.source_trust > ceiling:
             findings.append(
                 Diagnostic(

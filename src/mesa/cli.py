@@ -16,8 +16,8 @@ import argparse
 import logging
 import sys
 from dataclasses import fields, replace
-from pathlib import Path
 
+from mesa import journal
 from mesa.backend import (
     CachedBackend,
     ModelBackend,
@@ -278,7 +278,7 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     table = run_matrix(suite, registry, script, conditions, cfg)
     rendered = emit_report(table, args.format)
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        journal.replace_durably(args.out, rendered.encode("utf-8"))
         log.info("wrote %s report to %s", args.format, args.out)
     else:
         sys.stdout.write(rendered)
@@ -296,7 +296,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     table = parse_report(read_input(args.infile, MesaError, "report"))
     rendered = emit_report(table, args.format)
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        journal.replace_durably(args.out, rendered.encode("utf-8"))
     else:
         sys.stdout.write(rendered)
     return EXIT_OK

@@ -1,10 +1,11 @@
-"""Append-only JSON-lines files, as the failure bank and the replay cache keep them.
+"""Durable writes: _write_all writes every byte, replace_durably every whole file.
 
-A record counts once its newline is written. Readers skip a final line
-without one (a crash mid-append) with a warning, and the next append cuts it
-off. An append holds an exclusive flock from its read of the tail to its fsync.
-The bank reads only the last record there; the replay cache reads every
-record appended since its own last read, so that it records each key once.
+Append-only JSON-lines files (the failure bank, the replay cache): a record
+counts once its newline is written. Readers skip a final line without one (a
+crash mid-append) with a warning, and the next append cuts it off. An append
+holds an exclusive flock from its read of the tail to its fsync. The bank
+reads only the last record there; the replay cache reads every record
+appended since its own last read, so that it records each key once.
 """
 
 from __future__ import annotations
@@ -28,6 +29,39 @@ def read_lines(path: str | Path) -> list[bytes]:
     return lines
 
 
+def _write_all(fd: int, data: bytes) -> None:
+    """Write every byte of data, however few each os.write takes, then fsync."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+    os.fsync(fd)
+
+
+def replace_durably(path: str | Path, data: bytes) -> None:
+    """Replace path by a file holding data, so that a crash leaves the old file or the new.
+
+    The temp file .<name>.<random>.tmp (mode 0o666 less the umask) is fsynced,
+    renamed over path (over its target, if path is a symlink), then the directory fsynced.
+    """
+    path = Path(path).resolve()
+    if path.exists() and not path.is_file():  # never rename over a device, FIFO or directory
+        raise OSError(f"{path} is not a regular file")
+    temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb"):  # closes fd, however the write ends
+            _write_all(fd, data)
+        os.replace(temp, path)
+    except BaseException:  # leave no temp file behind
+        temp.unlink(missing_ok=True)
+        raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 def _write(fd: int, complete: int, size: int, line: str) -> int:
     """Cut a torn tail back to byte complete, then append line and its newline durably.
 
@@ -36,8 +70,7 @@ def _write(fd: int, complete: int, size: int, line: str) -> int:
     data = (line + "\n").encode("utf-8")
     if complete != size:
         os.ftruncate(fd, complete)
-    os.write(fd, data)
-    os.fsync(fd)
+    _write_all(fd, data)
     return complete + len(data)
 
 

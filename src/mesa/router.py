@@ -148,7 +148,7 @@ class RoutingConfig:
     the cost penalty weight, trust_gate the minimum effective trust for
     LoadSkill candidacy, self_low the parametric-certainty threshold below
     which epistemic offloading pressure starts, trust_override_threshold the
-    source trust at which decontamination lets an unverified raise stand.
+    effective trust at which decontamination lets an unverified raise stand.
     """
 
     alpha: float = 0.6
@@ -757,7 +757,7 @@ def _run_trajectory(
         )
         if chosen.variant is ActionVariant.LOAD_SKILL:
             assert chosen.card_id is not None
-            source_trust = registry.get(chosen.card_id).source_trust
+            source_trust = effective_trust(registry.get(chosen.card_id))
             verified, final = False, FinalAnswerClass.SKILL_LOADED
             (post,) = _ask(backend, [(backend.self_confidence, (post_ctx,))])
         else:

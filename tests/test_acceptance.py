@@ -18,7 +18,7 @@ import pytest
 
 from mesa.bank import BankConfig, BankEntry, TrustUpdate, apply_updates, hypercorrection_updates
 from mesa.bench import condition_by_name, emit_report, normal_cdf, run_matrix, two_prop_ztest
-from mesa.cards import CardRegistry, effective_trust
+from mesa.cards import TRUST_CEILINGS, CardRegistry, effective_trust
 from mesa.confidence import ConfidenceVector, decontaminate
 from mesa.dsl import And, Contains, Kind, Matches, Mime, Not, Or, parse_predicate, print_predicate
 from mesa.errors import PredicateSyntaxError, StaleTrustError
@@ -163,7 +163,8 @@ def _independent_score(action, cv, cfg, card):
     if action.variant in (ActionVariant.DIRECT, ActionVariant.STOP):
         value = cfg.alpha * cv.p_self * action.utility_direct
     elif action.variant is ActionVariant.LOAD_SKILL:
-        vigilance = card.source_trust * (0.5 if card.stale else 1.0)
+        capped = min(card.source_trust, TRUST_CEILINGS[card.provenance])
+        vigilance = capped * (0.5 if card.stale else 1.0)
         value = (1.0 - cfg.alpha) * vigilance * cv.source_confidences[card.id] * action.utility_offload
     else:
         channel = "__tool__" if action.variant is ActionVariant.CALL_TOOL else "__verify__"

@@ -140,6 +140,25 @@ def test_append_after_torn_tail_overwrites_nothing(bank_path):
     assert [e.trajectory.item_id for e in read_bank(bank_path)] == ["a", "b"]
 
 
+def test_a_short_write_still_records_the_whole_entry(bank_path, monkeypatch):
+    # A filling disk can write only part of a record and return normally.
+    # The append writes the rest, so a record that returns its sequence
+    # number is in the bank.
+    real_write, short = os.write, [10]
+
+    def write(fd, data):
+        if short:
+            return real_write(fd, bytes(data[: short.pop()]))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", write)
+    assert record(make_entry(item_id="a"), bank_path) == 0
+    assert record(make_entry(item_id="b"), bank_path) == 1
+    monkeypatch.undo()
+    entries = read_bank(bank_path)
+    assert [(e.recorded_at, e.trajectory.item_id) for e in entries] == [(0, "a"), (1, "b")]
+
+
 def test_sequence_after_glued_torn_tail_counts_lines(bank_path):
     record(make_entry(item_id="a"), bank_path)
     bank_path.write_bytes(bank_path.read_bytes() + b'{"half": ')

@@ -642,6 +642,44 @@ def test_lazy_gate_matches_eager_gate_and_never_touches_gated_cards(data):
         assert set(lazy.gated_cards) == set(loaded) & below_gate
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_card_capped_below_the_gate_is_never_read_asked_or_chosen(data):
+    # Provenance caps trust: whatever source_trust a card claims, a card
+    # whose provenance ceiling is below the gate is gated under vigilance.
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    cfg = RoutingConfig(trust_gate=data.draw(unit))
+    cards = []
+    probes: dict[str, float] = {}
+    sources = {TOOL_CHANNEL: data.draw(unit), VERIFY_CHANNEL: data.draw(unit)}
+    for i in range(data.draw(st.integers(min_value=1, max_value=4))):
+        card_id = f"c{i}"
+        cards.append(
+            make_card(
+                card_id,
+                source_trust=data.draw(st.one_of(st.just(1.0), unit)),
+                provenance=data.draw(st.sampled_from(list(Provenance))),
+                stale=data.draw(st.booleans()),
+            )
+        )
+        probes[card_id] = data.draw(st.sampled_from([0.1, 0.9]))
+        sources[card_id] = data.draw(unit)
+    capped = {c.id for c in cards if c.provenance.ceiling < cfg.trust_gate}
+    tags = frozenset(data.draw(st.sets(st.sampled_from(["trap", "trivial"]))))
+    p_self = data.draw(unit)
+
+    for condition in _VIGILANT_CONDITIONS:
+
+        def guarded_loader(card):
+            assert card.id not in capped, f"body of capped card {card.id} read"
+            return "body"
+
+        registry = CardRegistry(cards=tuple(cards), body_loader=guarded_loader)
+        backend = _GateGuardBackend(capped, p_self=p_self, sources=sources, probes=probes, tags=tags)
+        (decision,), _ = decide(make_ctx(), registry, backend, cfg, condition)
+        assert decision.chosen.card_id not in capped
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_pruned_choice_equals_the_choice_over_every_loaded_card(data):

@@ -20,7 +20,7 @@ from mesa.bench import (
     emit_report,
     run_matrix,
 )
-from mesa.cards import CardRegistry
+from mesa.cards import CardRegistry, Provenance
 from mesa.errors import MesaError
 from mesa.probe import ProbeStage
 from mesa.router import (
@@ -244,6 +244,26 @@ def test_stale_card_gated_by_vigilance():
         item, _registry(card), backend, CFG, condition_by_name("no_vigilance")
     )
     assert ablated.decisions[-1].chosen.variant is ActionVariant.LOAD_SKILL
+
+
+@pytest.mark.parametrize(
+    ("provenance", "stale"),
+    [(Provenance.FIRST_PARTY, True), (Provenance.UNKNOWN, False)],
+    ids=["stale", "over-ceiling"],
+)
+def test_decontamination_reads_the_effective_trust(provenance, stale):
+    # Without vigilance the card is loaded; its recorded 0.95 would clear
+    # the 0.9 override threshold, but its effective trust (halved when
+    # stale, capped at 0.20 for unknown provenance) does not, so the
+    # post-offload raise to 0.93 is clamped back to the pre-offload 0.30.
+    card, backend, item = _skill_setup(source_trust=0.95, stale=stale)
+    card = replace(card, provenance=provenance)
+    record = run_trajectory(
+        item, _registry(card), backend, CFG, condition_by_name("no_vigilance")
+    )
+    assert record.decisions[-1].chosen.variant is ActionVariant.LOAD_SKILL
+    assert record.terminal_confidence == pytest.approx(0.30)
+    assert record.answer == "soft"
 
 
 def test_body_read_exactly_once_per_load():

@@ -107,15 +107,29 @@ class BehaviorScript:
     def missing_keys(
         self, suite: Sequence["BenchmarkItem"], conditions: Iterable[str]
     ) -> list[str]:
-        """Every (item, condition, key) the suite needs but the script lacks."""
+        """Every (item, condition, key) the suite needs but the script lacks.
+
+        Listed item by item, then key by key, then condition by condition.
+        Conditions that share a table (an item's defaults, when it has no
+        rows of their own) share one test of each key against it.
+        """
         missing: list[str] = []
         condition_names = list(conditions)
         for item in suite:
-            tables = [(name, self.table(item.id, name)) for name in condition_names]
-            for key in required_keys(item):
-                for name, table in tables:
-                    if key not in table:
-                        missing.append(f"{item.id}/{name}: {key}")
+            tables = [self.table(item.id, name) for name in condition_names]
+            keys = required_keys(item)
+            absent: dict[int, list[str]] = {}  # by table identity: its keys not found
+            for table in tables:
+                if id(table) not in absent:
+                    absent[id(table)] = [key for key in keys if key not in table]
+            if not any(absent.values()):
+                continue
+            for key in keys:
+                missing.extend(
+                    f"{item.id}/{name}: {key}"
+                    for name, table in zip(condition_names, tables)
+                    if key in absent[id(table)]
+                )
         return missing
 
 

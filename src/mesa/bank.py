@@ -12,14 +12,17 @@ the next append cuts it off, while damage anywhere else (a last complete
 record without a sequence number too) is corruption. Trust updates are
 applied to the card file under an exclusive lock on a sidecar <path>.lock,
 after an optimistic old-value check; the prior file is kept at <path>.bak,
-and both go through journal.replace_durably. The same rename records the last
-bank entry applied (the card file's applied_through), so a rerun on the same bank applies nothing.
+and both go through journal.replace_durably, each with the card file's mode.
+The same rename records the last bank entry applied (the card file's
+applied_through), so a rerun on the same bank applies nothing. A record whose
+append raised left nothing in the bank, so a caller retries it exactly then.
 """
 
 from __future__ import annotations
 
 import fcntl
 import json
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -83,7 +86,8 @@ def record(entry: BankEntry, bank_path: str | Path) -> int:
 
     The first entry gets 0 and each later one follows the journal's last
     complete record, so an append costs the same at any bank size. The
-    entry's own recorded_at field is ignored and restamped.
+    entry's own recorded_at field is ignored and restamped. If the append
+    raises, the bank holds no part of the entry.
     """
     payload = _ENTRY.encode(entry)
     seq = 0
@@ -184,11 +188,11 @@ def apply_updates(registry_path: str | Path, updates: Sequence[TrustUpdate]) -> 
     applied_through; a failed check aborts the whole batch with the file
     untouched. The same rewrite raises applied_through to the last entry the
     batch applies, so the trust values and the watermark change together.
-    The prior file is kept at <path>.bak and the rewrite lands via atomic
-    rename. Only source_trust fields and applied_through change. Concurrent
-    correctors serialize on an exclusive flock of <path>.lock, held from the
-    read to the last rename; a sidecar is locked because the rename replaces
-    the card file's inode.
+    The prior file is kept at <path>.bak, with the card file's mode, and the
+    rewrite lands via atomic rename. Only source_trust fields and
+    applied_through change. Concurrent correctors serialize on an exclusive
+    flock of <path>.lock, held from the read to the last rename; a sidecar is
+    locked because the rename replaces the card file's inode.
     """
     path = Path(registry_path)
     with open(path.with_name(path.name + ".lock"), "ab") as lock:
@@ -220,5 +224,6 @@ def apply_updates(registry_path: str | Path, updates: Sequence[TrustUpdate]) -> 
                     f"{through}; batch aborted"
                 )
             doc["applied_through"] = max(recorded)
-        journal.replace_durably(path.with_name(path.name + ".bak"), original)
+        mode = stat.S_IMODE(path.stat().st_mode)
+        journal.replace_durably(path.with_name(path.name + ".bak"), original, mode)
         journal.replace_durably(path, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))

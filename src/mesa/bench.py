@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 from mesa.backend import BehaviorScript, ScriptedBackend
 from mesa.cards import CardRegistry
 from mesa.codec import Codec, decode_json, read_document
-from mesa.context import Attachment
+from mesa.context import Attachment, TaskContext
 from mesa.errors import CoverageError, MesaError, SuiteFormatError
 from mesa.router import (
     FinalAnswerClass,
@@ -43,6 +43,9 @@ class SliceName(Enum):
 
 @dataclass(frozen=True)
 class BenchmarkItem:
+    """One suite item. context is derived: the routed view of the item, built once
+    here and shared by every trajectory that routes the item, under every condition."""
+
     id: str
     slice: SliceName
     prompt: str
@@ -51,12 +54,15 @@ class BenchmarkItem:
     injected_card_ids: tuple[str, ...]
     gold_action: GoldAction
     gold_answer: str | None
+    context: TaskContext = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("item id must be non-empty")
         if not self.prompt:
             raise ValueError(f"item {self.id}: prompt must be non-empty")
+        context = TaskContext(self.prompt, frozenset(self.kind_tags), self.attachments)
+        object.__setattr__(self, "context", context)
 
 
 class ConditionName(Enum):
@@ -110,7 +116,7 @@ def condition_by_name(name: str) -> Condition:
 # ---------------------------------------------------------------------------
 # Suite loading
 
-_ITEM_FIELDS = {f.name for f in fields(BenchmarkItem)}
+_ITEM_FIELDS = {f.name for f in fields(BenchmarkItem) if f.init}
 
 
 def _parse_attachment(raw: object, where: str) -> Attachment:

@@ -3,9 +3,12 @@
 Append-only JSON-lines files (the failure bank, the replay cache): a record
 counts once its newline is written. Readers skip a final line without one (a
 crash mid-append) with a warning, and the next append cuts it off. An append
-holds an exclusive flock from its read of the tail to its fsync. The bank
-reads only the last record there; the replay cache reads every record
-appended since its own last read, so that it records each key once.
+holds an exclusive flock from its read of the tail to its fsync. An append
+that fails after bytes reach the file (its fsync, say) cuts them off again
+under the lock, so a record whose append raised is not in the file (unless
+the cut failed too) and a retry adds it once. The bank reads only the last
+record there; the replay cache reads every record appended since its own
+last read, so that it records each key once.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import fcntl
 import logging
 import os
+import stat
 from pathlib import Path
 from typing import Callable
 
@@ -37,19 +41,30 @@ def _write_all(fd: int, data: bytes) -> None:
     os.fsync(fd)
 
 
-def replace_durably(path: str | Path, data: bytes) -> None:
+def replace_durably(path: str | Path, data: bytes, mode: int | None = None) -> None:
     """Replace path by a file holding data, so that a crash leaves the old file or the new.
 
-    The temp file .<name>.<random>.tmp (mode 0o666 less the umask) is fsynced,
-    renamed over path (over its target, if path is a symlink), then the directory fsynced.
+    The temp file .<name>.<random>.tmp is fsynced, renamed over path (over its
+    target, if path is a symlink), then the directory fsynced. It gets mode
+    when given, else the mode of the file it replaces, else (a new file) 0o666
+    less the umask.
     """
     path = Path(path).resolve()
-    if path.exists() and not path.is_file():  # never rename over a device, FIFO or directory
-        raise OSError(f"{path} is not a regular file")
+    try:
+        status = path.stat()
+    except FileNotFoundError:
+        pass
+    else:
+        if not stat.S_ISREG(status.st_mode):  # never rename over a device, FIFO or directory
+            raise OSError(f"{path} is not a regular file")
+        if mode is None:
+            mode = stat.S_IMODE(status.st_mode)
     temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb"):  # closes fd, however the write ends
+            if mode is not None:
+                os.fchmod(fd, mode)
             _write_all(fd, data)
         os.replace(temp, path)
     except BaseException:  # leave no temp file behind
@@ -65,12 +80,21 @@ def replace_durably(path: str | Path, data: bytes) -> None:
 def _write(fd: int, complete: int, size: int, line: str) -> int:
     """Cut a torn tail back to byte complete, then append line and its newline durably.
 
-    Returns the new end of the file.
+    Returns the new end of the file. If the append fails, the file is cut back
+    to byte complete and the append's error raised, that of the cut ignored.
     """
     data = (line + "\n").encode("utf-8")
-    if complete != size:
-        os.ftruncate(fd, complete)
-    _write_all(fd, data)
+    try:
+        if complete != size:
+            os.ftruncate(fd, complete)
+        _write_all(fd, data)
+    except BaseException:  # a failed fsync too: the record may be in the file
+        try:
+            os.ftruncate(fd, complete)
+            os.fsync(fd)
+        except OSError:
+            pass
+        raise
     return complete + len(data)
 
 

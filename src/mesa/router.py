@@ -252,12 +252,16 @@ def _argmax(scored: Sequence[tuple[Action, float]]) -> Action:
 
 
 def score_baseline(
-    candidates: Sequence[Action], relevance: Mapping[str, float]
+    candidates: Sequence[Action],
+    relevance: Mapping[str, float],
+    *,
+    probe_traces: tuple[ProbeState, ...] = (),
 ) -> Decision:
     """Relevance-only argmax: no gate, no cost, no trust.
 
     The relevance map is keyed by score_key. Missing keys violate the
-    relevance-total precondition and raise MissingSignalError.
+    relevance-total precondition and raise MissingSignalError. probe_traces
+    goes into the Decision as given.
     """
     if not candidates:
         raise ValueError("empty candidate list")
@@ -273,7 +277,7 @@ def score_baseline(
         scored.append((action, value))
         scores[key] = value
     chosen = _argmax(scored)
-    return Decision(chosen=chosen, scores=scores)
+    return Decision(chosen=chosen, scores=scores, probe_traces=probe_traces)
 
 
 def select_action(
@@ -285,13 +289,15 @@ def select_action(
     *,
     vigilance_enabled: bool = True,
     dualconf_enabled: bool = True,
+    probe_traces: tuple[ProbeState, ...] = (),
 ) -> Decision:
     """Gate, score, and pick one action under the dual-confidence scorer.
 
     vigilance_enabled=False is the ablation switch: the gate is skipped and
     LoadSkill is scored with a neutral vigilance weight of 1.0.
     dualconf_enabled=False scores with alpha pinned to 0.5, removing the
-    asymmetric self-vs-source weighting.
+    asymmetric self-vs-source weighting. probe_traces goes into the Decision
+    as given (decide passes build_candidates' traces).
     """
     del ctx  # part of the signature contract; scoring needs only cv/cfg
     alpha = cfg.alpha if dualconf_enabled else 0.5
@@ -319,7 +325,12 @@ def select_action(
     if not scored:
         raise ValueError("empty candidate list")
     chosen = _argmax(scored)
-    return Decision(chosen=chosen, scores=scores, gated_cards=tuple(sorted(gated)))
+    return Decision(
+        chosen=chosen,
+        scores=scores,
+        gated_cards=tuple(sorted(gated)),
+        probe_traces=probe_traces,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +417,8 @@ def classify_outcome(
 
 
 def context_for_item(item: "BenchmarkItem") -> TaskContext:
-    """Build the routed view of a benchmark item."""
-    return TaskContext(
-        prompt=item.prompt,
-        kind_tags=frozenset(item.kind_tags),
-        attachments=item.attachments,
-    )
+    """The routed view of a benchmark item: its context, built once with the item."""
+    return item.context
 
 
 def _ask(backend: "ModelBackend", wave: Sequence[tuple[Callable[..., object], tuple]]) -> list:
@@ -539,15 +546,20 @@ def build_candidates(
     best_known = -math.inf  # until wave 1 fixes a score, no card is dominated
     if probe_enabled:
         # Which cards load, and so what the candidates ask, waits on the probes.
-        held = cheap_verdicts(ctx, matching)
-        signal = backend.probe_signal
-        probes = [(signal, (ctx, card.id)) for card in compress(matching, held)]
-        wave = [*head, *probes, (source, (ctx, TOOL_CHANNEL))]
-        p_self, tags, *answers, tool = _ask(backend, wave)
-        asked = iter(answers)
-        traces = tuple(
-            [run_probe(cfg, card, next(asked) if h else None) for card, h in zip(matching, held)]
-        )
+        if matching:
+            held = cheap_verdicts(ctx, matching)
+            signal = backend.probe_signal
+            probes = [(signal, (ctx, card.id)) for card in compress(matching, held)]
+            wave = [*head, *probes, (source, (ctx, TOOL_CHANNEL))]
+            p_self, tags, *answers, tool = _ask(backend, wave)
+            asked = iter(answers)
+            traces = tuple(
+                [run_probe(cfg, card, next(asked) if h else None)
+                 for card, h in zip(matching, held)]
+            )
+        else:  # most routes: no card to probe
+            p_self, tags, tool = _ask(backend, [*head, (source, (ctx, TOOL_CHANNEL))])
+            traces = ()
         sources[TOOL_CHANNEL] = tool
         channels = []
         # The confidences of Direct, Stop, CallTool and Verify, in
@@ -602,9 +614,10 @@ def _relevance_decisions(
     backend: "ModelBackend",
     passes: int,
     allowed_card_ids: Sequence[str] | None,
-) -> tuple[list[Decision], ConfidenceVector, tuple[ProbeState, ...]]:
-    """A relevance scorer's decisions, one per pass (baseline 1, reflection 2), its
-    confidence vector (p_self only) and its probe traces (all unprobed).
+) -> tuple[tuple[Decision, ...], ConfidenceVector]:
+    """A relevance scorer's decisions, one per pass (baseline 1, reflection 2), and its
+    confidence vector (p_self only). The first decision carries the probe traces (all
+    unprobed).
 
     A relevance scorer takes no probe, gate or pruning: every matched card
     loads, has its body read once and is a LoadSkill candidate after the
@@ -631,14 +644,14 @@ def _relevance_decisions(
 
     candidates = [*_BASE_CANDIDATES["trivial" in tags], *skills]
     relevance = dict(zip(keys, values))
-    decisions = [score_baseline(candidates, relevance)]
+    decisions = [score_baseline(candidates, relevance, probe_traces=traces)]
     if passes > 1:
         second_pass = {
             key: relevance[key] if value is None else value
             for key, value in zip(keys, values[len(keys) :])
         }
         decisions.append(score_baseline(candidates, second_pass))
-    return decisions, ConfidenceVector(p_self=p_self), traces
+    return tuple(decisions), ConfidenceVector(p_self=p_self)
 
 
 # Relevance passes of each relevance scorer; the dual scorer asks none.
@@ -662,40 +675,28 @@ def decide(
     """
     passes = _RELEVANCE_PASSES.get(condition.scorer)
     if passes:
-        decisions, cv, traces = _relevance_decisions(
-            ctx, registry, backend, passes, allowed_card_ids
-        )
-    else:
-        candidates, cv, traces = build_candidates(
-            ctx,
-            registry,
-            backend,
-            cfg,
-            condition.probe_enabled,
-            allowed_card_ids,
-            vigilance_enabled=condition.vigilance_enabled,
-            dualconf_enabled=condition.dualconf_enabled,
-        )
-        decisions = [
-            select_action(
-                ctx,
-                candidates,
-                cv,
-                cfg,
-                registry,
-                vigilance_enabled=condition.vigilance_enabled,
-                dualconf_enabled=condition.dualconf_enabled,
-            )
-        ]
-    first = decisions[0]
-    # Built directly: dataclasses.replace re-reads the field list on every call.
-    decisions[0] = Decision(
-        chosen=first.chosen,
-        scores=first.scores,
-        gated_cards=first.gated_cards,
+        return _relevance_decisions(ctx, registry, backend, passes, allowed_card_ids)
+    candidates, cv, traces = build_candidates(
+        ctx,
+        registry,
+        backend,
+        cfg,
+        condition.probe_enabled,
+        allowed_card_ids,
+        vigilance_enabled=condition.vigilance_enabled,
+        dualconf_enabled=condition.dualconf_enabled,
+    )
+    decision = select_action(
+        ctx,
+        candidates,
+        cv,
+        cfg,
+        registry,
+        vigilance_enabled=condition.vigilance_enabled,
+        dualconf_enabled=condition.dualconf_enabled,
         probe_traces=traces,
     )
-    return tuple(decisions), cv
+    return (decision,), cv
 
 
 def run_trajectory(
@@ -734,7 +735,7 @@ def _run_trajectory(
     cfg: RoutingConfig,
     condition: "Condition",
 ) -> TrajectoryRecord:
-    ctx = context_for_item(item)
+    ctx = item.context
     decisions, cv = decide(ctx, registry, backend, cfg, condition, item.injected_card_ids)
 
     chosen = decisions[-1].chosen

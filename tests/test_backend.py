@@ -12,6 +12,8 @@ import urllib.error
 from http.client import BadStatusLine, IncompleteRead
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mesa.backend import (
     CachedBackend,
@@ -388,6 +390,44 @@ def test_missing_keys_lists_the_gaps_item_then_key_then_condition(tmp_path):
         "i2/full: answer:skill:c1:hedge",
         "i2/baseline: answer:skill:c1:hedge",
     ]
+
+
+def _missing_keys_per_condition(script, suite, conditions):
+    """The coverage check with one test per item, key and condition: the reference."""
+    return [
+        f"{item.id}/{name}: {key}"
+        for item in suite
+        for key in required_keys(item)
+        for name in conditions
+        if key not in script.table(item.id, name)
+    ]
+
+
+_CARD_IDS = ("c1", "c2")
+_SCRIPT_KEYS = sorted(set(required_keys(make_item(injected=_CARD_IDS))))
+_ROW_CONDITIONS = ("*", "full", "baseline", "no_probe")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    injected=st.lists(st.lists(st.sampled_from(_CARD_IDS), unique=True), max_size=3),
+    rows=st.sets(st.tuples(
+        st.sampled_from(["i0", "i1", "i2", "i9"]),
+        st.sampled_from(_ROW_CONDITIONS),
+        st.sampled_from(_SCRIPT_KEYS),
+    )),
+    conditions=st.lists(st.sampled_from(["full", "baseline", "no_probe", "reflection"])),
+)
+def test_missing_keys_equals_one_test_per_condition(tmp_path_factory, injected, rows, conditions):
+    # Items with and without condition rows of their own, items with no rows
+    # at all, and empty or repeated condition lists: the shared-table check
+    # lists the same misses, in the same order, as testing every condition.
+    suite = [make_item(f"i{i}", f"prompt {i}", cards) for i, cards in enumerate(injected)]
+    raw = [{"item": i, "condition": c, "key": k, "value": 0.5} for i, c, k in sorted(rows)]
+    script = load_script(write_script(tmp_path_factory.mktemp("script"), raw))
+    assert script.missing_keys(suite, iter(conditions)) == _missing_keys_per_condition(
+        script, suite, conditions
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from mesa import bench
 from mesa.backend import load_script, required_keys
 from mesa.bench import (
     CONDITIONS,
@@ -145,6 +146,7 @@ def test_load_suite_dangling_card(tmp_path):
         ({"id": None}, r"item #0: id must be a string"),
         ({"id": 7}, r"item 7: id must be a string"),
         ({"id": ["a00"]}, r"item \['a00'\]: id must be a string"),
+        ({"context": {"prompt": "p"}}, r"unknown field.*context"),  # derived, not read
     ],
 )
 def test_load_suite_field_validation(tmp_path, mutation, message):
@@ -322,6 +324,32 @@ def test_run_matrix_on_record_sees_everything(tmp_path):
         ("baseline", "i1"),
         ("baseline", "i2"),
     }
+
+
+def test_every_condition_routes_an_item_through_the_items_one_context(
+    shipped_suite, shipped_registry, shipped_script, monkeypatch
+):
+    contexts: dict[str, list] = {item.prompt: [] for item in shipped_suite}
+    scripted = bench.ScriptedBackend
+
+    class Recording:
+        """The scripted backend, noting the context each trajectory asks its tags for."""
+
+        def __init__(self, *args):
+            self.inner = scripted(*args)
+
+        def __getattr__(self, op):
+            return getattr(self.inner, op)
+
+        def self_report_tags(self, ctx):
+            contexts[ctx.prompt].append(ctx)
+            return self.inner.self_report_tags(ctx)
+
+    monkeypatch.setattr(bench, "ScriptedBackend", Recording)
+    bench.run_matrix(shipped_suite, shipped_registry, shipped_script)
+    for item in shipped_suite:
+        assert len(contexts[item.prompt]) == len(CONDITIONS)
+        assert all(ctx is item.context for ctx in contexts[item.prompt]), item.id
 
 
 def test_run_matrix_shipped_full_condition(shipped_suite, shipped_registry, shipped_script):

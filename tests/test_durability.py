@@ -6,7 +6,8 @@ directory fsynced after it. Then it runs again on a fresh copy of the old
 state once per fault: each open, write, fsync, ftruncate and replace raises
 in turn, and each write also fails after a prefix and returns short. After
 every fault the file reads as old or new (new if the writer reported
-success), no temp file is left, and a rerun converges on new.
+success, old if an append failed), no temp file is left, and a rerun
+converges on new.
 """
 
 from __future__ import annotations
@@ -56,15 +57,15 @@ class BankRecord:
         self.new = self.old + [(2, "c")]
 
     def write(self) -> bool:
-        return _succeeds(lambda: record(make_entry(item_id="c"), self.bank))
+        self.recorded = _succeeds(lambda: record(make_entry(item_id="c"), self.bank))
+        return self.recorded
 
     def state(self):
         return [(entry.recorded_at, entry.trajectory.item_id) for entry in read_bank(self.bank)]
 
     def rerun(self) -> None:
-        # The bank has no idempotency key: a caller whose record raised
-        # reads the bank to learn whether the entry landed.
-        if self.state() != self.new:
+        # A record that raised left nothing in the bank: retry exactly those.
+        if not self.recorded:
             record(make_entry(item_id="c"), self.bank)
 
 
@@ -207,8 +208,10 @@ def test_every_fault_leaves_old_or_new_and_a_rerun_converges(tmp_path, writer_ty
         state = writer.state()
         if succeeded:
             assert state == writer.new, where
-        else:
+        elif writer.replaces:  # a whole-file writer may fail after its rename
             assert state in (writer.old, writer.new), where
+        else:  # a failed append leaves no part of its record
+            assert state == writer.old, where
         assert not [name for name in os.listdir(root) if name.endswith(".tmp")], where
         writer.rerun()
         assert writer.state() == writer.new, where
@@ -245,6 +248,41 @@ def test_a_short_write_goes_on_until_every_byte_is_written(tmp_path):
     assert path.read_bytes() == b"a\n" + b"b" * 100 + b"\n"
 
 
+def test_a_record_whose_fsync_failed_is_retried_once_and_decays_its_card_once(tmp_path):
+    cards = _card_file(tmp_path)
+    bank = tmp_path / "bank.jsonl"
+    record(make_entry(card="c1", item_id="a"), bank)
+    with os_calls(fail_at=3) as calls:  # the record's bytes are written, its fsync fails
+        with pytest.raises(OSError, match="injected fault"):
+            record(make_entry(card="c0", item_id="b"), bank)
+    assert [name for name, *_ in calls] == ["open", "write", "fsync", "ftruncate", "fsync"]
+    assert [entry.trajectory.item_id for entry in read_bank(bank)] == ["a"]
+    assert record(make_entry(card="c0", item_id="b"), bank) == 1
+    assert [entry.trajectory.item_id for entry in read_bank(bank)] == ["a", "b"]
+    for _ in range(2):  # a rerun of bank correct applies nothing
+        updates = hypercorrection_updates(read_bank(bank), BankConfig(), load_registry(cards))
+        if updates:
+            apply_updates(cards, updates)
+    registry = load_registry(cards)
+    assert (registry.get("c0").source_trust, registry.get("c1").source_trust) == (0.4, 0.3)
+
+
+def test_a_failed_cut_raises_the_appends_own_error(tmp_path, monkeypatch):
+    path = tmp_path / "j.jsonl"
+    path.write_bytes(b"a\n")
+
+    def fail(message):
+        def call(*args):
+            raise OSError(message)
+
+        return call
+
+    monkeypatch.setattr(os, "fsync", fail("the append's fsync"))
+    monkeypatch.setattr(os, "ftruncate", fail("the cut"))
+    with pytest.raises(OSError, match="the append's fsync"):
+        journal.append(path, lambda last: "b")
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "machine"])
 def test_out_bytes_equal_the_bytes_written_to_stdout(tmp_path, capsys, fmt):
     saved = tmp_path / "saved.json"
@@ -258,23 +296,50 @@ def test_out_bytes_equal_the_bytes_written_to_stdout(tmp_path, capsys, fmt):
         assert out.read_bytes() == printed.encode("utf-8"), argv
 
 
+def _mode(path) -> int:
+    return stat.S_IMODE(path.stat().st_mode)
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
-def test_rewritten_files_get_the_mode_open_gives_a_new_file(tmp_path, umask):
+def test_a_rewritten_file_keeps_its_mode_and_a_new_file_gets_the_umask_mode(tmp_path, umask):
     cards = _card_file(tmp_path)
+    cards.chmod(0o640)
+    bak = cards.with_name("cards.json.bak")
+    bak.write_bytes(b"an older backup\n")
+    bak.chmod(0o666)  # the backup takes the card file's mode, not its own
     bank = tmp_path / "bank.jsonl"
     record(make_entry(card="c0"), bank)
-    report = tmp_path / "report.txt"
+    report, rerendered, kept = (tmp_path / name for name in ("r.json", "r.txt", "kept.txt"))
+    kept.write_bytes(b"the previous report\n")
+    kept.chmod(0o604)
     previous = os.umask(umask)
     try:
         updates = hypercorrection_updates(read_bank(bank), BankConfig(), load_registry(cards))
         apply_updates(cards, updates)
         assert dispatch([*MINI_EVAL, "--format", "machine", "--out", str(report)]) == EXIT_OK
-        rerendered = tmp_path / "rerendered.txt"
-        assert dispatch(["report", "--in", str(report), "--out", str(rerendered)]) == EXIT_OK
+        for out in (rerendered, kept):
+            assert dispatch(["report", "--in", str(report), "--out", str(out)]) == EXIT_OK
     finally:
         os.umask(previous)
-    for path in (cards, cards.with_name("cards.json.bak"), report, rerendered):
-        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
+    assert kept.read_bytes() == rerendered.read_bytes()
+    new = 0o666 & ~umask
+    assert {path.name: _mode(path) for path in (cards, bak, report, rerendered, kept)} == {
+        "cards.json": 0o640, "cards.json.bak": 0o640, "r.json": new, "r.txt": new, "kept.txt": 0o604,
+    }
+
+
+def test_bank_correct_keeps_a_private_card_file_private(tmp_path):
+    cards = _card_file(tmp_path)
+    cards.chmod(0o600)
+    bank = tmp_path / "bank.jsonl"
+    record(make_entry(card="c0"), bank)
+    previous = os.umask(0o022)
+    try:
+        assert dispatch(["bank", "correct", "--bank", str(bank), "--cards", str(cards)]) == EXIT_OK
+    finally:
+        os.umask(previous)
+    assert load_registry(cards).get("c0").source_trust == 0.4
+    assert _mode(cards) == _mode(cards.with_name("cards.json.bak")) == 0o600
 
 
 def test_a_leftover_temp_file_never_blocks_a_later_writer(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mesa.backend import ScriptedBackend
 from mesa.bench import CONDITIONS, condition_by_name
 from mesa.cards import CardRegistry, Provenance, effective_trust
 from mesa.confidence import TOOL_CHANNEL, VERIFY_CHANNEL, ConfidenceVector
@@ -23,6 +25,7 @@ from mesa.router import (
     Decision,
     RoutingConfig,
     build_candidates,
+    context_for_item,
     decide,
     score_baseline,
     score_key,
@@ -852,3 +855,26 @@ def test_vigilance_off_never_gates(probe_enabled):
     assert decision.gated_cards == ()
     assert decision.chosen == Action(ActionVariant.LOAD_SKILL, card_id="low", cost=0.5)
     assert decision.scores["LOAD_SKILL:low"] == pytest.approx(0.4 - 0.05)
+
+
+# ---------------------------------------------------------------------------
+# decide over the shipped suite
+
+
+def test_decide_makes_the_shipped_decisions(shipped_suite, shipped_registry, shipped_script):
+    # Every decision and confidence vector of the shipped suite under the
+    # seven conditions, probe traces included, as repr'd: the digest pins
+    # what decide returned when it built each first Decision twice, the
+    # second time with its traces.
+    routes = []
+    for condition in CONDITIONS:
+        backend = ScriptedBackend(shipped_script, shipped_suite, condition.name.value)
+        for item in shipped_suite:
+            routes.append(repr(decide(
+                context_for_item(item), shipped_registry, backend, RoutingConfig(), condition,
+                item.injected_card_ids,
+            )))
+    assert len(routes) == 1050
+    assert hashlib.sha256("\n".join(routes).encode()).hexdigest() == (
+        "7819626432c08aedf3fecf3928d22d433ac0ff22195db3ebfc2bf1a4244e817b"
+    )

@@ -24,6 +24,7 @@ remote backend has one.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -159,43 +160,71 @@ def _is_confidence_key(key: str) -> bool:
     return key in ("p_self", "p_self_post") or key.startswith(("source:", "probe:"))
 
 
+_FILED = object()  # what the object hook leaves in a filed row's place
+
+
+def _file_row(raw: object, defaults: dict, overrides: dict) -> str:
+    """File one row in load_script's tables: its item's defaults, or its condition's rows.
+
+    Returns "" when filed, else "malformed" or "duplicate" (nothing filed).
+    """
+    # Exactly four keys: a missing one reads as None, which no check accepts.
+    if type(raw) is not dict or len(raw) != 4:
+        return "malformed"
+    item, condition, key = raw.get("item"), raw.get("condition"), raw.get("key")
+    value = raw.get("value")
+    kind = type(value)
+    if (
+        type(item) is not str
+        or type(condition) is not str
+        or type(key) is not str
+        or kind is not str and kind is not float and kind is not int
+        or kind is not str and not 0.0 <= value <= 1.0 and _is_confidence_key(key)
+    ):
+        return "malformed"
+    try:
+        value = float(value) if kind is int else value
+    except OverflowError:  # an integer too large for a float
+        return "malformed"
+    tables, at = (defaults, item) if condition == "*" else (overrides, (item, condition))
+    table = tables.get(at)
+    if table is None:
+        table = tables[at] = {}
+    # Interned: the items' tables repeat a few thousand distinct keys.
+    key = sys.intern(key)
+    if key in table:
+        return "duplicate"
+    table[key] = value
+    return ""
+
+
 def load_script(path: str | Path) -> BehaviorScript:
     """Parse a script file; run_matrix checks its coverage of a suite.
 
     A numeric value on a confidence key (p_self, p_self_post, source:*,
-    probe:*) outside [0, 1], NaN included, makes its row malformed.
+    probe:*) outside [0, 1], NaN included, makes its row malformed. Each
+    row is filed in its table as soon as the decoder yields its object
+    (codec's object_hook), so the file's row dicts are never all held at once.
     """
-    doc = read_document(path, MissingSignalError, "script", "rows")
     defaults: dict[str, dict[str, ScriptValue]] = {}
     overrides: dict[tuple[str, str], dict[str, ScriptValue]] = {}
-    for i, raw in enumerate(doc["rows"]):
-        # Exactly four keys: a missing one reads as None, which no check accepts.
-        if type(raw) is not dict or len(raw) != 4:
-            raise MissingSignalError(f"script {path}: malformed row #{i}: {raw!r}")
-        item, condition, key = raw.get("item"), raw.get("condition"), raw.get("key")
-        value = raw.get("value")
-        kind = type(value)
-        if (
-            type(item) is not str
-            or type(condition) is not str
-            or type(key) is not str
-            or kind is not str and kind is not float and kind is not int
-            or kind is not str and not 0.0 <= value <= 1.0 and _is_confidence_key(key)
-        ):
-            raise MissingSignalError(f"script {path}: malformed row #{i}: {raw!r}")
-        # The row lands in its item's defaults, or in its own condition's rows.
-        tables, at = (defaults, item) if condition == "*" else (overrides, (item, condition))
-        table = tables.get(at)
-        if table is None:
-            table = tables[at] = {}
-        size = len(table)
-        try:
-            # Interned: the items' tables repeat a few thousand distinct keys.
-            table[sys.intern(key)] = float(value) if kind is int else value
-        except OverflowError:  # an integer too large for a float
-            raise MissingSignalError(f"script {path}: malformed row #{i}: {raw!r}") from None
-        if len(table) == size:
-            raise MissingSignalError(f"script {path}: duplicate row for {(item, condition, key)}")
+
+    def file_row(raw: dict) -> object:  # the object hook
+        return raw if _file_row(raw, defaults, overrides) else _FILED
+
+    rows = read_document(path, MissingSignalError, "script", "rows", object_hook=file_row)["rows"]
+    if rows and rows[0] is not _FILED:
+        # A row failed, and these are the plain decode's dicts: file them
+        # afresh, in order, so the first bad row is named as before.
+        defaults.clear()
+        overrides.clear()
+        for i, raw in enumerate(rows):
+            problem = _file_row(raw, defaults, overrides)
+            if problem == "malformed":
+                raise MissingSignalError(f"script {path}: malformed row #{i}: {raw!r}")
+            if problem:
+                triple = (raw["item"], raw["condition"], raw["key"])
+                raise MissingSignalError(f"script {path}: duplicate row for {triple}")
     for pair, table in overrides.items():
         overrides[pair] = {**defaults.get(pair[0], {}), **table}
     return BehaviorScript(defaults, overrides)
@@ -273,8 +302,12 @@ class ScriptedBackend:
         return _tag_set(str(self._lookup(ctx, "tags")))
 
 
+@functools.lru_cache(maxsize=256)
 def _tag_set(raw: str) -> frozenset[str]:
-    """The stripped, non-empty entries of a comma-separated tag list."""
+    """The stripped, non-empty entries of a comma-separated tag list.
+
+    Cached: a scripted item has one tag string under every condition.
+    """
     return frozenset(tag for tag in (part.strip() for part in raw.split(",")) if tag)
 
 
@@ -326,13 +359,16 @@ class CachedBackend:
         self._lines = 0  # complete lines read so far
         self._offset = 0  # the byte just past them
         if self._path.exists():
-            lines = journal.read_lines(self._path)
-            self._take(lines)
-            self._offset = sum(len(line) + 1 for line in lines)
+            self._offset = self._take(journal.read_lines(self._path))
 
-    def _take(self, lines: list[bytes]) -> None:
-        """Learn rows read from the cache file; a later row for a key wins, as in replay."""
+    def _take(self, lines: Iterable[bytes]) -> int:
+        """Learn rows read from the cache file; a later row for a key wins, as in replay.
+
+        Returns the number of bytes the lines held, newlines included.
+        """
+        size = 0
         for line in lines:
+            size += len(line) + 1
             line_no, self._lines = self._lines, self._lines + 1
             if not line.strip():
                 continue
@@ -343,6 +379,7 @@ class CachedBackend:
                 raise ReplayMissError(
                     f"cache {self._path} line {line_no} is damaged: {exc}"
                 ) from exc
+        return size
 
     def _resolve(self, op: str, ctx: TaskContext, *args: str) -> Any:
         """Answer query op from the cache, else from the inner backend, recording it."""

@@ -269,44 +269,50 @@ def run_matrix(
         raise CoverageError(missing)
 
     slice_values = [s.value for s in SliceName]
+    # Enum values are read through a Python-level property: read each once,
+    # not once per trajectory.
+    item_slices = [(item, item.slice.value) for item in suite]
+    correct_value = Outcome.CORRECT.value
+    incorrect_value, stopped_value = Outcome.INCORRECT.value, FinalAnswerClass.STOPPED.value
     outcomes: list[ItemOutcome] = []
     cells: dict[str, dict[str, float]] = {}
     for cond in conditions:
-        backend = ScriptedBackend(script, suite, cond.name.value)
+        name = cond.name.value
+        backend = ScriptedBackend(script, suite, name)
         correct: dict[str, int] = {s: 0 for s in slice_values}
         totals: dict[str, int] = {s: 0 for s in slice_values}
-        for item in suite:
+        for item, slice_value in item_slices:
             try:
                 rec = run_trajectory(item, registry, backend, cfg, cond)
                 if on_record is not None:
                     on_record(rec)
                 outcome = ItemOutcome(
-                    condition=cond.name.value,
+                    condition=name,
                     item_id=item.id,
-                    slice=item.slice.value,
+                    slice=slice_value,
                     outcome=rec.outcome.value,
                     final_class=rec.final_answer_class.value,
                     diagnostic=rec.diagnostic,
                 )
             except MesaError as exc:
                 outcome = ItemOutcome(
-                    condition=cond.name.value,
+                    condition=name,
                     item_id=item.id,
-                    slice=item.slice.value,
-                    outcome=Outcome.INCORRECT.value,
-                    final_class=FinalAnswerClass.STOPPED.value,
+                    slice=slice_value,
+                    outcome=incorrect_value,
+                    final_class=stopped_value,
                     diagnostic=str(exc),
                 )
             outcomes.append(outcome)
-            totals[outcome.slice] += 1
-            if outcome.outcome == Outcome.CORRECT.value:
-                correct[outcome.slice] += 1
+            totals[slice_value] += 1
+            if outcome.outcome == correct_value:
+                correct[slice_value] += 1
         row: dict[str, float] = {}
         present = [s for s in slice_values if totals[s] > 0]
         for s in present:
             row[s] = correct[s] / totals[s]
         row["overall"] = sum(row[s] for s in present) / len(present) if present else 0.0
-        cells[cond.name.value] = row
+        cells[name] = row
 
     return ResultsTable(
         conditions=tuple(cond.name.value for cond in conditions),

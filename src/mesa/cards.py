@@ -234,15 +234,31 @@ def load_registry(path: str | Path) -> CardRegistry:
     """Load a card file; all predicates parse eagerly, no partial registry.
 
     Each distinct predicate text is parsed once; equal texts share one tree,
-    and equal atoms across the file one atom (dsl.predicate_parser).
+    and equal atoms across the file one atom (dsl.predicate_parser). Each
+    card is built as soon as the decoder yields its object (codec's
+    object_hook), so the file's card dicts are never all held at once.
 
     Raises CardFileError naming the offending card for any schema violation,
     duplicate id, or predicate syntax error, and naming applied_through when
     that optional top-level field is not a non-negative integer.
     """
-    doc = read_document(path, CardFileError, "card file", "cards", "applied_through")
     parse = predicate_parser()
-    cards = tuple(_parse_card(raw, i, parse) for i, raw in enumerate(doc["cards"]))
+
+    def card(raw: dict) -> object:  # the object hook: each card as soon as it is decoded
+        try:
+            return _parse_card(raw, 0, parse)
+        except CardFileError:
+            return raw
+
+    doc = read_document(
+        path, CardFileError, "card file", "cards", "applied_through", object_hook=card
+    )
+    # Cards the hook finished, or, after a failure, the plain decode's dicts
+    # checked in order, so the first bad card is named as before.
+    cards = tuple(
+        raw if type(raw) is SkillCard else _parse_card(raw, i, parse)
+        for i, raw in enumerate(doc["cards"])
+    )
     return CardRegistry(cards=cards, applied_through=read_applied_through(doc, path))
 
 

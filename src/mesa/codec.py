@@ -5,6 +5,19 @@ read_input reads a file as UTF-8 and read_document parses it as a JSON
 decode_json is json.loads for every outside input: JSON nested too deeply for
 the parser is a ValueError like any other bad JSON.
 
+read_document may take an object_hook, which json.loads calls on each object
+as soon as it is decoded, innermost first, keeping what it returns in the
+object's place. A loader's hook turns each record into what the loader keeps
+(a card, or a marker for a row filed in its table), so the document's raw
+records never all exist at once. A hook never raises: a record it cannot
+finish it returns unchanged, and a finished record must not be a JSON value
+(dict, list, str, int, float, bool or None). Unless every element of the
+list is finished and every optional key holds a string, number, bool or null
+(anything else may be, or hide, a finished record), read_document decodes
+the text again without the hook, so the loader's own in-order checks see
+exactly the records of the file and name the first failure as a plain decode
+always has.
+
 Codec(cls, **special) takes its keys from the dataclass fields of cls. A
 field whose value is a plain JSON value (a string, a number, a bool or null)
 needs no declaration: decode checks it against the field's type hint. Any
@@ -35,25 +48,58 @@ def read_input(path: str | Path, error: type[Exception], what: str) -> str:
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
-def decode_json(document: str | bytes) -> object:
+def decode_json(document: str | bytes, object_hook: Callable | None = None) -> object:
     """json.loads, with a document nested too deeply for the parser a ValueError."""
     try:
-        return json.loads(document)
+        return json.loads(document, object_hook=object_hook)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
 
 
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_JSON_TYPES = _SCALAR_TYPES | {dict, list}
+
+
 def read_document(
-    path: str | Path, error: type[Exception], what: str, key: str, *optional: str
+    path: str | Path,
+    error: type[Exception],
+    what: str,
+    key: str,
+    *optional: str,
+    object_hook: Callable[[dict], object] | None = None,
 ) -> dict:
-    """read_input's text as a JSON object {"<key>": [...]}, which may also hold optional keys."""
-    try:
-        doc = decode_json(read_input(path, error, what))
-    except ValueError as exc:
-        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    """read_input's text as a JSON object {"<key>": [...]}, which may also hold optional keys.
+
+    With object_hook, the list holds the hook's finished records, or, if one
+    is left unfinished, the plain decode's records (see the module docstring).
+    """
+    text = read_input(path, error, what)
+    doc = None
+    if object_hook is not None:
+        try:  # a failed hooked decode (the hook's own frames may overflow) is redone plainly
+            doc = decode_json(text, object_hook)
+        except ValueError:
+            pass
+        if not _finished(doc, key, optional):
+            doc = None
+    if doc is None:
+        try:
+            doc = decode_json(text)
+        except ValueError as exc:
+            raise error(f"{what} {path} is not valid JSON: {exc}") from exc
     if type(doc) is not dict or type(doc.get(key)) is not list or doc.keys() - {key, *optional}:
         raise error(f'{what} {path}: expected top-level {{"{key}": [...]}}')
     return doc
+
+
+def _finished(doc: object, key: str, optional: tuple[str, ...]) -> bool:
+    """Whether a hooked decode's list holds only finished records, and its optional keys scalars."""
+    return (
+        type(doc) is dict
+        and type(doc.get(key)) is list
+        and _JSON_TYPES.isdisjoint(map(type, doc[key]))
+        and all(type(doc[name]) in _SCALAR_TYPES for name in optional if name in doc)
+    )
 
 
 class _FieldError(TypeError):

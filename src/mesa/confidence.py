@@ -37,7 +37,8 @@ class ConfidenceVector:
     def __post_init__(self) -> None:
         _check_unit("p_self", self.p_self)
         for channel, value in self.source_confidences.items():
-            _check_unit(f"source_confidences[{channel!r}]", value)
+            if not 0.0 <= value <= 1.0:  # the name is built only for the error
+                _check_unit(f"source_confidences[{channel!r}]", value)
 
 
 def decontaminate(

@@ -47,3 +47,15 @@ class TaskContext:
         if self.pre_offload_p_self is not None and not 0.0 <= self.pre_offload_p_self <= 1.0:
             raise ValueError("pre_offload_p_self must be in [0, 1]")
         object.__setattr__(self, "lowered_prompt", self.prompt.lower())
+
+    def after_offload(self, p_self: float) -> TaskContext:
+        """This task once an offload has begun at self-confidence p_self.
+
+        A copy with pre_offload_p_self set: the lowered prompt is carried
+        over, not computed again.
+        """
+        if not 0.0 <= p_self <= 1.0:
+            raise ValueError("pre_offload_p_self must be in [0, 1]")
+        post = object.__new__(TaskContext)
+        post.__dict__.update(self.__dict__, pre_offload_p_self=p_self)
+        return post

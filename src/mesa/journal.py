@@ -1,14 +1,15 @@
 """Durable writes: _write_all writes every byte, replace_durably every whole file.
 
 Append-only JSON-lines files (the failure bank, the replay cache): a record
-counts once its newline is written. Readers skip a final line without one (a
-crash mid-append) with a warning, and the next append cuts it off. An append
-holds an exclusive flock from its read of the tail to its fsync. An append
-that fails after bytes reach the file (its fsync, say) cuts them off again
-under the lock, so a record whose append raised is not in the file (unless
-the cut failed too) and a retry adds it once. The bank reads only the last
-record there; the replay cache reads every record appended since its own
-last read, so that it records each key once.
+counts once its newline is written. Readers (read_lines) take the file one
+line at a time and skip a final line without one (a crash mid-append) with a
+warning, and the next append cuts it off. An append holds an exclusive
+flock from its read of the tail to its fsync. An append that fails after
+bytes reach the file (its fsync, say) cuts them off again under the lock, so
+a record whose append raised is not in the file (unless the cut failed too)
+and a retry adds it once. The bank reads only the last record there; the
+replay cache reads every record appended since its own last read, so that
+it records each key once.
 """
 
 from __future__ import annotations
@@ -18,19 +19,29 @@ import logging
 import os
 import stat
 from pathlib import Path
-from typing import Callable
+from typing import BinaryIO, Callable, Iterator
 
 log = logging.getLogger("mesa.journal")
 
 _TAIL_WINDOW = 4096  # bytes read from the file's end; doubled for a longer record
 
 
-def read_lines(path: str | Path) -> list[bytes]:
-    """Every complete line, without its newline; a torn final line is skipped with a warning."""
-    *lines, tail = Path(path).read_bytes().split(b"\n")
-    if tail:
-        log.warning("%s: ignoring torn trailing record (%d bytes)", path, len(tail))
-    return lines
+def read_lines(path: str | Path) -> Iterator[bytes]:
+    """Every complete line, without its newline, one at a time from the open file.
+
+    The file is opened at the call, so a missing file raises there. A torn
+    final line is skipped with a warning.
+    """
+    return _lines(open(path, "rb"), path)
+
+
+def _lines(file: BinaryIO, path: str | Path) -> Iterator[bytes]:
+    with file:
+        for line in file:
+            if line[-1:] == b"\n":
+                yield line[:-1]
+            else:
+                log.warning("%s: ignoring torn trailing record (%d bytes)", path, len(line))
 
 
 def _write_all(fd: int, data: bytes) -> None:

@@ -750,12 +750,7 @@ def _run_trajectory(
         final = FinalAnswerClass.STOPPED
         terminal = p_self
     else:
-        post_ctx = TaskContext(
-            prompt=ctx.prompt,
-            kind_tags=ctx.kind_tags,
-            attachments=ctx.attachments,
-            pre_offload_p_self=p_self,
-        )
+        post_ctx = ctx.after_offload(p_self)
         if chosen.variant is ActionVariant.LOAD_SKILL:
             assert chosen.card_id is not None
             source_trust = effective_trust(registry.get(chosen.card_id))

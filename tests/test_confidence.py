@@ -20,8 +20,8 @@ THRESHOLD = RoutingConfig().trust_override_threshold
 def test_vector_validates_ranges():
     with pytest.raises(ValueError):
         ConfidenceVector(p_self=1.2, source_confidences={})
-    with pytest.raises(ValueError):
-        ConfidenceVector(p_self=0.5, source_confidences={"a": -0.1})
+    with pytest.raises(ValueError, match=r"^source_confidences\['a'\] must be in \[0, 1\], got -0.1$"):
+        ConfidenceVector(p_self=0.5, source_confidences={"b": 1.0, "a": -0.1})
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ class CacheRecord:
         self.path = root / "cache.jsonl"
         self.inner = DictBackend(p_self=0.25, sources={"__tool__": 0.5})
         CachedBackend(self.inner, self.path).source_confidence(make_ctx(), "__tool__")
-        self.old = journal.read_lines(self.path)
+        self.old = list(journal.read_lines(self.path))
         row = {"key": _cache_key("self_confidence", make_ctx()), "value": 0.25}
         self.new = self.old + [json.dumps(row, sort_keys=True).encode()]
         self.cache = CachedBackend(self.inner, self.path)
@@ -87,7 +87,7 @@ class CacheRecord:
         return _succeeds(lambda: self.cache.self_confidence(make_ctx()))
 
     def state(self):
-        return journal.read_lines(self.path)
+        return list(journal.read_lines(self.path))
 
     def rerun(self) -> None:
         assert CachedBackend(self.inner, self.path).self_confidence(make_ctx()) == 0.25

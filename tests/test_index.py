@@ -310,6 +310,17 @@ def test_lowered_prompt_is_derived_and_left_out_of_eq_hash_and_repr():
         TaskContext(prompt="p", lowered_prompt="p")
 
 
+def test_after_offload_is_a_new_context_that_keeps_the_lowered_prompt():
+    ctx = TaskContext("STRAẞE İ", frozenset({"doc"}), (Attachment("image/png", 3),))
+    post = ctx.after_offload(0.25)
+    fresh = TaskContext(ctx.prompt, ctx.kind_tags, ctx.attachments, pre_offload_p_self=0.25)
+    assert post == fresh and hash(post) == hash(fresh) and repr(post) == repr(fresh)
+    assert post.lowered_prompt is ctx.lowered_prompt and ctx.pre_offload_p_self is None
+    for bad in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"pre_offload_p_self must be in \[0, 1\]"):
+            ctx.after_offload(bad)
+
+
 def test_trigger_choice():
     word, other, tag, mime = Contains("w"), Contains("v"), Kind("doc"), Mime("pdf")
     assert triggers(word) == {word}

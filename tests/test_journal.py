@@ -26,7 +26,24 @@ def test_append_sees_the_last_complete_line_and_cuts_a_torn_tail(tmp_path, befor
     journal.append(path, lambda line: seen.append(line) or "new")
     assert seen == [last]
     assert path.read_bytes() == after
-    assert journal.read_lines(path) == after.split(b"\n")[:-1]
+    assert list(journal.read_lines(path)) == after.split(b"\n")[:-1]
+
+
+def test_read_lines_streams_complete_lines_and_skips_a_torn_tail(tmp_path, caplog):
+    path = tmp_path / "j.jsonl"
+    path.write_bytes(b"a\n\nb\nhalf")
+    lines = journal.read_lines(path)
+    assert next(lines) == b"a"  # one line at a time, from the open file
+    assert not caplog.records
+    assert list(lines) == [b"", b"b"]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: ignoring torn trailing record (4 bytes)"
+    ]
+
+
+def test_read_lines_of_a_missing_file_raises_at_the_call(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        journal.read_lines(tmp_path / "missing.jsonl")
 
 
 @pytest.mark.parametrize(

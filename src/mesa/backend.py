@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from mesa import journal
-from mesa.codec import decode_json, read_document
+from mesa.codec import decode_json, read_document, shared_values
 from mesa.context import TaskContext
 from mesa.errors import MissingSignalError, RemoteBackendError, ReplayMissError, SuiteFormatError
 
@@ -163,10 +163,13 @@ def _is_confidence_key(key: str) -> bool:
 _FILED = object()  # what the object hook leaves in a filed row's place
 
 
-def _file_row(raw: object, defaults: dict, overrides: dict) -> str:
+def _file_row(
+    raw: object, defaults: dict, overrides: dict, share: Callable[[ScriptValue], ScriptValue]
+) -> str:
     """File one row in load_script's tables: its item's defaults, or its condition's rows.
 
-    Returns "" when filed, else "malformed" or "duplicate" (nothing filed).
+    The value is filed as share returns it (codec.shared_values). Returns ""
+    when filed, else "malformed" or "duplicate" (nothing filed).
     """
     # Exactly four keys: a missing one reads as None, which no check accepts.
     if type(raw) is not dict or len(raw) != 4:
@@ -194,7 +197,7 @@ def _file_row(raw: object, defaults: dict, overrides: dict) -> str:
     key = sys.intern(key)
     if key in table:
         return "duplicate"
-    table[key] = value
+    table[key] = share(value)
     return ""
 
 
@@ -205,12 +208,14 @@ def load_script(path: str | Path) -> BehaviorScript:
     probe:*) outside [0, 1], NaN included, makes its row malformed. Each
     row is filed in its table as soon as the decoder yields its object
     (codec's object_hook), so the file's row dicts are never all held at once.
+    Equal values share one object (codec.shared_values).
     """
     defaults: dict[str, dict[str, ScriptValue]] = {}
     overrides: dict[tuple[str, str], dict[str, ScriptValue]] = {}
+    share = shared_values()
 
     def file_row(raw: dict) -> object:  # the object hook
-        return raw if _file_row(raw, defaults, overrides) else _FILED
+        return raw if _file_row(raw, defaults, overrides, share) else _FILED
 
     rows = read_document(path, MissingSignalError, "script", "rows", object_hook=file_row)["rows"]
     if rows and rows[0] is not _FILED:
@@ -219,7 +224,7 @@ def load_script(path: str | Path) -> BehaviorScript:
         defaults.clear()
         overrides.clear()
         for i, raw in enumerate(rows):
-            problem = _file_row(raw, defaults, overrides)
+            problem = _file_row(raw, defaults, overrides, share)
             if problem == "malformed":
                 raise MissingSignalError(f"script {path}: malformed row #{i}: {raw!r}")
             if problem:

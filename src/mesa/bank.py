@@ -54,7 +54,7 @@ class BankConfig:
             raise ValueError("decrement_factor must be in (0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BankEntry:
     """One recorded trajectory, optionally implicating a card."""
 

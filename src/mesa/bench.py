@@ -224,7 +224,7 @@ def load_suite(
 # Matrix runner
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ItemOutcome:
     """One cell of traceability: how one item fared under one condition."""
 

@@ -16,12 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, TypeVar
 
-from mesa.codec import read_document
+from mesa.codec import read_document, shared_values
 from mesa.context import TaskContext
 from mesa.dsl import PredicateExpr, PredicateIndex, is_vacuous, predicate_parser
 from mesa.errors import CardFileError, PredicateSyntaxError, RegistryLookupError
+
+if TYPE_CHECKING:
+    from mesa.probe import ProbeState
+    from mesa.router import Action
+
+_Shared = TypeVar("_Shared")
 
 
 class OffloadingType(Enum):
@@ -70,9 +76,12 @@ class SkillCard:
     stale: bool
     body_ref: str
     # Values that depend on this card alone, shared by every route that
-    # matches it: slots 0-2 hold the probe traces (mesa.probe), slot 3 the
-    # LoadSkill action (mesa.router). None until a route first needs one.
-    _memo: list | None = field(default=None, init=False, repr=False, compare=False)
+    # matches it: its probe traces by verdict (mesa.probe) and its LoadSkill
+    # action (mesa.router). None until a route first needs one (keep).
+    _trace_passed: ProbeState | None = field(default=None, init=False, repr=False, compare=False)
+    _trace_failed: ProbeState | None = field(default=None, init=False, repr=False, compare=False)
+    _trace_unprobed: ProbeState | None = field(default=None, init=False, repr=False, compare=False)
+    _load_action: Action | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -80,17 +89,14 @@ class SkillCard:
         if not 0.0 <= self.source_trust <= 1.0:
             raise ValueError(f"card {self.id!r}: source_trust must be in [0, 1]")
 
-    def memo(self) -> list:
-        """The card's four shared-value slots, empty (None) until each is first built.
+    def keep(self, slot: str, value: _Shared) -> _Shared:
+        """Fill one of the card's shared-value slots with value, and return it.
 
-        Two threads may create the slots at once and one list is lost; its
-        values equal the kept list's, so no lock is needed.
+        Two threads may build a slot's value at once and the later one is
+        kept; the values are equal, so no lock is needed.
         """
-        memo = self._memo
-        if memo is None:
-            memo = [None] * 4
-            object.__setattr__(self, "_memo", memo)
-        return memo
+        object.__setattr__(self, slot, value)
+        return value
 
 
 def effective_trust(card: SkillCard) -> float:
@@ -192,8 +198,17 @@ def _card_error(raw: dict, index: int, problem: str) -> CardFileError:
     return CardFileError(f"{where}: {problem}")
 
 
-def _parse_card(raw: object, index: int, parse: Callable[[str], PredicateExpr]) -> SkillCard:
-    """Check a card's fields one at a time, in a fixed order; the first failure names it."""
+def _parse_card(
+    raw: object,
+    index: int,
+    parse: Callable[[str], PredicateExpr],
+    share: Callable[[_Shared], _Shared],
+) -> SkillCard:
+    """Check a card's fields one at a time, in a fixed order; the first failure names it.
+
+    The description and trust go through share (codec.shared_values); the
+    id, name and body_ref, unique by design, do not.
+    """
     if type(raw) is not dict:
         raise CardFileError(f"card #{index}: expected an object")
     if raw.keys() != _CARD_FIELDS:
@@ -224,9 +239,9 @@ def _parse_card(raw: object, index: int, parse: Callable[[str], PredicateExpr]) 
     if not 0.0 <= trust <= 1.0:
         raise _card_error(raw, index, "source_trust must be in [0, 1]")
     return SkillCard(
-        raw["id"], raw["name"], raw["description"], apply_when, cheap_probe,
-        _OFFLOADING_TYPES[offloading], float(trust), _PROVENANCES[provenance], raw["stale"],
-        raw["body_ref"],
+        raw["id"], raw["name"], share(raw["description"]), apply_when, cheap_probe,
+        _OFFLOADING_TYPES[offloading], share(float(trust)), _PROVENANCES[provenance],
+        raw["stale"], raw["body_ref"],
     )
 
 
@@ -234,19 +249,20 @@ def load_registry(path: str | Path) -> CardRegistry:
     """Load a card file; all predicates parse eagerly, no partial registry.
 
     Each distinct predicate text is parsed once; equal texts share one tree,
-    and equal atoms across the file one atom (dsl.predicate_parser). Each
-    card is built as soon as the decoder yields its object (codec's
+    and equal atoms across the file one atom (dsl.predicate_parser). Equal
+    descriptions and trust values share one object (codec.shared_values).
+    Each card is built as soon as the decoder yields its object (codec's
     object_hook), so the file's card dicts are never all held at once.
 
     Raises CardFileError naming the offending card for any schema violation,
     duplicate id, or predicate syntax error, and naming applied_through when
     that optional top-level field is not a non-negative integer.
     """
-    parse = predicate_parser()
+    parse, share = predicate_parser(), shared_values()
 
     def card(raw: dict) -> object:  # the object hook: each card as soon as it is decoded
         try:
-            return _parse_card(raw, 0, parse)
+            return _parse_card(raw, 0, parse, share)
         except CardFileError:
             return raw
 
@@ -256,7 +272,7 @@ def load_registry(path: str | Path) -> CardRegistry:
     # Cards the hook finished, or, after a failure, the plain decode's dicts
     # checked in order, so the first bad card is named as before.
     cards = tuple(
-        raw if type(raw) is SkillCard else _parse_card(raw, i, parse)
+        raw if type(raw) is SkillCard else _parse_card(raw, i, parse, share)
         for i, raw in enumerate(doc["cards"])
     )
     return CardRegistry(cards=cards, applied_through=read_applied_through(doc, path))

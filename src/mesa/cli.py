@@ -16,6 +16,7 @@ import argparse
 import logging
 import sys
 from dataclasses import fields, replace
+from typing import Callable
 
 from mesa import journal
 from mesa.backend import (
@@ -155,18 +156,23 @@ def _cmd_cards_lint(args: argparse.Namespace) -> int:
     return EXIT_DOMAIN if findings else EXIT_OK
 
 
-def _build_backend(
-    args: argparse.Namespace, suite_items, parser: argparse.ArgumentParser
-) -> ModelBackend:
+def _backend_builder(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> Callable[[list | None], ModelBackend]:
+    """Check the backend flags; returns what builds the backend from the suite's items.
+
+    Called before any file is loaded, so a bad flag is a usage error at once.
+    """
     if args.backend == "scripted":
-        if not args.script or suite_items is None:
+        if not args.script or not args.suite:
             parser.error("--backend scripted requires --script and --suite")
-        script = load_script(args.script)
-        return ScriptedBackend(script, suite_items, args.condition)
+        return lambda suite_items: ScriptedBackend(
+            load_script(args.script), suite_items, args.condition
+        )
     if args.backend == "cached":
         if not args.cache:
             parser.error("--backend cached requires --cache")
-        return CachedBackend(None, args.cache)
+        return lambda _: CachedBackend(None, args.cache)
     if not (args.endpoint and args.model and args.auth_env):
         parser.error("--backend remote requires --endpoint, --model, and --auth-env")
     try:
@@ -176,10 +182,11 @@ def _build_backend(
     except ValueError as exc:  # RemoteConfig names the field it rejects first
         flag = "--endpoint" if str(exc).startswith("endpoint") else "--timeout"
         parser.error(f"{flag}: {exc}")
-    return RemoteBackend(config)
+    return lambda _: RemoteBackend(config)
 
 
 def _cmd_route(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    # Every flag is checked before the card, suite or script file is loaded.
     cfg, _ = _load_settings(args.config)
     flags = vars(args)
     try:
@@ -190,8 +197,6 @@ def _cmd_route(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         condition: Condition = condition_by_name(args.condition)
     except ValueError as exc:
         parser.error(str(exc))
-
-    registry = load_registry(args.cards)
     attachments = []
     for spec_str in args.attach:
         mime, sep, size = spec_str.partition(":")
@@ -208,7 +213,9 @@ def _cmd_route(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         kind_tags=frozenset(args.kind_tag),
         attachments=tuple(attachments),
     )
+    build_backend = _backend_builder(args, parser)
 
+    registry = load_registry(args.cards)
     suite_items = None
     allowed = None
     if args.suite:
@@ -231,7 +238,7 @@ def _cmd_route(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                         " and ".join(dropped),
                     )
                 break
-    backend = _build_backend(args, suite_items, parser)
+    backend = build_backend(suite_items)
 
     decisions, _ = decide(ctx, registry, backend, cfg, condition, allowed)
     decision = decisions[-1]

@@ -18,6 +18,9 @@ the text again without the hook, so the loader's own in-order checks see
 exactly the records of the file and name the first failure as a plain decode
 always has.
 
+A loader passes the values its records repeat through shared_values' share,
+so one load keeps one object per distinct value, whichever path decoded it.
+
 Codec(cls, **special) takes its keys from the dataclass fields of cls. A
 field whose value is a plain JSON value (a string, a number, a bool or null)
 needs no declaration: decode checks it against the field's type hint. Any
@@ -38,6 +41,7 @@ from types import UnionType
 from typing import Callable, Generic, Mapping, TypeVar, Union, get_args, get_origin, get_type_hints
 
 _Record = TypeVar("_Record")
+_Value = TypeVar("_Value", str, float)
 
 
 def read_input(path: str | Path, error: type[Exception], what: str) -> str:
@@ -100,6 +104,21 @@ def _finished(doc: object, key: str, optional: tuple[str, ...]) -> bool:
         and _JSON_TYPES.isdisjoint(map(type, doc[key]))
         and all(type(doc[name]) in _SCALAR_TYPES for name in optional if name in doc)
     )
+
+
+def shared_values() -> Callable[[_Value], _Value]:
+    """One load's table of values: share(value) returns the first value equal to it.
+
+    For strings and floats. 0.0 and -0.0 are equal but not the same value,
+    so a zero (or "") is keyed with its repr; a NaN is equal to no other
+    NaN, so no two NaN objects are merged.
+    """
+    table: dict = {}
+
+    def share(value: _Value) -> _Value:
+        return table.setdefault(value if value else (value, repr(value)), value)
+
+    return share
 
 
 class _FieldError(TypeError):

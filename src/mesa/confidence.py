@@ -27,7 +27,7 @@ def _check_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfidenceVector:
     """p_self plus per-channel source confidences for one task."""
 

@@ -14,9 +14,9 @@ or Skipped, charged PROBE_COST.
 Conditions that disable the probe load every matched card uncharged, with
 passed left None (unprobed_trace). A ProbeState depends on its card and
 verdict alone, so it is an immutable value shared per card: each of a
-card's three traces is built the first time a route needs it, kept in the
-card's memo slots, and reused by every later route and trajectory that
-matches the card.
+card's three traces is built the first time a route needs it, kept in its
+own slot on the card (_trace_passed, _trace_failed, _trace_unprobed), and
+reused by every later route and trajectory that matches the card.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class ProbeStage(Enum):
     SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbeState:
     """Where one matched card ended up, and what its probe cost.
 
@@ -63,28 +63,11 @@ class ProbeState:
             raise ValueError("probe_cost_charged must be >= 0")
 
 
-# Where SkillCard.memo keeps the trace of each probe verdict; None: no probe ran.
-_TRACE_SLOT = {True: 0, False: 1, None: 2}
-
-
-def _trace(card: SkillCard, passed: bool | None) -> ProbeState:
-    """The card's shared trace for a probe verdict (None: no probe ran)."""
-    memo = card.memo()
-    slot = _TRACE_SLOT[passed]
-    state = memo[slot]
-    if state is None:
-        if passed is None:
-            state = ProbeState(card.id, ProbeStage.LOADED)
-        else:
-            stage = ProbeStage.LOADED if passed else ProbeStage.SKIPPED
-            state = ProbeState(card.id, stage, passed, PROBE_COST)
-        memo[slot] = state
-    return state
-
-
 def unprobed_trace(card: SkillCard) -> ProbeState:
     """A card loaded with the probe disabled: Loaded, passed None, uncharged."""
-    return _trace(card, None)
+    return card._trace_unprobed or card.keep(
+        "_trace_unprobed", ProbeState(card.id, ProbeStage.LOADED)
+    )
 
 
 def cheap_verdicts(ctx: TaskContext, cards: Sequence[SkillCard]) -> list[bool]:
@@ -108,8 +91,10 @@ def run_probe(cfg: "RoutingConfig", card: SkillCard, signal: float | None) -> Pr
     which decides Skipped; a signal passes below cfg.self_low + PROBE_SLACK
     (parametric insufficiency). Either way the probe charges PROBE_COST.
     """
-    passed = signal is not None and signal < cfg.self_low + PROBE_SLACK
-    # After the card's first route its trace is read straight from its slot.
-    memo = card._memo
-    state = memo[_TRACE_SLOT[passed]] if memo is not None else None
-    return state or _trace(card, passed)
+    if signal is not None and signal < cfg.self_low + PROBE_SLACK:
+        return card._trace_passed or card.keep(
+            "_trace_passed", ProbeState(card.id, ProbeStage.LOADED, True, PROBE_COST)
+        )
+    return card._trace_failed or card.keep(
+        "_trace_failed", ProbeState(card.id, ProbeStage.SKIPPED, False, PROBE_COST)
+    )

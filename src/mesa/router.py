@@ -114,7 +114,7 @@ VERIFY_BASELINE = 0.1
 CLAIM_THRESHOLD = 0.8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """One candidate: a variant plus its utilities and cost."""
 
@@ -173,7 +173,7 @@ class RoutingConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     """Selection result: the chosen action plus its scoring evidence.
 
@@ -361,7 +361,7 @@ class GoldAction(Enum):
     GATE_SKILL = "gate_skill"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryRecord:
     """One routed task: decisions, confidences, and graded outcome."""
 
@@ -458,20 +458,14 @@ _BASE_CANDIDATES: Mapping[bool, tuple[Action, ...]] = {
     for trivial in (False, True)
 }
 _BASE_KEYS = tuple(map(score_key, _BASE_CANDIDATES[False]))
-# Where SkillCard.memo keeps the card's LoadSkill action.
-_LOAD_ACTION_SLOT = 3
 
 
 def _load_action(card: SkillCard) -> Action:
     """The card's LoadSkill action, built by the first route that needs it and then shared."""
-    memo = card.memo()
-    action = memo[_LOAD_ACTION_SLOT]
-    if action is None:
-        action = Action(
-            ActionVariant.LOAD_SKILL, card_id=card.id, cost=COST_TABLE[ActionVariant.LOAD_SKILL]
-        )
-        memo[_LOAD_ACTION_SLOT] = action
-    return action
+    return card._load_action or card.keep(
+        "_load_action",
+        Action(ActionVariant.LOAD_SKILL, card_id=card.id, cost=COST_TABLE[ActionVariant.LOAD_SKILL]),
+    )
 
 
 def _matching(
@@ -505,10 +499,11 @@ def build_candidates(
     Cards whose apply_when matches the context (_matching) are probed; only
     escalated (Loaded) cards become LoadSkill candidates. A trace or
     LoadSkill action depends on its card alone, so each is built by the
-    first route that needs it and shared by every later one (SkillCard.memo).
-    Per Loaded card the loop reads its action from its slot and tests the
-    gate with one comparison (with vigilance off the gate is -inf); only a
-    card past the gate has its bound worked out, by _dual_score.
+    first route that needs it, kept in its slot on the card and shared by
+    every later one. Per Loaded card the loop reads its action from that
+    slot and tests the gate with one comparison (with vigilance off the gate
+    is -inf); only a card past the gate has its bound worked out, by
+    _dual_score.
 
     Each Loaded card that passes the trust gate and is not dominated has its
     body read exactly once and its source confidence queried. With
@@ -583,8 +578,7 @@ def build_candidates(
     for card, state in zip(matching, traces):
         if state.stage is not loaded:
             continue
-        # A trace is built through card.memo(), so the slots exist by now.
-        action = card._memo[_LOAD_ACTION_SLOT] or _load_action(card)
+        action = card._load_action or _load_action(card)
         trust = effective_trust(card) if vigilance_enabled else 1.0
         if trust >= gate:
             if _dual_score(action, 1.0, alpha, cost_lambda, trust) <= best_known:

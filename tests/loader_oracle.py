@@ -48,10 +48,15 @@ def read_document(
     return doc
 
 
+def _as_decoded(value: object) -> object:
+    return value
+
+
 def load_registry(path: str | Path) -> CardRegistry:
     doc = read_document(path, CardFileError, "card file", "cards", "applied_through")
     parse = predicate_parser()
-    cards = tuple(_parse_card(raw, i, parse) for i, raw in enumerate(doc["cards"]))
+    # Every value kept as decoded: the old loader shared none.
+    cards = tuple(_parse_card(raw, i, parse, _as_decoded) for i, raw in enumerate(doc["cards"]))
     return CardRegistry(cards=cards, applied_through=read_applied_through(doc, path))
 
 

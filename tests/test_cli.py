@@ -383,6 +383,37 @@ def test_route_bad_context_input_is_usage_error(bad_args, message, capsys):
     assert "Traceback" not in err
 
 
+SCRIPTED = ("--backend", "scripted", "--script", SCRIPT, "--suite", SUITE)
+REMOTE = ("--backend", "remote", "--model", "m", "--auth-env", "MESA_TEST_TOKEN")
+
+
+@pytest.mark.parametrize(
+    "bad_args, flag",
+    [
+        (["--prompt", "anything", *SCRIPTED, "--attach", "pdf:abc"], "--attach"),
+        (["--prompt", "", *SCRIPTED], "--prompt"),
+        (["--prompt", "anything", "--backend", "scripted", "--suite", SUITE], "--script"),
+        (["--prompt", "anything", "--backend", "scripted", "--script", SCRIPT], "--suite"),
+        (["--prompt", "anything", "--backend", "cached"], "--cache"),
+        (["--prompt", "anything", "--backend", "remote"], "--endpoint"),
+        (["--prompt", "anything", *REMOTE, "--endpoint", "not-a-url"], "--endpoint"),
+        (
+            ["--prompt", "anything", *REMOTE, "--endpoint", "http://127.0.0.1:9/v1", "--timeout", "0"],
+            "--timeout",
+        ),
+    ],
+)
+def test_route_checks_its_flags_before_loading_the_card_file(bad_args, flag, tmp_path, capsys):
+    code, out, err = run_cli(
+        "route", "--cards", str(tmp_path / "no-such-cards.json"), *bad_args, capsys=capsys
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.splitlines()[-1].startswith("mesa: error: ")
+    assert flag in err.splitlines()[-1]
+    assert "no-such-cards" not in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # eval and report
 

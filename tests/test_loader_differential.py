@@ -5,6 +5,8 @@ The loaders finish each card or script row as the JSON decoder yields it
 first, then checks the records in one loop. For every file both must load
 equal registries (cards, order, applied_through) and equal script tables,
 or raise the same exception class with the same message, byte for byte.
+Loaded values are compared exactly, by type and repr, so a loader that
+merged -0.0 into 0.0 (equal under ==) would fail.
 The inputs are the shipped and mini files, perfbench's seed-1 10k files,
 hand cases where a record holds a record-shaped object, and a type-swap
 fuzz over the first records of the shipped files.
@@ -24,6 +26,7 @@ import importlib.util
 import json
 import os
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -33,7 +36,7 @@ from hypothesis import strategies as st
 import loader_oracle
 from conftest import DATA
 from mesa.backend import BehaviorScript, load_script
-from mesa.cards import CardRegistry, load_registry
+from mesa.cards import CardRegistry, SkillCard, load_registry
 
 ROOT = Path(__file__).resolve().parent.parent
 LOADER_EXAMPLES = int(os.environ.get("MESA_LOADER_EXAMPLES", "200"))
@@ -45,12 +48,22 @@ PAIRS = [
 ]
 
 
+def _exact(value: object) -> tuple[type, str]:
+    """A value as compared here: -0.0 is not 0.0, 1 is not 1.0, and a NaN is a NaN."""
+    return type(value), repr(value)
+
+
 def _tables(script: BehaviorScript) -> tuple:
-    """The script's tables, with their order and their keys' order."""
+    """The script's tables, with their order, their keys' order and their exact values."""
     return (
-        [(item, list(table.items())) for item, table in script.defaults.items()],
-        [(pair, list(table.items())) for pair, table in script.overrides.items()],
+        [(item, [(k, _exact(v)) for k, v in table.items()]) for item, table in script.defaults.items()],
+        [(pair, [(k, _exact(v)) for k, v in table.items()]) for pair, table in script.overrides.items()],
     )
+
+
+def _card_values(card: SkillCard) -> list[tuple]:
+    """A loaded card's field values, exactly."""
+    return [(f.name, _exact(getattr(card, f.name))) for f in fields(card) if f.init]
 
 
 def _outcome(load, path: Path) -> tuple:
@@ -59,7 +72,13 @@ def _outcome(load, path: Path) -> tuple:
     except Exception as exc:  # any failure must match, class and message
         return ("raised", type(exc), str(exc))
     if isinstance(result, CardRegistry):
-        return ("registry", result.cards, [card.id for card in result], result.applied_through)
+        return (
+            "registry",
+            result.cards,
+            [card.id for card in result],
+            result.applied_through,
+            [_card_values(card) for card in result],
+        )
     return ("script", _tables(result))
 
 
@@ -167,6 +186,26 @@ HAND_CASES = {
     "invalid JSON after valid rows": json.dumps({"rows": ROWS})[:-20],
     "invalid JSON after valid cards": json.dumps({"cards": CARDS})[:-9] + "}, 5",
     "extra top-level key": {"rows": ROWS, "x": [ROW]},
+    # Values each loader shares: equal under == is not enough to merge.
+    "signed zeros, ints and a NaN in rows": {
+        "rows": [
+            _row(key=f"answer:{i}", value=value)
+            for i, value in enumerate([0.0, -0.0, 0, -0.0, 0.0, 1, 1.0, float("nan"), float("nan")])
+        ]
+        + [_row(key="probe:z", value=-0.0), _row(key="p_self", value=0.0)]
+    },
+    "a negative zero row first": {
+        "rows": [_row(key="answer:a", value=-0.0), _row(key="answer:b", value=0.0)]
+    },
+    "signed zero and int trusts": {
+        "cards": [
+            _card(id=f"z{i}", source_trust=trust, description=text)
+            for i, (trust, text) in enumerate(
+                [(-0.0, ""), (0.0, "same"), (0, "same"), (-0.0, ""), (1, "x"), (1.0, "x")]
+            )
+        ]
+    },
+    "a NaN trust": {"cards": [CARD, _card(id="b", source_trust=float("nan"))]},
 }
 
 

@@ -264,8 +264,10 @@ def test_seed1_registry_holds_one_object_per_distinct_atom(seed1_registry_dir):
 
 def test_seed1_registry_and_script_stay_small_once_loaded(seed1_registry_dir):
     # What a loaded registry and script keep, as tracemalloc counts it: about
-    # 9.4 MiB (Python 3.11), against 16.7 MiB when atoms were built per
-    # predicate text and the script also kept an (item, condition, key) map.
+    # 7.2 MiB (Python 3.11; 4.5 MiB of cards, 2.8 MiB of script), against
+    # 8.9 MiB before each load kept one object per distinct value, and
+    # 16.7 MiB when atoms were built per predicate text and the script also
+    # kept an (item, condition, key) map.
     gc.collect()
     tracemalloc.start()
     try:
@@ -280,3 +282,51 @@ def test_seed1_registry_and_script_stay_small_once_loaded(seed1_registry_dir):
         tracemalloc.stop()
     assert len(loaded[0]) == 10_000
     assert retained < 12 * 2**20, f"{retained / 2**20:.1f} MiB retained"
+
+
+def test_seed1_files_hold_one_object_per_distinct_value(seed1_registry_dir):
+    # 38,452 numeric rows with 76 distinct values, and 10,000 cards with one
+    # description text and 702 distinct trust values: each loader keeps one
+    # object per distinct value.
+    registry = load_registry(seed1_registry_dir / "cards.json")
+    assert len({id(card.description) for card in registry}) == 1
+    trusts = [card.source_trust for card in registry]
+    assert len({id(t) for t in trusts}) == len({repr(t) for t in trusts}) == 702
+
+    script = load_script(seed1_registry_dir / "script.json")
+    tables = [*script.defaults.values(), *script.overrides.values()]
+    numbers = [value for table in tables for value in table.values() if type(value) is float]
+    assert len(numbers) == 38_452
+    assert len({id(value) for value in numbers}) == len({repr(v) for v in numbers}) == 76
+
+
+def test_routing_the_seed1_prompts_keeps_little_route_state(seed1_registry_dir):
+    # What routing the 100 seed-1 prompts adds to the heap, as tracemalloc
+    # counts it, when each prompt's decision and traces are kept (as the
+    # route_registry_10k workload keeps them) and the atom index has already
+    # matched every prompt: about 1.5 MiB (Python 3.11) of slotted traces and
+    # LoadSkill actions, held on their cards, and decisions. It was 2.9 MiB
+    # when traces and actions each had an instance dict and every matched
+    # card a four-item list for them.
+    registry = load_registry(seed1_registry_dir / "cards.json")
+    suite = load_suite(seed1_registry_dir / "suite.json", registry, expected_per_slice=None)
+    backend = ScriptedBackend(load_script(seed1_registry_dir / "script.json"), suite, "full")
+    contexts = [router.context_for_item(item) for item in suite]
+    for ctx in contexts:
+        registry.matching(ctx)
+    cfg = router.RoutingConfig()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = []
+        for ctx in contexts:
+            candidates, cv, traces = router.build_candidates(ctx, registry, backend, cfg, True, None)
+            kept.append((router.select_action(ctx, candidates, cv, cfg, registry), traces))
+        del candidates, cv, traces
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(len(traces) for _, traces in kept) == 28_541
+    assert retained < 2 * 2**20, f"{retained / 2**20:.2f} MiB retained"

@@ -12,24 +12,30 @@ import pytest
 
 import mesa.bench
 from mesa.backend import CachedBackend, RemoteConfig, ScriptedBackend
+from mesa.bank import BankEntry
 from mesa.bench import (
     CONDITIONS,
     BenchmarkItem,
+    ItemOutcome,
     SliceName,
     condition_by_name,
     emit_report,
     run_matrix,
 )
-from mesa.cards import CardRegistry, Provenance
+from mesa.cards import CardRegistry, Provenance, SkillCard
+from mesa.confidence import ConfidenceVector
 from mesa.errors import MesaError
-from mesa.probe import ProbeStage
+from mesa.probe import ProbeStage, ProbeState
 from mesa.router import (
     CLAIM_THRESHOLD,
+    Action,
     ActionVariant,
+    Decision,
     FinalAnswerClass,
     GoldAction,
     Outcome,
     RoutingConfig,
+    TrajectoryRecord,
     classify_outcome,
     run_trajectory,
     trajectory_from_dict,
@@ -774,3 +780,35 @@ def test_record_validation():
                 "diagnostic": None,
             }
         )
+
+
+# ---------------------------------------------------------------------------
+# Storage
+
+
+def test_records_made_per_card_row_and_decision_have_no_instance_dict(
+    mini_registry, mini_suite, mini_script
+):
+    # A long-lived process holds these by the thousand, so each is slotted.
+    records = []
+    table = run_matrix(mini_suite, mini_registry, mini_script, on_record=records.append)
+    decisions = [decision for record in records for decision in record.decisions]
+    traces = [trace for decision in decisions for trace in decision.probe_traces]
+    loads = [d.chosen for d in decisions if d.chosen.variant is ActionVariant.LOAD_SKILL]
+    assert traces and loads
+    instances = {
+        ProbeState: traces,
+        Action: [decision.chosen for decision in decisions],
+        Decision: decisions,
+        TrajectoryRecord: records,
+        ConfidenceVector: [ConfidenceVector(0.5, {"c": 0.25})],
+        ItemOutcome: list(table.items),
+        BankEntry: [BankEntry(trajectory=record) for record in records],
+        SkillCard: list(mini_registry),
+        CardRegistry: [mini_registry],
+    }
+    for cls, objects in instances.items():
+        assert objects, cls
+        for obj in objects:
+            assert type(obj) is cls
+            assert not hasattr(obj, "__dict__"), cls.__name__
